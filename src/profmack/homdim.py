@@ -361,7 +361,7 @@ def homdim_certificate(setup: str, depth: int = 6) -> HomDimCertificate:
     """Built-in setups: "finite:<selector>", "spzp[:p]", "spzp-weyl"."""
     trace: list[str] = []
     if setup.startswith("finite"):
-        sel = setup.split(":", 1)[1] if ":" in setup else "cyc:2"
+        sel = setup.split(":", 1)[1] if ":" in setup else "cyclic:2"
         T = builtin_tower(f"finite:{sel}", max(depth, 1))
         cert = cb_rank(subgroup_space_tower(T))
         trace.append(f"finite group {sel}: discrete subgroup space")

@@ -60,7 +60,12 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def matvec(a: Matrix, v: Vector) -> Vector:
-    return [sum((x * y for x, y in zip(row, v)), Q0) for row in a]
+    if a and len(a[0]) != len(v):
+        raise ValueError(f"matvec shape mismatch {shape(a)} x {len(v)}")
+    # matrices on the Ext path are about 10% nonzero: multiply only where
+    # both factors are nonzero
+    nz = [(j, x) for j, x in enumerate(v) if x]
+    return [sum((row[j] * x for j, x in nz if row[j]), Q0) for row in a]
 
 
 def add(a: Matrix, b: Matrix) -> Matrix:

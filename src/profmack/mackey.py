@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg as la
-from .linalg import Fraction as _F  # noqa: F401
 from .burnside import (
     Component,
     Span,
@@ -934,33 +933,33 @@ def projective_resolution(M: MackeyFunctorQ, length: int,
 
 def _hom_complex_diff(res: Resolution, N: MackeyFunctorQ, j: int,
                       tools: _RepTools) -> la.Matrix:
-    """Matrix of Hom(P_j, N) -> Hom(P_{j+1}, N) in Yoneda coordinates."""
+    """Matrix of Hom(P_j, N) -> Hom(P_{j+1}, N) in Yoneda coordinates.
+
+    Column (i, t) is the Yoneda morphism of e_t in N(H_i) composed with
+    d: P_{j+1} -> P_j, read at the identity class of each generator H2 of
+    P_{j+1}.  So only that column of d(H2) is needed, against the columns
+    dual_action(N, H2, H_i, c)[:, t] of the Yoneda morphism at H2.
+    """
     cov_j = res.covers[j]
     cov_j1 = res.covers[j + 1]
     d = res.differentials[j]  # P_{j+1} -> P_j
-    src_dims = [N.dim(H) for H in cov_j.gen_subgroups]
-    dst_dims = [N.dim(H) for H in cov_j1.gen_subgroups]
-    out = la.zeros(sum(dst_dims), sum(src_dims))
-    col = 0
-    for i, H in enumerate(cov_j.gen_subgroups):
-        for t in range(N.dim(H)):
-            xs = [
-                [Q0] * N.dim(Hg) for Hg in cov_j.gen_subgroups
-            ]
-            xs[i][t] = Q1
-            phi = _yoneda_morphism(cov_j.functor, N, cov_j.gen_subgroups, xs,
-                                   cov_j.bases, tools)
-            psi = phi.compose(d)  # P_{j+1} -> N
-            row0 = 0
-            for i2, H2 in enumerate(cov_j1.gen_subgroups):
-                # Yoneda coordinate: psi at H2 on the identity-class basis vector
-                # of summand i2 inside P_{j+1}(H2)
-                idx = cov_j1.bases[H2].index((i2, _identity_component(H2)))
-                vec = [psi.mats[H2][r][idx] for r in range(N.dim(H2))]
-                for r, v in enumerate(vec):
-                    out[row0 + r][col] = v
-                row0 += N.dim(H2)
-            col += 1
+    col0 = list(itertools.accumulate((N.dim(H) for H in cov_j.gen_subgroups),
+                                     initial=0))
+    out = la.zeros(sum(N.dim(H2) for H2 in cov_j1.gen_subgroups), col0[-1])
+    row0 = 0
+    for i2, H2 in enumerate(cov_j1.gen_subgroups):
+        idx = cov_j1.id_index[i2]
+        for p, (i, c) in enumerate(cov_j.bases[H2]):
+            f = d.mats[H2][p][idx]
+            if not f:
+                continue
+            A = tools.dual_action(N, H2, cov_j.gen_subgroups[i], c)
+            for r, arow in enumerate(A):
+                orow = out[row0 + r]
+                for t, x in enumerate(arow):
+                    if x:
+                        orow[col0[i] + t] += x * f
+        row0 += N.dim(H2)
     return out
 
 

@@ -83,6 +83,13 @@ def test_homdim_certify_cli(capsys):
     assert data["verdict"] == "Exact" and data["value"] == 1
 
 
+def test_homdim_certify_finite_default_group(capsys):
+    code, out = run(capsys, ["homdim", "certify", "--setup", "finite", "--json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] == "Exact" and data["value"] == 0
+
+
 def test_verify_round_trip(tmp_path, capsys):
     code, out = run(capsys, ["cb", "rank", "--tower", "pro_p:3", "--depth", "6",
                              "--json"])

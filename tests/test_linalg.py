@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from profmack import linalg as la
 
 F = Fraction
@@ -76,3 +78,42 @@ def test_matmul_associativity():
     b = rand_matrix(rng, 4, 2)
     c = rand_matrix(rng, 2, 5)
     assert la.matmul(la.matmul(a, b), c) == la.matmul(a, la.matmul(b, c))
+
+
+def dense_matvec(a, v):
+    return [sum((x * y for x, y in zip(row, v)), F(0)) for row in a]
+
+
+def sparse_matrix(rng, r, c, density=0.1):
+    return [[F(rng.randint(-4, 4) or 1, rng.randint(1, 5))
+             if rng.random() < density else F(0) for _ in range(c)]
+            for _ in range(r)]
+
+
+def test_matvec_matches_dense_formula_on_sparse_input():
+    rng = random.Random(5)
+    for _ in range(40):
+        r, c = rng.randint(1, 30), rng.randint(1, 30)
+        a = sparse_matrix(rng, r, c)
+        v = [F(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.3
+             else F(0) for _ in range(c)]
+        out = la.matvec(a, v)
+        assert out == dense_matvec(a, v)
+        assert all(type(x) is Fraction for x in out)
+
+
+def test_matvec_zeros_and_empty():
+    a = [[F(0), F(0), F(0)], [F(1), F(2), F(3)], [F(0), F(0), F(0)]]
+    assert la.matvec(a, [F(0)] * 3) == [F(0)] * 3
+    assert la.matvec(a, [F(1), F(1), F(1)]) == [F(0), F(6), F(0)]
+    assert la.matvec([], []) == []
+    assert la.matvec(la.zeros(2, 0), []) == [F(0), F(0)]
+    assert all(type(x) is Fraction
+               for x in la.matvec(a, [F(0)] * 3) + la.matvec(la.zeros(2, 0), []))
+
+
+def test_matvec_shape_mismatch():
+    with pytest.raises(ValueError):
+        la.matvec(la.identity(3), [F(1), F(2)])
+    with pytest.raises(ValueError):
+        la.matvec(la.identity(2), [F(1), F(2), F(3)])

@@ -166,6 +166,44 @@ def test_kernel_functor_is_kernel():
         assert K.dim(H) == cov.functor.dim(H) - la.rank(cov.cover.mats[H])
 
 
+def reference_hom_complex_diff(res, N, j, tools):
+    """The hom-complex differential built column by column from whole Yoneda
+    morphisms: phi over every subgroup, composed with d, read at the
+    identity class of each generator of P_{j+1}."""
+    cov_j, cov_j1 = res.covers[j], res.covers[j + 1]
+    d = res.differentials[j]
+    cols = []
+    for i, H in enumerate(cov_j.gen_subgroups):
+        for t in range(N.dim(H)):
+            xs = [[la.Q0] * N.dim(Hg) for Hg in cov_j.gen_subgroups]
+            xs[i][t] = la.Q1
+            phi = mk._yoneda_morphism(cov_j.functor, N, cov_j.gen_subgroups, xs,
+                                      cov_j.bases, tools)
+            psi = phi.compose(d)
+            col = []
+            for i2, H2 in enumerate(cov_j1.gen_subgroups):
+                idx = cov_j1.bases[H2].index((i2, mk._identity_component(H2)))
+                col += [psi.mats[H2][r][idx] for r in range(N.dim(H2))]
+            cols.append(col)
+    n_rows = sum(N.dim(H2) for H2 in cov_j1.gen_subgroups)
+    return la.transpose(cols) if cols else la.zeros(n_rows, 0)
+
+
+@pytest.mark.parametrize("sel", ["cyclic:4", "sym:3"])
+def test_hom_complex_diff_matches_yoneda_composition(sel):
+    G = gr.parse_group(sel)
+    objs = [mk.representable(G, gs.transitive_gset(G, H)) for H in class_reps(G)]
+    objs += [mk.fixed_point_functor(V) for V in mk.rational_irreducibles(G)]
+    tools = mk._RepTools(G)
+    resolutions = [mk.projective_resolution(M, 2, tools) for M in objs[:2]]
+    assert all(len(res.covers) == 3 for res in resolutions)
+    for res in resolutions:
+        for N in objs:
+            for j in (0, 1):
+                got = mk._hom_complex_diff(res, N, j, tools)
+                assert got == reference_hom_complex_diff(res, N, j, tools)
+
+
 # ---------------------------------------------------------------------------
 # span-functor view and serialization
 
