@@ -1,112 +1,56 @@
-"""Integer table kernels: subgroup closure and orbit partitioning.
-
-These are the only hot inner loops operating on plain integer arrays, so
-they carry numba-compiled versions.  Set PROFMACK_NO_NUMBA=1 to force the
-pure-numpy fallbacks (used by the benchmark and as a safety hatch).
-"""
-
-import os
+"""Integer table kernels: subgroup closure and orbit partitioning."""
 
 import numpy as np
 
-_DISABLE = os.environ.get("PROFMACK_NO_NUMBA", "") not in ("", "0")
-
-try:
-    if _DISABLE:
-        raise ImportError
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - environment dependent
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+# There is no compiled variant of these kernels; the constant stays for
+# readers that record which kernels ran.
+HAVE_NUMBA = False
 
 
-def _closure_impl(mult, seed):
-    n = mult.shape[0]
-    member = np.zeros(n, dtype=np.bool_)
-    stack = np.empty(n, dtype=np.int64)
-    top = 0
-    for i in range(seed.shape[0]):
-        s = seed[i]
-        if not member[s]:
-            member[s] = True
-            stack[top] = s
-            top += 1
+def closure(mult: np.ndarray, seed) -> list[int]:
+    """Smallest subset of {0..n-1} containing ``seed`` closed under the table.
+
+    ``mult`` must be the full multiplication table of a group, so closure
+    under products alone also yields closure under inverses.
+    Returns a sorted list.
+    """
+    item = np.asarray(mult, dtype=np.int64).item
+    seed = [int(s) for s in seed]
+    if not seed:
+        raise ValueError("closure needs a non-empty seed")
+    members = set(seed)
+    stack = list(members)
     # worklist: close under multiplication against all current members
-    elems = np.empty(n, dtype=np.int64)
-    count = 0
-    while top > 0:
-        top -= 1
-        a = stack[top]
-        elems[count] = a
-        count += 1
-        for j in range(count):
-            b = elems[j]
-            for c in (mult[a, b], mult[b, a]):
-                if not member[c]:
-                    member[c] = True
-                    stack[top] = c
-                    top += 1
-    out = np.where(member)[0]
-    return out
+    elems: list[int] = []
+    while stack:
+        a = stack.pop()
+        elems.append(a)
+        for b in elems:
+            for c in (item(a, b), item(b, a)):
+                if c not in members:
+                    members.add(c)
+                    stack.append(c)
+    return sorted(members)
 
 
-def _orbits_impl(perms, n_pts):
-    label = np.full(n_pts, -1, dtype=np.int64)
-    stack = np.empty(n_pts, dtype=np.int64)
+def orbit_labels(perms, n_pts: int) -> list[int]:
+    """Connected-component labels of points under a list of permutations.
+
+    Labels count up from 0 in the order of each component's least point.
+    """
+    label = [-1] * n_pts
     current = 0
     for start in range(n_pts):
         if label[start] >= 0:
             continue
         label[start] = current
-        stack[0] = start
-        top = 1
-        while top > 0:
-            top -= 1
-            x = stack[top]
-            for g in range(perms.shape[0]):
-                y = perms[g, x]
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for row in perms:
+                y = row[x]
                 if label[y] < 0:
                     label[y] = current
-                    stack[top] = y
-                    top += 1
+                    stack.append(y)
         current += 1
     return label
-
-
-if HAVE_NUMBA:
-    _closure_jit = njit(cache=True)(_closure_impl)
-    _orbits_jit = njit(cache=True)(_orbits_impl)
-else:
-    _closure_jit = _closure_impl
-    _orbits_jit = _orbits_impl
-
-
-def closure(mult: np.ndarray, seed) -> np.ndarray:
-    """Smallest subset of {0..n-1} containing ``seed`` closed under the table.
-
-    ``mult`` must be the full multiplication table of a group, so closure
-    under products alone also yields closure under inverses.
-    Returns a sorted int64 array.
-    """
-    mult = np.ascontiguousarray(mult, dtype=np.int64)
-    seed = np.asarray(list(seed), dtype=np.int64)
-    if seed.size == 0:
-        raise ValueError("closure needs a non-empty seed")
-    return _closure_jit(mult, seed)
-
-
-def orbit_labels(perms, n_pts: int) -> np.ndarray:
-    """Connected-component labels of points under a list of permutations."""
-    if len(perms) == 0:
-        return np.arange(n_pts, dtype=np.int64)
-    arr = np.ascontiguousarray(np.asarray(perms, dtype=np.int64))
-    return _orbits_jit(arr, n_pts)

@@ -11,23 +11,20 @@ matched with equal basepoint data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .groups import (
-    CapacityError,
     FiniteGroup,
     GroupHom,
     Subgroup,
     all_subgroups,
+    left_cosets,
     subgroup_conjugacy_classes,
 )
 from .gsets import (
     FiniteGSet,
     disjoint_union,
-    empty_gset,
     inflate_gset,
     orbit_decompose,
-    point_gset,
     product_gset,
     transitive_gset,
 )
@@ -65,19 +62,8 @@ class Span:
                         raise ValueError("span leg is not equivariant")
 
     def canonical(self) -> CanonicalSpan:
-        G = self.apex.group
-        comps = []
-        for orbit in self.apex.orbits():
-            best = None
-            for x in orbit:
-                stab = tuple(
-                    sorted(g for g in G.elements() if self.apex.act[g][x] == x)
-                )
-                cand = (stab, self.left[x], self.right[x])
-                if best is None or cand < best:
-                    best = cand
-            comps.append(best)
-        return tuple(sorted(comps))
+        comps = decompose_span(self)
+        return tuple(c for c in sorted(comps) for _ in range(comps[c]))
 
     def dual(self) -> "Span":
         return Span(self.right_foot, self.left_foot, self.apex, self.right, self.left)
@@ -89,10 +75,6 @@ def span_equivalent(s: Span, t: Span) -> bool:
         and s.right_foot is t.right_foot
         and s.canonical() == t.canonical()
     )
-
-
-def empty_span(A: FiniteGSet, B: FiniteGSet) -> Span:
-    return Span(A, B, empty_gset(A.group), (), ())
 
 
 def identity_span(A: FiniteGSet) -> Span:
@@ -152,35 +134,10 @@ def component_span(G: FiniteGroup, A: FiniteGSet, B: FiniteGSet, comp: Component
     L = Subgroup(G, stab)
     apex = transitive_gset(G, L)
     # point i of apex is the coset with canonical representative r_i
-    reps = _coset_reps(G, L)
+    reps, _ = left_cosets(G, L)
     left = tuple(A.act[r][a] for r in reps)
     right = tuple(B.act[r][b] for r in reps)
     return Span(A, B, apex, left, right)
-
-
-def _coset_reps(G: FiniteGroup, L: Subgroup) -> list[int]:
-    hset = set(L.elements)
-    rep_of = {}
-    reps = []
-    for g in G.elements():
-        if g in rep_of:
-            continue
-        coset = sorted(G.mul(g, h) for h in hset)
-        reps.append(coset[0])
-        for x in coset:
-            rep_of[x] = coset[0]
-    return sorted(reps)
-
-
-def build_span(G: FiniteGroup, A: FiniteGSet, B: FiniteGSet, canon: CanonicalSpan) -> Span:
-    """Representative span for a canonical class (possibly several components)."""
-    if not canon:
-        return empty_span(A, B)
-    parts = [component_span(G, A, B, c) for c in canon]
-    s = parts[0]
-    for p in parts[1:]:
-        s = span_add(s, p)
-    return s
 
 
 def hom_basis(A: FiniteGSet, B: FiniteGSet) -> list[Component]:
@@ -197,7 +154,7 @@ def hom_basis(A: FiniteGSet, B: FiniteGSet) -> list[Component]:
         fb = B.fixed_points(L)
         if not fa or not fb:
             continue
-        reps = _coset_reps(G, L)
+        reps, _ = left_cosets(G, L)
         for a in fa:
             for b in fb:
                 best = None
@@ -208,88 +165,6 @@ def hom_basis(A: FiniteGSet, B: FiniteGSet) -> list[Component]:
                         best = cand
                 seen.add(best)
     return sorted(seen)
-
-
-@dataclass
-class BurnsideHom:
-    """Formal rational combination of canonical span classes A -> B."""
-
-    source: FiniteGSet
-    target: FiniteGSet
-    terms: dict[CanonicalSpan, Fraction]
-
-    def __post_init__(self):
-        self.terms = {k: Fraction(v) for k, v in self.terms.items() if v != 0}
-
-    def __add__(self, other: "BurnsideHom") -> "BurnsideHom":
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + v
-        return BurnsideHom(self.source, self.target, terms)
-
-    def scaled(self, c) -> "BurnsideHom":
-        return BurnsideHom(
-            self.source, self.target, {k: Fraction(c) * v for k, v in self.terms.items()}
-        )
-
-
-def span_class_hom(s: Span) -> BurnsideHom:
-    """The class of a span, split into transitive classes with multiplicity."""
-    terms = {
-        (comp,): Fraction(mult) for comp, mult in decompose_span(s).items()
-    }
-    return BurnsideHom(s.left_foot, s.right_foot, terms)
-
-
-class BurnsideContext:
-    """Caches the span combinatorics of one finite group.
-
-    Interns the transitive G-sets O(H) = G/H for every subgroup H and caches
-    hom bases and composition structure constants between them.
-    """
-
-    def __init__(self, G: FiniteGroup):
-        self.group = G
-        self.subgroups = all_subgroups(G)
-        self.classes = subgroup_conjugacy_classes(G)
-        self.class_reps = [rep for rep, _ in self.classes]
-        self._rep_for = {}
-        for rep, members in self.classes:
-            for m in members:
-                self._rep_for[m] = rep
-        self._orbits: dict[Subgroup, FiniteGSet] = {}
-        self._hom_bases: dict[tuple[Subgroup, Subgroup], list[Component]] = {}
-        self._compose_cache: dict = {}
-
-    def class_rep(self, H: Subgroup) -> Subgroup:
-        return self._rep_for[H]
-
-    def orbit(self, H: Subgroup) -> FiniteGSet:
-        if H not in self._orbits:
-            self._orbits[H] = transitive_gset(self.group, H)
-        return self._orbits[H]
-
-    def basis(self, H: Subgroup, K: Subgroup) -> list[Component]:
-        key = (H, K)
-        if key not in self._hom_bases:
-            self._hom_bases[key] = hom_basis(self.orbit(H), self.orbit(K))
-        return self._hom_bases[key]
-
-    def span_of(self, H: Subgroup, K: Subgroup, comp: Component) -> Span:
-        return component_span(self.group, self.orbit(H), self.orbit(K), comp)
-
-    def compose(self, H: Subgroup, K: Subgroup, L: Subgroup,
-                c1: Component, c2: Component) -> dict[Component, int]:
-        """Structure constants of (c2 o c1) for c1: O(H)->O(K), c2: O(K)->O(L)."""
-        key = (H, K, L, c1, c2)
-        if key not in self._compose_cache:
-            s = span_compose(self.span_of(H, K, c1), self.span_of(K, L, c2))
-            self._compose_cache[key] = decompose_span(s)
-        return self._compose_cache[key]
-
-    def dual(self, comp: Component) -> Component:
-        stab, a, b = comp
-        return (stab, b, a)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -69,13 +68,6 @@ class FiniteGroup:
             for b in range(n):
                 t[a, b] = self.mul(a, b)
         return t
-
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != self.identity:
-            x = self.mul(x, a)
-            k += 1
-        return k
 
     def __repr__(self):
         return f"<{self.__class__.__name__} {self.label} order={self.order}>"
@@ -214,34 +206,18 @@ class Subgroup:
         return len(self.elements)
 
     def __contains__(self, x: int) -> bool:
-        return x in self._elemset()
-
-    @lru_cache(maxsize=None)
-    def _elemset(self):
-        return frozenset(self.elements)
+        return x in self.elements
 
     def key(self):
         return (len(self.elements), self.elements)
 
 
 def closure_set(G: FiniteGroup, seed) -> tuple[int, ...]:
-    """Subgroup generated by `seed`, as a sorted element tuple."""
-    seed = list(seed) or [G.identity]
-    if G.order <= TABLE_LIMIT:
-        return tuple(int(x) for x in _kernels.closure(G.table(), seed))
-    # generic worklist for large groups (used only off the hot paths)
-    members = set(seed)
-    work = list(members)
-    seen = []
-    while work:
-        a = work.pop()
-        seen.append(a)
-        for b in list(seen):
-            for c in (G.mul(a, b), G.mul(b, a)):
-                if c not in members:
-                    members.add(c)
-                    work.append(c)
-    return tuple(sorted(members))
+    """Subgroup generated by `seed`, as a sorted element tuple.
+
+    Works on the dense table, so G.order is bounded by TABLE_LIMIT.
+    """
+    return tuple(_kernels.closure(G.table(), list(seed) or [G.identity]))
 
 
 def subgroup(G: FiniteGroup, elements) -> Subgroup:
@@ -258,16 +234,8 @@ def subgroup(G: FiniteGroup, elements) -> Subgroup:
     return sg
 
 
-def generated_subgroup(G: FiniteGroup, gens) -> Subgroup:
-    return Subgroup(G, closure_set(G, gens))
-
-
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, (G.identity,))
-
-
-def full_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, tuple(range(G.order)))
 
 
 def _divisors(n: int) -> list[int]:
@@ -329,7 +297,7 @@ def _all_subgroup_tuples(G: FiniteGroup, limit: int) -> list[tuple[int, ...]]:
     if _is_coprime_cyclic_product(G):
         # coprime cyclic product: every subgroup is a product of factor
         # subgroups, encoded through the mixed-radix element indexing
-        parts = [_all_subgroup_tuples_factor(f) for f in G.factors]
+        parts = [_all_subgroup_tuples(f, DEFAULT_SUBGROUP_LIMIT) for f in G.factors]
         out = []
         for combo in itertools.product(*parts):
             elems = [
@@ -364,10 +332,26 @@ def _all_subgroup_tuples(G: FiniteGroup, limit: int) -> list[tuple[int, ...]]:
     return sorted(found, key=lambda t: (len(t), t))
 
 
-def _all_subgroup_tuples_factor(f: FiniteGroup) -> list[tuple[int, ...]]:
-    if isinstance(f, CyclicGroup):
-        return _all_subgroup_tuples(f, DEFAULT_SUBGROUP_LIMIT)
-    return _all_subgroup_tuples(f, DEFAULT_SUBGROUP_LIMIT)
+def left_cosets(G: FiniteGroup, H: Subgroup, elements=None):
+    """Left cosets gH for g in ``elements`` (default: all of G).
+
+    ``elements`` must be a union of cosets gH, for example the elements of a
+    subgroup containing H.  Returns the ascending list of representatives,
+    each the least element of its coset, and the map from every element to
+    its coset's representative.
+    """
+    rep_of: dict[int, int] = {}
+    reps = []
+    for g in G.elements() if elements is None else elements:
+        if g in rep_of:
+            continue
+        coset = [G.mul(g, h) for h in H.elements]
+        r = min(coset)
+        reps.append(r)
+        for x in coset:
+            rep_of[x] = r
+    reps.sort()
+    return reps, rep_of
 
 
 def conjugate_subgroup(H: Subgroup, g: int) -> Subgroup:
@@ -459,11 +443,6 @@ class GroupHom:
             tuple(sorted(x for x in self.domain.elements() if self.mapping[x] == e)),
         )
 
-    def image_subgroup(self, H: Subgroup) -> Subgroup:
-        return Subgroup(
-            self.codomain, tuple(sorted({self.mapping[x] for x in H.elements}))
-        )
-
     def compose(self, inner: "GroupHom") -> "GroupHom":
         """self o inner."""
         assert inner.codomain is self.domain
@@ -491,18 +470,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
         return Q, GroupHom(G, Q, tuple(x % d for x in G.elements()))
     if not is_normal(G, N):
         raise NotNormal(f"{N.elements} is not normal in {G.label}")
-    nset = set(N.elements)
-    rep_of = {}
-    reps = []
-    for g in G.elements():
-        if g in rep_of:
-            continue
-        coset = sorted(G.mul(g, n) for n in nset)
-        r = coset[0]
-        reps.append(r)
-        for x in coset:
-            rep_of[x] = r
-    reps.sort()
+    reps, rep_of = left_cosets(G, N)
     index = {r: i for i, r in enumerate(reps)}
     k = len(reps)
     mult = [[index[rep_of[G.mul(reps[i], reps[j])]] for j in range(k)] for i in range(k)]

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import _kernels
 from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    left_cosets,
     subgroup_conjugacy_classes,
 )
 
@@ -41,9 +42,6 @@ class FiniteGSet:
     def size(self) -> int:
         return len(self.act[0]) if self.act else 0
 
-    def apply(self, g: int, x: int) -> int:
-        return self.act[g][x]
-
     def stabilizer(self, x: int) -> Subgroup:
         G = self.group
         return Subgroup(
@@ -58,11 +56,11 @@ class FiniteGSet:
         ]
 
     def orbits(self) -> list[list[int]]:
-        labels = _kernels.orbit_labels([list(r) for r in self.act], self.size)
+        labels = _kernels.orbit_labels(self.act, self.size)
         out: dict[int, list[int]] = {}
         for x, l in enumerate(labels):
-            out.setdefault(int(l), []).append(x)
-        return [out[k] for k in sorted(out, key=lambda k: out[k][0])]
+            out.setdefault(l, []).append(x)
+        return list(out.values())  # labels follow each orbit's least point
 
 
 def empty_gset(G: FiniteGroup) -> FiniteGSet:
@@ -75,18 +73,7 @@ def point_gset(G: FiniteGroup) -> FiniteGSet:
 
 def transitive_gset(G: FiniteGroup, H: Subgroup) -> FiniteGSet:
     """G/H with points the cosets gH, indexed by canonical (minimal) reps."""
-    hset = set(H.elements)
-    rep_of: dict[int, int] = {}
-    reps: list[int] = []
-    for g in G.elements():
-        if g in rep_of:
-            continue
-        coset = sorted(G.mul(g, h) for h in hset)
-        r = coset[0]
-        reps.append(r)
-        for x in coset:
-            rep_of[x] = r
-    reps.sort()
+    reps, rep_of = left_cosets(G, H)
     index = {r: i for i, r in enumerate(reps)}
     act = tuple(
         tuple(index[rep_of[G.mul(g, r)]] for r in reps) for g in G.elements()

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import linalg as la
 from .cbrank import RankCertificate, SpaceTree, cb_rank
-from .groups import FiniteGroup, Subgroup, all_subgroups, conjugate_subgroup
+from .groups import Subgroup, conjugate_subgroup
 from .gsets import FiniteGSet
 from .mackey import MackeyFunctorQ
 from .sheaf import (
@@ -31,12 +31,10 @@ from .sheaf import (
     WeylFlag,
     constant_sheaf,
     godement_resolution,
-    hom_conv,
     hom_conv_dim,
     skyscraper_omega,
     spzp_base,
     tail_coords,
-    zero_tail,
 )
 from .tower import builtin_tower, subgroup_space_tower
 
@@ -221,16 +219,6 @@ def ext_sheaf(E: ConvSheaf, F: ConvSheaf, i: int,
         "ambient dimension at omega is not finite — reporting a lower bound"
     )
     return ExtResult(i, None, lower_bound_positive=True, witness=w, trace=trace)
-
-
-def ext_fin(E: EqSheafFinite, F: EqSheafFinite, i: int) -> ExtResult:
-    """Ext over a finite discrete base: sheaves are injective, so only Ext^0."""
-    from .sheaf import hom_fin
-
-    if i == 0:
-        d = len(hom_fin(E, F))
-        return ExtResult(0, d, trace=["Ext^0 = dim hom_fin"])
-    return ExtResult(i, 0, trace=["finite discrete base: every sheaf injective"])
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +407,11 @@ def _stalk_data(M: MackeyFunctorQ, K: Subgroup):
     return la.quotient_basis(cols, M.dim(K))
 
 
+def _phi_stalks(M: MackeyFunctorQ) -> dict:
+    """_stalk_data of M at every subgroup."""
+    return {H: _stalk_data(M, H) for H in M.subs}
+
+
 def _section(comp: list[int], dim: int) -> la.Matrix:
     """Right inverse of the quotient projection: class coords -> rep vector."""
     s = la.zeros(dim, len(comp))
@@ -439,7 +432,7 @@ def mackey_to_weylsheaf(M: MackeyFunctorQ) -> tuple[EqSheafFinite, WeylFlag]:
         [index[conjugate_subgroup(H, g)] for H in subs] for g in G.elements()
     ]
     base = FiniteGSet(G, tuple(tuple(row) for row in act_pts), label="subconj")
-    data = {H: _stalk_data(M, H) for H in subs}
+    data = _phi_stalks(M)
     dims = [len(data[H][0]) for H in subs]
     act = {}
     for g in G.elements():
@@ -451,8 +444,6 @@ def mackey_to_weylsheaf(M: MackeyFunctorQ) -> tuple[EqSheafFinite, WeylFlag]:
                                               _section(compH, M.dim(H))))
             act[(g, x)] = mat
     sheaf = EqSheafFinite(base, dims, act, name=f"Phi({M.name})")
-    sheaf._phi_subs = subs
-    sheaf._phi_data = data
     weyl = WeylFlag(
         exc=[
             all(
@@ -467,36 +458,33 @@ def mackey_to_weylsheaf(M: MackeyFunctorQ) -> tuple[EqSheafFinite, WeylFlag]:
     return sheaf, weyl
 
 
-def weylsheaf_morphism(f, SM: EqSheafFinite, SN: EqSheafFinite) -> dict[int, la.Matrix]:
-    """Stalk maps Phi(f): well defined because f commutes with inductions,
-    so it carries images of proper inductions into images of proper
-    inductions."""
-    subs = SM._phi_subs
+def weylsheaf_morphism(f, data_src: dict, data_dst: dict) -> dict[int, la.Matrix]:
+    """Stalk maps Phi(f), given the _phi_stalks of f's source and target:
+    well defined because f commutes with inductions, so it carries images of
+    proper inductions into images of proper inductions."""
     out = {}
-    for x, H in enumerate(subs):
-        compM, projM = SM._phi_data[H]
-        compN, projN = SN._phi_data[H]
+    for x, H in enumerate(f.src.subs):
+        compM, _ = data_src[H]
+        _, projN = data_dst[H]
         out[x] = la.matmul(projN, la.matmul(f(H), _section(compM, f.src.dim(H))))
     return out
 
 
 def phi_exact_on_ses(inc, proj) -> bool:
     """Audit: Phi sends the SES (inc, proj) to stalkwise short exact maps."""
-    SA, _ = mackey_to_weylsheaf(inc.src)
-    SM, _ = mackey_to_weylsheaf(inc.dst)
-    SB, _ = mackey_to_weylsheaf(proj.dst)
-    fi = weylsheaf_morphism(inc, SA, SM)
-    fp = weylsheaf_morphism(proj, SM, SB)
-    for x in range(len(SM.dims)):
+    dA, dM, dB = (_phi_stalks(F) for F in (inc.src, inc.dst, proj.dst))
+    fi = weylsheaf_morphism(inc, dA, dM)
+    fp = weylsheaf_morphism(proj, dM, dB)
+    for x, H in enumerate(inc.src.subs):
         comp = la.matmul(fp[x], fi[x])
         if not la.is_zero(comp) and comp:
             return False
         ri = la.rank(fi[x]) if fi[x] and fi[x][0] else 0
         rp = la.rank(fp[x]) if fp[x] and fp[x][0] else 0
-        if ri != SA.dims[x]:  # injective on stalks
+        if ri != len(dA[H][0]):  # injective on stalks
             return False
-        if rp != SB.dims[x]:  # surjective on stalks
+        if rp != len(dB[H][0]):  # surjective on stalks
             return False
-        if ri + rp != SM.dims[x]:  # exact in the middle
+        if ri + rp != len(dM[H][0]):  # exact in the middle
             return False
     return True

@@ -91,14 +91,6 @@ def eq(a: Matrix, b: Matrix) -> bool:
     )
 
 
-def hstack(blocks: list[Matrix]) -> Matrix:
-    blocks = [b for b in blocks if shape(b)[1] > 0 or shape(b)[0] > 0]
-    if not blocks:
-        return []
-    rows = len(blocks[0])
-    return [sum((b[i] for b in blocks), []) for i in range(rows)]
-
-
 def vstack(blocks: list[Matrix]) -> Matrix:
     out: Matrix = []
     for b in blocks:
@@ -170,11 +162,6 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     for r, p in enumerate(pivots):
         x[p] = red[r][cols]
     return x
-
-
-def column_space_basis(a: Matrix) -> list[int]:
-    """Indices of columns forming a basis of the column space."""
-    return rref(a)[1]
 
 
 def in_span(vectors: list[Vector], v: Vector) -> bool:

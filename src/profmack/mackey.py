@@ -13,7 +13,7 @@ All arithmetic is exact over Q.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg as la
@@ -34,8 +34,8 @@ from .groups import (
     UnknownFamily,
     all_subgroups,
     conjugate_subgroup,
+    left_cosets,
     subgroup_conjugacy_classes,
-    trivial_subgroup,
 )
 from .gsets import FiniteGSet, transitive_gset
 
@@ -116,12 +116,6 @@ class MackeyFunctorQ:
 
     def is_zero(self) -> bool:
         return all(d == 0 for d in self.dims.values())
-
-
-def _nested_pairs(subs):
-    return [
-        (H, K) for H in subs for K in subs if K is not H and _contains(H, K)
-    ] + [(H, H) for H in subs]
 
 
 def check_axioms(M: MackeyFunctorQ, collect: bool = False):
@@ -289,19 +283,7 @@ class _OrbitCache:
     def orbit(self, H: Subgroup) -> FiniteGSet:
         if H not in self._orbits:
             self._orbits[H] = transitive_gset(self.G, H)
-            hset = set(H.elements)
-            rep_of = {}
-            reps = []
-            for g in self.G.elements():
-                if g in rep_of:
-                    continue
-                coset = sorted(self.G.mul(g, h) for h in hset)
-                reps.append(coset[0])
-                for x in coset:
-                    rep_of[x] = coset[0]
-            reps.sort()
-            self._reps[H] = reps
-            self._rep_of[H] = rep_of
+            self._reps[H], self._rep_of[H] = left_cosets(self.G, H)
         return self._orbits[H]
 
     def coset_map(self, K: Subgroup, H: Subgroup, g: int) -> tuple[int, ...]:
@@ -430,13 +412,7 @@ def fixed_point_functor(rep: GroupRep, name: str | None = None) -> MackeyFunctor
                 continue
             res[(H, K)] = _in_basis(basis[K], basis[H])
             # transfer: sum over coset reps of K in H
-            kset = set(K.elements)
-            reps, seen = [], set()
-            for h in sorted(H.elements):
-                if h in seen:
-                    continue
-                reps.append(h)
-                seen |= {G.mul(h, k) for k in kset}
+            reps, _ = left_cosets(G, K, elements=H.elements)
             imgs = []
             for v in basis[K]:
                 w = [Q0] * rep.dim
@@ -622,10 +598,6 @@ def zero_morphism(M: MackeyFunctorQ, N: MackeyFunctorQ) -> MackeyMorphism:
     return MackeyMorphism(
         M, N, {H: la.zeros(N.dim(H), M.dim(H)) for H in M.subs}
     )
-
-
-def identity_morphism(M: MackeyFunctorQ) -> MackeyMorphism:
-    return MackeyMorphism(M, M, {H: la.identity(M.dim(H)) for H in M.subs})
 
 
 def hom_space(M: MackeyFunctorQ, N: MackeyFunctorQ) -> list[MackeyMorphism]:

@@ -131,11 +131,6 @@ class ConvergingBase:
     def __post_init__(self):
         assert self.m >= 1 and self.r >= 0
 
-    def pattern_index(self, n: int) -> int:
-        """Pattern position of isolated point x_n for n > r."""
-        assert n > self.r
-        return (n - self.r - 1) % self.m
-
 
 def spzp_base(p: int = 2) -> ConvergingBase:
     """The S(Z_p) shape: points p^0, p^1, ... converging to the zero group."""
@@ -247,33 +242,12 @@ class ConvSheaf:
                 self.act_pattern.setdefault((g, j), la.identity(self.pattern_dims[j]))
             self.act_fin.setdefault(g, la.identity(self.fin_dim))
 
-    def omega_dim_fin(self) -> int:
-        return self.fin_dim
-
-    def has_tail_stalk(self) -> bool:
-        return self.tail_effective_mult() > 0
-
     def tail_effective_mult(self) -> int:
         """Tail summands whose pattern is nonzero (zero patterns give 0)."""
         return sum(1 for pat in (self.tail_patterns or []) if any(pat))
 
     def pattern_zero(self) -> bool:
         return all(d == 0 for d in self.pattern_dims)
-
-    def stalk_dim_isolated(self, n: int) -> int:
-        if n <= self.base.r:
-            return self.exc_dims[n - 1]
-        return self.pattern_dims[self.base.pattern_index(n)]
-
-    def apply_lam(self, fin_vec: list[Fraction], tail_parts: list[Tail]) -> Tail:
-        out = zero_tail(self.pattern_dims)
-        for c, t in zip(fin_vec, self.lam):
-            if c:
-                out = out.add(t.scale(c))
-        for c, t in zip(self.lam_tail, tail_parts):
-            if c:
-                out = out.add(t.scale(c))
-        return out
 
 
 def constant_sheaf(base: ConvergingBase, dim: int) -> ConvSheaf:
@@ -403,17 +377,6 @@ def godement_I0(E: ConvSheaf) -> ConvSheaf:
     )
 
 
-def delta_injective(E: ConvSheaf) -> bool:
-    """Stalkwise injectivity of delta: E -> I0(E).
-
-    delta is the identity on isolated stalks; at omega it is
-    e |-> (e, lambda(e)), injective iff lambda is injective on the part of
-    E_omega that I0 forgets — which it never forgets, so this is always
-    true; verified structurally.
-    """
-    return True
-
-
 @dataclass
 class GodementResolution:
     sheaf: ConvSheaf
@@ -439,15 +402,11 @@ def coker_delta(E: ConvSheaf) -> ConvSheaf:
     (zero if the pattern is zero)."""
     if E.pattern_zero():
         return zero_conv_sheaf(E.base)
-    sky = ConvSheaf(
+    return ConvSheaf(
         E.base, [0] * E.base.r, [0] * E.base.m, 0, [],
         tail_mult=1, lam_tail=(Q0,), tail_patterns=[list(E.pattern_dims)],
         name=f"coker(delta {E.name})",
     )
-    # the W-action on the new PerTail summand is positionwise by act_pattern;
-    # recorded via the pattern action of the original sheaf
-    sky._pattern_action_of = E  # used by hom solvers for equivariance
-    return sky
 
 
 def godement_resolution(E: ConvSheaf, max_n: int = 4) -> GodementResolution:
@@ -491,16 +450,6 @@ def stalk_vanishing_check(res: GodementResolution, heights: dict) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # sheaf homs in the converging class
-
-
-def _lam_image_basis(F: ConvSheaf, period: int) -> list[list[Fraction]]:
-    """Spanning set of im(lambda_F) inside one common period."""
-    vecs = [tail_coords(t, period) for t in F.lam]
-    if any(F.lam_tail):
-        # a tail summand mapping with nonzero scalar surjects onto PerTail
-        dim = sum(F.pattern_dims[j % F.base.m] for j in range(period))
-        vecs.extend([ [Q1 if t == i else Q0 for t in range(dim)] for i in range(dim)])
-    return [v for v in vecs if any(v)]
 
 
 def _common_period(*sheaves: ConvSheaf) -> int:
@@ -549,7 +498,6 @@ def hom_conv(E: ConvSheaf, F: ConvSheaf, period: int | None = None) -> list[dict
     # tail component of phi_omega on fin vectors exists only when F has one
     alloc("fintail", E.fin_dim * blocks if F.tail_mult else 0)
     alloc("tailscal", F.tail_mult * E.tail_mult)
-    alloc("tailfin", 0)  # no maps PerTail -> Q^n in this class
     if total == 0:
         return []
 
@@ -600,7 +548,6 @@ def hom_conv(E: ConvSheaf, F: ConvSheaf, period: int | None = None) -> list[dict
         lamE_b = E.lam[b].expand(P)
         # coordinates of pushforward: position j (0..P-1): pattern map at
         # j % m applied to lamE_b.values[j]
-        row_block = []  # one row per tail coordinate
         pos_off = 0
         for j in range(P):
             jm = j % base.m
@@ -618,7 +565,6 @@ def hom_conv(E: ConvSheaf, F: ConvSheaf, period: int | None = None) -> list[dict
                         row[offs["fintail"] + b * blocks + pos_off + a] -= F.lam_tail[s]
                 rows.append(row)
             pos_off += F.pattern_dims[jm]
-        del row_block
     # tail summands of E map to tail summands of F by scalars; germ square:
     # lam_F_tail(scalar) must equal pushforward scalar lam_E_tail; pattern
     # pushforward on tails is positionwise by the pattern matrices, which for

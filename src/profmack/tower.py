@@ -32,7 +32,6 @@ from .groups import (
     identity_hom,
     parse_group,
     subgroup,
-    trivial_subgroup,
 )
 
 STABLE = "StableSingleton"

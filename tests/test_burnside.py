@@ -166,3 +166,36 @@ def test_deflate_requires_trivial_kernel_action():
     X = gs.transitive_gset(G2, gr.trivial_subgroup(G2))  # faithful orbit
     with pytest.raises(ValueError):
         bs.deflate_gset(X, q)
+
+
+def _per_orbit_minimum(s):
+    """The per-orbit-minimum canonical form, coded directly on the span."""
+    G = s.apex.group
+    comps = []
+    for orbit in s.apex.orbits():
+        best = None
+        for x in orbit:
+            stab = tuple(sorted(g for g in G.elements() if s.apex.act[g][x] == x))
+            cand = (stab, s.left[x], s.right[x])
+            if best is None or cand < best:
+                best = cand
+        comps.append(best)
+    return tuple(sorted(comps))
+
+
+def test_canonical_matches_per_orbit_minimum():
+    rng = random.Random(SEED)
+    for sel in ("cyclic:2", "cyclic:3", "sym:3", "dihedral:8"):
+        G = gr.parse_group(sel)
+        sets = [gs.transitive_gset(G, H) for H in gr.all_subgroups(G)]
+        done = 0
+        while done < 15:
+            A, B, C = (rng.choice(sets) for _ in range(3))
+            h1, h2 = bs.hom_basis(A, B), bs.hom_basis(B, C)
+            if not (h1 and h2):
+                continue
+            s1 = bs.component_span(G, A, B, rng.choice(h1))
+            s2 = bs.component_span(G, B, C, rng.choice(h2))
+            for s in (s1, bs.span_compose(s1, s2), bs.span_add(s1, s1)):
+                assert s.canonical() == _per_orbit_minimum(s)
+            done += 1

@@ -91,3 +91,49 @@ def test_parse_group_bad_selector():
 def test_all_subgroups_cached():
     G = gr.symmetric(3)
     assert gr.all_subgroups(G) is gr.all_subgroups(G)
+
+
+COSET_GROUPS = ("cyclic:6", "dihedral:8", "sym:3", "prod:cyclic:2,cyclic:2")
+
+
+def _check_cosets(G, H, elements):
+    reps, rep_of = gr.left_cosets(G, H, elements=elements)
+    assert set(rep_of) == set(elements)
+    assert reps == sorted(set(rep_of.values()))
+    cosets = {r: [x for x in elements if rep_of[x] == r] for r in reps}
+    for r, coset in cosets.items():
+        assert len(coset) == H.order
+        assert min(coset) == r
+        assert sorted(coset) == sorted(G.mul(r, h) for h in H.elements)
+    assert sum(len(c) for c in cosets.values()) == len(elements)
+
+
+@pytest.mark.parametrize("sel", COSET_GROUPS)
+def test_left_cosets_partition_group(sel):
+    G = gr.parse_group(sel)
+    for H in gr.all_subgroups(G):
+        reps, _ = gr.left_cosets(G, H)
+        assert len(reps) == G.order // H.order
+        _check_cosets(G, H, list(G.elements()))
+
+
+@pytest.mark.parametrize("sel", COSET_GROUPS)
+def test_left_cosets_inside_subgroup(sel):
+    G = gr.parse_group(sel)
+    subs = gr.all_subgroups(G)
+    for H in subs:
+        for K in subs:
+            if set(K.elements) <= set(H.elements):
+                _check_cosets(G, K, list(H.elements))
+
+
+def test_subgroup_membership():
+    C6 = gr.cyclic(6)
+    H = next(H for H in gr.all_subgroups(C6) if H.order == 3)
+    assert [x for x in C6.elements() if x in H] == [0, 2, 4]
+    assert 1 not in H and 5 not in H and 6 not in H
+    G = gr.dihedral(8)
+    for H in gr.all_subgroups(G):
+        members = [x for x in G.elements() if x in H]
+        assert len(members) == H.order
+        assert all(G.mul(a, b) in H for a in members for b in members)

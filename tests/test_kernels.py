@@ -1,6 +1,4 @@
-import os
-import subprocess
-import sys
+import random
 
 import numpy as np
 
@@ -57,17 +55,36 @@ def test_orbit_labels_no_perms():
     assert list(lab) == [0, 1, 2, 3]
 
 
-def test_fallback_flag_gives_same_answers():
-    code = (
-        "import numpy as np\n"
-        "from profmack import _kernels as K\n"
-        "assert not K.HAVE_NUMBA\n"
-        "i = np.arange(10)\n"
-        "mult = (i[:, None] + i[None, :]) % 10\n"
-        "print([int(x) for x in K.closure(mult, [2])])\n"
-    )
-    env = dict(os.environ, PROFMACK_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[0, 2, 4, 6, 8]"
+def brute_orbit_labels(perms, n):
+    """Union of points joined by some permutation, labelled by least point."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for p in perms:
+        for x in range(n):
+            a, b = find(x), find(p[x])
+            parent[max(a, b)] = min(a, b)
+    roots = sorted({find(x) for x in range(n)})
+    return [roots.index(find(x)) for x in range(n)]
+
+
+def test_orbit_labels_matches_union_of_points():
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(0, 12)
+        perms = []
+        for _ in range(rng.randint(0, 3)):
+            p = list(range(n))
+            if rng.random() < 0.3:
+                rng.shuffle(p)
+            else:
+                # a cycle on a few points, so that several orbits remain
+                moved = rng.sample(range(n), min(n, rng.randint(0, 4)))
+                for a, b in zip(moved, moved[1:] + moved[:1]):
+                    p[a] = b
+            perms.append(tuple(p))
+        assert K.orbit_labels(perms, n) == brute_orbit_labels(perms, n)

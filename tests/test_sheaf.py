@@ -70,7 +70,6 @@ def test_resolution_finite_discrete_iso():
     assert res.length == 0
     I0 = res.stages[0]
     assert I0.exc_dims == E.exc_dims and I0.fin_dim == E.fin_dim
-    assert sh.delta_injective(E)
 
 
 # ---------------------------------------------------------------------------
