@@ -19,7 +19,10 @@ chain has stabilised at the empty set.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
+
+from ._kernels import orbit_labels
 
 CONVENTION = "rank(empty)=0, rank(non-empty discrete)=1"
 
@@ -213,7 +216,8 @@ def cb_rank(X: SpaceTree) -> RankCertificate:
     remaining = list(range(X.top_size))
     labels = X.levels[-1]
     unknowns = [t for t in remaining if X.certs[t].kind == "unknown"]
-    for stage in range(X.depth + 2):
+    # every stage returns, raises, or removes at least one thread
+    for stage in itertools.count():
         if not remaining:
             return RankCertificate("Exact", rank=stage, trace=trace, chain=X.chain)
         kinds = {X.certs[t].kind for t in remaining}
@@ -246,7 +250,6 @@ def cb_rank(X: SpaceTree) -> RankCertificate:
              "certs": [f"scattered(m={X.certs[t].m})" for t in removed]}
         )
         remaining = [t for t in remaining if t not in set(removed)]
-    raise DepthExhausted("derivative process exceeded tree depth")
 
 
 @dataclass
@@ -291,27 +294,9 @@ def scattered_split(X: SpaceTree) -> ScatteredSplit:
 # equivariance
 
 
-def _thread_orbits(X: SpaceTree) -> list[list[int]]:
-    """Orbits of threads under the top-level permutations."""
-    n = X.top_size
-    perms = X.actions[-1] if X.actions else []
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in perms:
-        for x in range(n):
-            a, b = find(x), find(p[x])
-            if a != b:
-                parent[a] = b
-    orbits: dict[int, list[int]] = {}
-    for x in range(n):
-        orbits.setdefault(find(x), []).append(x)
-    return list(orbits.values())
+def _orbit_labels(X: SpaceTree, k: int) -> list[int]:
+    """Orbit label of each level-k point under that level's permutations."""
+    return orbit_labels(X.actions[k] if X.actions else [], len(X.levels[k]))
 
 
 def check_equivariant_heights(X: SpaceTree) -> bool:
@@ -328,28 +313,18 @@ def check_equivariant_heights(X: SpaceTree) -> bool:
                 # bond o (g on level k+1) must equal (g on level k) o bond
                 if any(X.bonds[k][pa[x]] != pb[X.bonds[k][x]] for x in range(na)):
                     return False
-    for orbit in _thread_orbits(X):
-        certs = {(X.certs[t].kind, X.certs[t].m) for t in orbit}
-        if len(certs) > 1:
-            return False
+    certs: dict[int, set] = {}
+    for t, lab in enumerate(_orbit_labels(X, X.depth)):
+        certs.setdefault(lab, set()).add((X.certs[t].kind, X.certs[t].m))
+    if any(len(c) > 1 for c in certs.values()):
+        return False
     # second clause: positive-height points sit on fibers meeting >= 2 orbits
+    labels = [_orbit_labels(X, k + 1) for k in range(X.depth)]
     for t, c in enumerate(X.certs):
         if c.kind != "scattered" or c.m == 0:
             continue
         for k in range(X.depth):
             fiber = X.fiber(k, X.thread_point(t, k))
-            if len(fiber) < 2:
-                return False
-            perms = X.actions[k + 1] if X.actions else []
-            reached = {fiber[0]}
-            frontier = [fiber[0]]
-            while frontier:
-                x = frontier.pop()
-                for p in perms:
-                    if p[x] not in reached:
-                        reached.add(p[x])
-                        frontier.append(p[x])
-            # >= 2 orbits within the fiber
-            if set(fiber) <= reached:
+            if len({labels[k][y] for y in fiber}) < 2:
                 return False
     return True

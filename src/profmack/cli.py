@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from fractions import Fraction
 
@@ -171,15 +170,19 @@ def verify_rank_json(data: dict) -> list[str]:
     return bad
 
 
+def _verify_file(args, verifier) -> None:
+    """Emit the verdict of `verifier` on the JSON certificate --verify names."""
+    with open(args.verify) as fh:
+        problems = verifier(json.load(fh))
+    emit({"schema": 1, "verified": not problems, "problems": problems},
+         args, [f"verify: {'OK' if not problems else problems}"])
+    if problems:
+        raise UsageError("certificate failed verification")
+
+
 def cmd_cb_rank(args):
     if args.verify:
-        with open(args.verify) as fh:
-            problems = verify_rank_json(json.load(fh))
-        emit({"schema": 1, "verified": not problems, "problems": problems},
-             args, [f"verify: {'OK' if not problems else problems}"])
-        if problems:
-            raise UsageError("certificate failed verification")
-        return
+        return _verify_file(args, verify_rank_json)
     cert = cb.cb_rank(_space_tree(args)).as_dict()
     lines = [f"cb rank [{cert['chain']}]: {cert['verdict']}"
              + (f"({cert['rank']})" if cert["rank"] is not None else
@@ -407,13 +410,7 @@ def verify_homdim_json(data: dict) -> list[str]:
 
 def cmd_homdim_certify(args):
     if args.verify:
-        with open(args.verify) as fh:
-            problems = verify_homdim_json(json.load(fh))
-        emit({"schema": 1, "verified": not problems, "problems": problems},
-             args, [f"verify: {'OK' if not problems else problems}"])
-        if problems:
-            raise UsageError("certificate failed verification")
-        return
+        return _verify_file(args, verify_homdim_json)
     cert = hd.homdim_certificate(args.setup, depth=args.depth).as_dict()
     lines = [f"homdim [{args.setup}]: {cert['verdict']}"
              + (f"({cert['value']})" if cert["value"] is not None else "")]
@@ -511,7 +508,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
-    random.seed(args.seed)
     try:
         args.func(args)
     except UsageError as e:

@@ -39,6 +39,9 @@ class FiniteGroup:
     order: int
     label: str
     identity: int
+    # built on first use: the dense table and the subgroup list
+    _table: np.ndarray | None = None
+    _subgroup_cache: list[Subgroup] | None = None
 
     def mul(self, a: int, b: int) -> int:
         raise NotImplementedError
@@ -54,12 +57,14 @@ class FiniteGroup:
         return self.mul(self.mul(g, x), self.inv(g))
 
     def table(self) -> np.ndarray:
-        """Dense multiplication table; guarded by TABLE_LIMIT."""
+        """Dense multiplication table, built once; guarded by TABLE_LIMIT."""
         if self.order > TABLE_LIMIT:
             raise CapacityError(
                 f"dense table of order {self.order} exceeds limit {TABLE_LIMIT}"
             )
-        return self._dense_table()
+        if self._table is None:
+            self._table = self._dense_table()
+        return self._table
 
     def _dense_table(self) -> np.ndarray:
         n = self.order
@@ -279,12 +284,9 @@ def _flatten_cyclic(G: FiniteGroup):
 
 def all_subgroups(G: FiniteGroup, limit: int = DEFAULT_SUBGROUP_LIMIT) -> list[Subgroup]:
     """Complete duplicate-free sorted list of subgroups of G (cached on G)."""
-    cached = getattr(G, "_subgroup_cache", None)
-    if cached is not None:
-        return cached
-    subs = [Subgroup(G, t) for t in _all_subgroup_tuples(G, limit)]
-    G._subgroup_cache = subs
-    return subs
+    if G._subgroup_cache is None:
+        G._subgroup_cache = [Subgroup(G, t) for t in _all_subgroup_tuples(G, limit)]
+    return G._subgroup_cache
 
 
 def _all_subgroup_tuples(G: FiniteGroup, limit: int) -> list[tuple[int, ...]]:

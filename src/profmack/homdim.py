@@ -476,11 +476,9 @@ def phi_exact_on_ses(inc, proj) -> bool:
     fi = weylsheaf_morphism(inc, dA, dM)
     fp = weylsheaf_morphism(proj, dM, dB)
     for x, H in enumerate(inc.src.subs):
-        comp = la.matmul(fp[x], fi[x])
-        if not la.is_zero(comp) and comp:
+        if not la.is_zero(la.matmul(fp[x], fi[x])):
             return False
-        ri = la.rank(fi[x]) if fi[x] and fi[x][0] else 0
-        rp = la.rank(fp[x]) if fp[x] and fp[x][0] else 0
+        ri, rp = la.rank(fi[x]), la.rank(fp[x])
         if ri != len(dA[H][0]):  # injective on stalks
             return False
         if rp != len(dB[H][0]):  # surjective on stalks

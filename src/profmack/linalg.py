@@ -98,6 +98,37 @@ def vstack(blocks: list[Matrix]) -> Matrix:
     return out
 
 
+Block = tuple[int, int, int]  # (offset, rows, cols) of an unknown matrix
+
+
+def intertwiner_rows(n: int, dst: Block, a: Matrix, src: Block,
+                     b: Matrix) -> Matrix:
+    """Rows over Q^n of the equation X_dst·a − b·X_src = 0.
+
+    X_dst and X_src are unknown matrices packed row-major into Q^n at their
+    blocks (they may be the same block); a maps into X_dst's source space and
+    b out of X_src's target space.  One row per entry (i, j) of the product.
+    """
+    od, rd, cd = dst
+    os_, rs, cs = src
+    rows = []
+    for i in range(rd):
+        for j in range(cs):
+            row = [Q0] * n
+            for t in range(cd):
+                row[od + i * cd + t] += a[t][j]
+            for t in range(rs):
+                row[os_ + t * cs + j] -= b[i][t]
+            rows.append(row)
+    return rows
+
+
+def read_block(v: Vector, block: Block) -> Matrix:
+    """The matrix packed row-major at `block` of the vector v."""
+    off, r, c = block
+    return [v[off + i * c: off + (i + 1) * c] for i in range(r)]
+
+
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
     m = copy(a)

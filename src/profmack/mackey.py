@@ -12,8 +12,9 @@ All arithmetic is exact over Q.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg as la
@@ -89,6 +90,30 @@ def _double_coset_reps(G: FiniteGroup, K: Subgroup, H: Subgroup, L: Subgroup):
     return reps
 
 
+def _structure_maps(G: FiniteGroup, subs: list[Subgroup]):
+    """(kind, key, src, dst) for every structure map M(src) -> M(dst).
+
+    For each H: res and ind at (H, K) for every K ⊆ H, then conj at (g, H)
+    for every g.  This order fixes the dict order of res/ind/conj and the
+    row order of the hom_space equations.
+    """
+    for H in subs:
+        for K in subs:
+            if _contains(H, K):
+                yield "res", (H, K), H, K
+                yield "ind", (H, K), K, H
+        for g in G.elements():
+            yield "conj", (g, H), H, conjugate_subgroup(H, g)
+
+
+def _build_mackey(G: FiniteGroup, dims: dict, make, name: str) -> MackeyFunctorQ:
+    """The functor whose map (kind, key): M(src) -> M(dst) is make(...)."""
+    maps: dict[str, dict] = {"res": {}, "ind": {}, "conj": {}}
+    for kind, key, src, dst in _structure_maps(G, all_subgroups(G)):
+        maps[kind][key] = make(kind, key, src, dst)
+    return MackeyFunctorQ(G, dims, **maps, name=name)
+
+
 @dataclass
 class MackeyFunctorQ:
     group: FiniteGroup
@@ -97,6 +122,9 @@ class MackeyFunctorQ:
     ind: dict[tuple[Subgroup, Subgroup], la.Matrix]  # (H, K ⊆ H): M(K) -> M(H)
     conj: dict[tuple[int, Subgroup], la.Matrix]  # (g, H): M(H) -> M(gHg^-1)
     name: str = "M"
+    # span actions T(H) -> T(K) of dual components, filled by _RepTools
+    _dual_action_cache: dict = field(default_factory=dict, init=False,
+                                     repr=False, compare=False)
 
     @property
     def subs(self) -> list[Subgroup]:
@@ -113,6 +141,10 @@ class MackeyFunctorQ:
 
     def conj_mat(self, g: int, H: Subgroup) -> la.Matrix:
         return self.conj[(g, H)]
+
+    def map(self, kind: str, key: tuple) -> la.Matrix:
+        """The structure map of `kind` ("res", "ind" or "conj") at `key`."""
+        return getattr(self, kind)[key]
 
     def is_zero(self) -> bool:
         return all(d == 0 for d in self.dims.values())
@@ -301,6 +333,21 @@ def _one_leg_span(cache: _OrbitCache, K: Subgroup, H: Subgroup, g: int) -> Span:
     return Span(OK, OH, OK, tuple(range(OK.size)), cache.coset_map(K, H, g))
 
 
+def _structure_span(cache: _OrbitCache, kind: str, key: tuple, src: Subgroup,
+                    dst: Subgroup) -> Span:
+    """The span O_src -> O_dst through which the structure map acts.
+
+    ind is the projection O_K -> O_H, res its dual, and conj at (g, H) the
+    isomorphism xH |-> x g^-1 (gHg^-1).
+    """
+    G = cache.G
+    if kind == "res":
+        return _one_leg_span(cache, dst, src, G.identity).dual()
+    if kind == "ind":
+        return _one_leg_span(cache, src, dst, G.identity)
+    return _one_leg_span(cache, src, dst, G.inv(key[0]))
+
+
 def representable(G: FiniteGroup, A: FiniteGSet, name: str | None = None) -> MackeyFunctorQ:
     """The Mackey functor Span(-, A) ⊗ Q."""
     cache = _OrbitCache(G)
@@ -311,28 +358,17 @@ def representable(G: FiniteGroup, A: FiniteGSet, name: str | None = None) -> Mac
     }
     dims = {H: len(basis[H]) for H in subs}
 
-    def precompose(u: Span, H_from: Subgroup, K_to: Subgroup) -> la.Matrix:
-        """Matrix of c |-> c ∘ u from Q basis[H_from] to Q basis[K_to]."""
-        index = {c: i for i, c in enumerate(basis[K_to])}
-        m = la.zeros(dims[K_to], dims[H_from])
-        for j, s_c in enumerate(spans[H_from]):
+    def precompose(kind, key, src, dst) -> la.Matrix:
+        """Matrix of c |-> c ∘ u^dual from Q basis[src] to Q basis[dst]."""
+        u = _structure_span(cache, kind, key, src, dst).dual()
+        index = {c: i for i, c in enumerate(basis[dst])}
+        m = la.zeros(dims[dst], dims[src])
+        for j, s_c in enumerate(spans[src]):
             for comp, mult in decompose_span(span_compose(u, s_c)).items():
                 m[index[comp]][j] += Fraction(mult)
         return m
 
-    res, ind, conj = {}, {}, {}
-    for H in subs:
-        for K in subs:
-            if not _contains(H, K):
-                continue
-            pi = _one_leg_span(cache, K, H, G.identity)  # O_K -> O_H
-            res[(H, K)] = precompose(pi, H, K)
-            ind[(H, K)] = precompose(pi.dual(), K, H)
-        for g in G.elements():
-            Hg = conjugate_subgroup(H, g)
-            iota = _one_leg_span(cache, Hg, H, g)  # O_Hg -> O_H, xHg |-> xgH
-            conj[(g, H)] = precompose(iota, H, Hg)
-    return MackeyFunctorQ(G, dims, res, ind, conj, name or f"rep({A.label})")
+    return _build_mackey(G, dims, precompose, name or f"rep({A.label})")
 
 
 def burnside_mackey(G: FiniteGroup) -> MackeyFunctorQ:
@@ -405,26 +441,18 @@ def fixed_point_functor(rep: GroupRep, name: str | None = None) -> MackeyFunctor
     subs = all_subgroups(G)
     basis = {H: _fixed_basis(rep, H) for H in subs}
     dims = {H: len(basis[H]) for H in subs}
-    res, ind, conj = {}, {}, {}
-    for H in subs:
-        for K in subs:
-            if not _contains(H, K):
-                continue
-            res[(H, K)] = _in_basis(basis[K], basis[H])
-            # transfer: sum over coset reps of K in H
-            reps, _ = left_cosets(G, K, elements=H.elements)
-            imgs = []
-            for v in basis[K]:
-                w = [Q0] * rep.dim
-                for h in reps:
-                    w = [a + b for a, b in zip(w, la.matvec(rep.mats[h], v))]
-                imgs.append(w)
-            ind[(H, K)] = _in_basis(basis[H], imgs)
-        for g in G.elements():
-            Hg = conjugate_subgroup(H, g)
-            imgs = [la.matvec(rep.mats[g], v) for v in basis[H]]
-            conj[(g, H)] = _in_basis(basis[Hg], imgs)
-    return MackeyFunctorQ(G, dims, res, ind, conj, name or f"FP({rep.name})")
+
+    def make(kind, key, src, dst) -> la.Matrix:
+        if kind == "res":
+            return _in_basis(basis[dst], basis[src])
+        if kind == "conj":
+            T = rep.mats[key[0]]
+        else:  # transfer: sum over coset reps of src in dst
+            reps, _ = left_cosets(G, src, elements=dst.elements)
+            T = functools.reduce(la.add, (rep.mats[h] for h in reps))
+        return _in_basis(basis[dst], [la.matvec(T, v) for v in basis[src]])
+
+    return _build_mackey(G, dims, make, name or f"FP({rep.name})")
 
 
 def _poly_div(num: list[int], den: list[int]) -> list[int]:
@@ -569,29 +597,11 @@ class MackeyMorphism:
 
     def check(self) -> bool:
         M, N = self.src, self.dst
-        G = M.group
-        for H in M.subs:
-            for K in M.subs:
-                if not _contains(H, K):
-                    continue
-                if not _meq(
-                    la.matmul(self.mats[K], M.res_mat(H, K)),
-                    la.matmul(N.res_mat(H, K), self.mats[H]),
-                ):
-                    return False
-                if not _meq(
-                    la.matmul(self.mats[H], M.ind_mat(H, K)),
-                    la.matmul(N.ind_mat(H, K), self.mats[K]),
-                ):
-                    return False
-            for g in G.elements():
-                Hg = conjugate_subgroup(H, g)
-                if not _meq(
-                    la.matmul(self.mats[Hg], M.conj_mat(g, H)),
-                    la.matmul(N.conj_mat(g, H), self.mats[H]),
-                ):
-                    return False
-        return True
+        return all(
+            _meq(la.matmul(self.mats[dst], M.map(kind, key)),
+                 la.matmul(N.map(kind, key), self.mats[src]))
+            for kind, key, src, dst in _structure_maps(M.group, M.subs)
+        )
 
 
 def zero_morphism(M: MackeyFunctorQ, N: MackeyFunctorQ) -> MackeyMorphism:
@@ -604,68 +614,24 @@ def hom_space(M: MackeyFunctorQ, N: MackeyFunctorQ) -> list[MackeyMorphism]:
     """Basis of natural transformations M -> N (exact naturality solve)."""
     G = M.group
     subs = M.subs
-    offsets, total = {}, 0
-    for H in subs:
-        offsets[H] = total
+    blocks, total = {}, 0
+    for H in subs:  # f_H is N.dim(H) x M.dim(H)
+        blocks[H] = (total, N.dim(H), M.dim(H))
         total += N.dim(H) * M.dim(H)
     if total == 0:
         return []
 
     rows: la.Matrix = []
-
-    def var(H, i, j):  # entry (i,j) of f_H, which is N.dim x M.dim
-        return offsets[H] + i * M.dim(H) + j
-
-    for H in subs:
-        for K in subs:
-            if not _contains(H, K) or K is H:
-                continue
-            rM, rN = M.res_mat(H, K), N.res_mat(H, K)
-            # f_K @ rM - rN @ f_H = 0   (N.dim(K) x M.dim(H) equations)
-            for i in range(N.dim(K)):
-                for j in range(M.dim(H)):
-                    row = [Q0] * total
-                    for t in range(M.dim(K)):
-                        row[var(K, i, t)] += rM[t][j]
-                    for t in range(N.dim(H)):
-                        row[var(H, t, j)] -= rN[i][t]
-                    rows.append(row)
-            iM, iN = M.ind_mat(H, K), N.ind_mat(H, K)
-            # f_H @ iM - iN @ f_K = 0   (N.dim(H) x M.dim(K))
-            for i in range(N.dim(H)):
-                for j in range(M.dim(K)):
-                    row = [Q0] * total
-                    for t in range(M.dim(H)):
-                        row[var(H, i, t)] += iM[t][j]
-                    for t in range(N.dim(K)):
-                        row[var(K, t, j)] -= iN[i][t]
-                    rows.append(row)
-        for g in G.elements():
-            if g == G.identity:
-                continue
-            Hg = conjugate_subgroup(H, g)
-            cM, cN = M.conj_mat(g, H), N.conj_mat(g, H)
-            # f_Hg @ cM - cN @ f_H = 0
-            for i in range(N.dim(Hg)):
-                for j in range(M.dim(H)):
-                    row = [Q0] * total
-                    for t in range(M.dim(Hg)):
-                        row[var(Hg, i, t)] += cM[t][j]
-                    for t in range(N.dim(H)):
-                        row[var(H, t, j)] -= cN[i][t]
-                    rows.append(row)
+    for kind, key, src, dst in _structure_maps(G, subs):
+        identity = key[0] == G.identity if kind == "conj" else key[0] is key[1]
+        if identity:  # f_H = f_H gives no equations
+            continue
+        # f_dst @ M(map) - N(map) @ f_src = 0
+        rows += la.intertwiner_rows(total, blocks[dst], M.map(kind, key),
+                                    blocks[src], N.map(kind, key))
     null = la.nullspace(rows) if rows else [list(e) for e in la.identity(total)]
-    out = []
-    for v in null:
-        mats = {}
-        for H in subs:
-            m = la.zeros(N.dim(H), M.dim(H))
-            for i in range(N.dim(H)):
-                for j in range(M.dim(H)):
-                    m[i][j] = v[var(H, i, j)]
-            mats[H] = m
-        out.append(MackeyMorphism(M, N, mats))
-    return out
+    return [MackeyMorphism(M, N, {H: la.read_block(v, blocks[H]) for H in subs})
+            for v in null]
 
 
 def direct_sum_mackey(Ms: list[MackeyFunctorQ], name: str | None = None) -> MackeyFunctorQ:
@@ -673,11 +639,13 @@ def direct_sum_mackey(Ms: list[MackeyFunctorQ], name: str | None = None) -> Mack
     subs = all_subgroups(G)
     dims = {H: sum(M.dim(H) for M in Ms) for H in subs}
 
-    def assemble(parts, rdims, cdims):
-        m = la.zeros(sum(rdims), sum(cdims))
+    def assemble(kind, key, src, dst):
+        """Block-diagonal sum of the summands' maps."""
+        m = la.zeros(dims[dst], dims[src])
         ro = 0
         co = 0
-        for p, rd, cd in zip(parts, rdims, cdims):
+        for M in Ms:
+            p, rd, cd = M.map(kind, key), M.dim(dst), M.dim(src)
             for i in range(rd):
                 for j in range(cd):
                     m[ro + i][co + j] = p[i][j]
@@ -685,40 +653,14 @@ def direct_sum_mackey(Ms: list[MackeyFunctorQ], name: str | None = None) -> Mack
             co += cd
         return m
 
-    res, ind, conj = {}, {}, {}
-    for H in subs:
-        for K in subs:
-            if not _contains(H, K):
-                continue
-            res[(H, K)] = assemble(
-                [M.res_mat(H, K) for M in Ms],
-                [M.dim(K) for M in Ms],
-                [M.dim(H) for M in Ms],
-            )
-            ind[(H, K)] = assemble(
-                [M.ind_mat(H, K) for M in Ms],
-                [M.dim(H) for M in Ms],
-                [M.dim(K) for M in Ms],
-            )
-        for g in G.elements():
-            Hg = conjugate_subgroup(H, g)
-            conj[(g, H)] = assemble(
-                [M.conj_mat(g, H) for M in Ms],
-                [M.dim(Hg) for M in Ms],
-                [M.dim(H) for M in Ms],
-            )
-    return MackeyFunctorQ(
-        G, dims, res, ind, conj, name or "(" + "+".join(M.name for M in Ms) + ")"
+    return _build_mackey(
+        G, dims, assemble, name or "(" + "+".join(M.name for M in Ms) + ")"
     )
 
 
 def zero_mackey(G: FiniteGroup) -> MackeyFunctorQ:
-    subs = all_subgroups(G)
-    dims = {H: 0 for H in subs}
-    res = {(H, K): [] for H in subs for K in subs if _contains(H, K)}
-    ind = dict(res)
-    conj = {(g, H): [] for g in G.elements() for H in subs}
-    return MackeyFunctorQ(G, dims, res, ind, conj, "0")
+    dims = {H: 0 for H in all_subgroups(G)}
+    return _build_mackey(G, dims, lambda *_: [], "0")
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +689,6 @@ class _RepTools:
         self.subs = all_subgroups(G)
         self.class_reps = [rep for rep, _ in subgroup_conjugacy_classes(G)]
         self._basis: dict = {}
-        self._dual_action: dict = {}
 
     def basis(self, K: Subgroup, H: Subgroup) -> list[Component]:
         key = (K, H)
@@ -758,7 +699,7 @@ class _RepTools:
     def dual_action(self, T: MackeyFunctorQ, K: Subgroup, H: Subgroup,
                     c: Component) -> la.Matrix:
         """Matrix of T on the dual span of c: T(H) -> T(K)."""
-        store = T.__dict__.setdefault("_dual_action_cache", {})
+        store = T._dual_action_cache
         key = (K, H, c)
         if key not in store:
             s = component_span(self.G, self.cache.orbit(K), self.cache.orbit(H), c)
@@ -848,20 +789,11 @@ def kernel_functor(phi: MackeyMorphism) -> tuple[MackeyFunctorQ, MackeyMorphism]
              [list(e) for e in la.identity(M.dim(H))] for H in subs}
     dims = {H: len(basis[H]) for H in subs}
 
-    def restrict(T: la.Matrix, Hs: Subgroup, Ht: Subgroup) -> la.Matrix:
-        imgs = [la.matvec(T, v) for v in basis[Hs]]
-        return _in_basis(basis[Ht], imgs)
+    def restrict(kind, key, src, dst) -> la.Matrix:
+        T = M.map(kind, key)
+        return _in_basis(basis[dst], [la.matvec(T, v) for v in basis[src]])
 
-    res, ind, conj = {}, {}, {}
-    for H in subs:
-        for K in subs:
-            if not _contains(H, K):
-                continue
-            res[(H, K)] = restrict(M.res_mat(H, K), H, K)
-            ind[(H, K)] = restrict(M.ind_mat(H, K), K, H)
-        for g in G.elements():
-            conj[(g, H)] = restrict(M.conj_mat(g, H), H, conjugate_subgroup(H, g))
-    Kf = MackeyFunctorQ(G, dims, res, ind, conj, f"ker({M.name})")
+    Kf = _build_mackey(G, dims, restrict, f"ker({M.name})")
     incl = MackeyMorphism(
         Kf, M, {H: la.transpose(basis[H]) if basis[H] else la.zeros(M.dim(H), 0)
                 for H in subs}
@@ -1009,45 +941,22 @@ def from_span_functor(F: SpanFunctorQ, tools: _RepTools | None = None) -> Mackey
         )
     dims = {H: F.dims[rep_for[H]] for H in subs}
 
-    def span_between(Ha: Subgroup, Hb: Subgroup, g_mid: int) -> la.Matrix:
-        """Matrix of F on the one-legged span O_Ha -> O_Hb, x Ha |-> x g Hb,
-        conjugated into class-representative coordinates."""
-        A0, B0 = rep_for[Ha], rep_for[Hb]
-        ga, gb = transporter[Ha], transporter[Hb]
-        # iso O_A0 -> O_Ha (x A0 |-> x ga^-1 Ha ... as spans), then the map,
-        # then iso O_Hb -> O_B0; compose as actual spans and decompose.
-        s1 = _one_leg_span(tools.cache, A0, Ha, G.inv(ga))
-        s2 = _one_leg_span(tools.cache, Ha, Hb, g_mid)
-        s3 = _one_leg_span(tools.cache, Hb, B0, gb)
+    def span_between(kind, key, src, dst) -> la.Matrix:
+        """Matrix of F on the structure span O_src -> O_dst, conjugated
+        into class-representative coordinates."""
+        A0, B0 = rep_for[src], rep_for[dst]
+        # iso O_A0 -> O_src, then the map, then iso O_dst -> O_B0; compose
+        # as actual spans and decompose.
+        s1 = _one_leg_span(tools.cache, A0, src, G.inv(transporter[src]))
+        s2 = _structure_span(tools.cache, kind, key, src, dst)
+        s3 = _one_leg_span(tools.cache, dst, B0, transporter[dst])
         s = span_compose(span_compose(s1, s2), s3)
         total = la.zeros(F.dims[B0], F.dims[A0])
         for comp, mult in decompose_span(s).items():
-            total = _madd(total, la.scale(F.mat(A0, B0, comp), Fraction(mult)))
+            total = la.add(total, la.scale(F.mat(A0, B0, comp), Fraction(mult)))
         return total
 
-    res, ind, conj = {}, {}, {}
-    for H in subs:
-        for K in subs:
-            if not _contains(H, K):
-                continue
-            # the projection span O_K -> O_H acts as induction; its dual
-            # (apex O_K, left leg projection) as restriction
-            ind[(H, K)] = span_between(K, H, G.identity)
-            A0, B0 = rep_for[H], rep_for[K]
-            ga, gb = transporter[H], transporter[K]
-            s1 = _one_leg_span(tools.cache, A0, H, G.inv(ga))
-            s2 = _one_leg_span(tools.cache, K, H, G.identity).dual()
-            s3 = _one_leg_span(tools.cache, K, B0, gb)
-            s = span_compose(span_compose(s1, s2), s3)
-            total = la.zeros(F.dims[B0], F.dims[A0])
-            for comp, mult in decompose_span(s).items():
-                total = _madd(total, la.scale(F.mat(A0, B0, comp), Fraction(mult)))
-            res[(H, K)] = total
-        for g in G.elements():
-            Hg = conjugate_subgroup(H, g)
-            # apex O_H, right leg the iso xH |-> x g^-1 (gHg^-1): acts as c_g
-            conj[(g, H)] = span_between(H, Hg, G.inv(g))
-    return MackeyFunctorQ(G, dims, res, ind, conj, "from_span")
+    return _build_mackey(G, dims, span_between, "from_span")
 
 
 def mackey_to_json(M: MackeyFunctorQ) -> dict:

@@ -77,42 +77,21 @@ def hom_fin(E: EqSheafFinite, F: EqSheafFinite) -> list[dict[int, la.Matrix]]:
     assert E.base.group is F.base.group and E.base.act == F.base.act
     G = E.base.group
     n = E.base.size
-    offsets, total = [], 0
-    for x in range(n):
-        offsets.append(total)
+    blocks, total = [], 0
+    for x in range(n):  # phi_x is F.dims[x] x E.dims[x]
+        blocks.append((total, F.dims[x], E.dims[x]))
         total += F.dims[x] * E.dims[x]
     if total == 0:
         return []
 
-    def var(x, i, j):
-        return offsets[x] + i * E.dims[x] + j
-
     rows = []
     for g in G.elements():
         for x in range(n):
-            gx = E.base.act[g][x]
-            aE, aF = E.act[(g, x)], F.act[(g, x)]
-            # phi_{gx} aE - aF phi_x = 0: F.dims[gx] x E.dims[x] equations
-            for i in range(F.dims[gx]):
-                for j in range(E.dims[x]):
-                    row = [Q0] * total
-                    for t in range(E.dims[gx]):
-                        row[var(gx, i, t)] += aE[t][j]
-                    for t in range(F.dims[x]):
-                        row[var(x, t, j)] -= aF[i][t]
-                    rows.append(row)
+            # phi_{gx} aE - aF phi_x = 0
+            rows += la.intertwiner_rows(total, blocks[E.base.act[g][x]], E.act[(g, x)],
+                                        blocks[x], F.act[(g, x)])
     null = la.nullspace(rows) if rows else [list(e) for e in la.identity(total)]
-    out = []
-    for v in null:
-        mats = {}
-        for x in range(n):
-            m = la.zeros(F.dims[x], E.dims[x])
-            for i in range(F.dims[x]):
-                for j in range(E.dims[x]):
-                    m[i][j] = v[var(x, i, j)]
-            mats[x] = m
-        out.append(mats)
-    return out
+    return [{x: la.read_block(v, blocks[x]) for x in range(n)} for v in null]
 
 
 # ---------------------------------------------------------------------------
@@ -482,61 +461,43 @@ def hom_conv(E: ConvSheaf, F: ConvSheaf, period: int | None = None) -> list[dict
     P = period or math.lcm(_common_period(E), _common_period(F), 2)
     blocks = sum(F.pattern_dims[j % base.m] for j in range(P))  # tail coords
 
-    offs = {}
+    blk = {}  # unknown matrices: key -> (offset, rows, cols)
     total = 0
 
-    def alloc(key, n):
+    def alloc(key, rows, cols):
         nonlocal total
-        offs[key] = total
-        total += n
+        blk[key] = (total, rows, cols)
+        total += rows * cols
 
     for i in range(base.r):
-        alloc(("exc", i), F.exc_dims[i] * E.exc_dims[i])
+        alloc(("exc", i), F.exc_dims[i], E.exc_dims[i])
     for j in range(base.m):
-        alloc(("pat", j), F.pattern_dims[j] * E.pattern_dims[j])
-    alloc("fin", F.fin_dim * E.fin_dim)
+        alloc(("pat", j), F.pattern_dims[j], E.pattern_dims[j])
+    alloc("fin", F.fin_dim, E.fin_dim)
     # tail component of phi_omega on fin vectors exists only when F has one
-    alloc("fintail", E.fin_dim * blocks if F.tail_mult else 0)
-    alloc("tailscal", F.tail_mult * E.tail_mult)
+    alloc("fintail", E.fin_dim if F.tail_mult else 0, blocks)
+    alloc("tailscal", F.tail_mult, E.tail_mult)
     if total == 0:
         return []
+    offs = {key: b[0] for key, b in blk.items()}
 
     rows = []
 
     def zrow():
         return [Q0] * total
 
+    def equivariant(key, aE, aF):
+        """phi aE - aF phi = 0 for the unknown block at key."""
+        return la.intertwiner_rows(total, blk[key], aE, blk[key], aF)
+
     # equivariance
     for g in W.elements():
         for i in range(base.r):
-            aE, aF = E.act_exc[(g, i)], F.act_exc[(g, i)]
-            for a in range(F.exc_dims[i]):
-                for b in range(E.exc_dims[i]):
-                    row = zrow()
-                    for t in range(E.exc_dims[i]):
-                        row[offs[("exc", i)] + a * E.exc_dims[i] + t] += aE[t][b]
-                    for t in range(F.exc_dims[i]):
-                        row[offs[("exc", i)] + t * E.exc_dims[i] + b] -= aF[a][t]
-                    rows.append(row)
+            rows += equivariant(("exc", i), E.act_exc[(g, i)], F.act_exc[(g, i)])
         for j in range(base.m):
-            aE, aF = E.act_pattern[(g, j)], F.act_pattern[(g, j)]
-            for a in range(F.pattern_dims[j]):
-                for b in range(E.pattern_dims[j]):
-                    row = zrow()
-                    for t in range(E.pattern_dims[j]):
-                        row[offs[("pat", j)] + a * E.pattern_dims[j] + t] += aE[t][b]
-                    for t in range(F.pattern_dims[j]):
-                        row[offs[("pat", j)] + t * E.pattern_dims[j] + b] -= aF[a][t]
-                    rows.append(row)
-        aE, aF = E.act_fin[g], F.act_fin[g]
-        for a in range(F.fin_dim):
-            for b in range(E.fin_dim):
-                row = zrow()
-                for t in range(E.fin_dim):
-                    row[offs["fin"] + a * E.fin_dim + t] += aE[t][b]
-                for t in range(F.fin_dim):
-                    row[offs["fin"] + t * E.fin_dim + b] -= aF[a][t]
-                rows.append(row)
+            rows += equivariant(("pat", j), E.act_pattern[(g, j)],
+                                F.act_pattern[(g, j)])
+        rows += equivariant("fin", E.act_fin[g], F.act_fin[g])
 
     # germ square on fin basis vectors of E:
     # lambda_F(phi_fin e_b) (+ scalars·0) = phi_tail(lambda_E e_b) + fintail_b?
@@ -596,42 +557,15 @@ def hom_conv(E: ConvSheaf, F: ConvSheaf, period: int | None = None) -> list[dict
                                 row[offs["tailscal"] + v * E.tail_mult + u] -= F.lam_tail[v]
                         rows.append(row)
     null = la.nullspace(rows) if rows else [list(e) for e in la.identity(total)]
-    out = []
-    for vec in null:
-        phi = {
-            "exc": [], "pat": [], "fin": None, "fintail": [], "tailscal": None,
-            "period": P,
-        }
-        for i in range(base.r):
-            m = la.zeros(F.exc_dims[i], E.exc_dims[i])
-            for a in range(F.exc_dims[i]):
-                for bcol in range(E.exc_dims[i]):
-                    m[a][bcol] = vec[offs[("exc", i)] + a * E.exc_dims[i] + bcol]
-            phi["exc"].append(m)
-        for j in range(base.m):
-            m = la.zeros(F.pattern_dims[j], E.pattern_dims[j])
-            for a in range(F.pattern_dims[j]):
-                for bcol in range(E.pattern_dims[j]):
-                    m[a][bcol] = vec[offs[("pat", j)] + a * E.pattern_dims[j] + bcol]
-            phi["pat"].append(m)
-        m = la.zeros(F.fin_dim, E.fin_dim)
-        for a in range(F.fin_dim):
-            for bcol in range(E.fin_dim):
-                m[a][bcol] = vec[offs["fin"] + a * E.fin_dim + bcol]
-        phi["fin"] = m
-        for bcol in range(E.fin_dim):
-            if F.tail_mult:
-                lo = offs["fintail"] + bcol * blocks
-                phi["fintail"].append(vec[lo: lo + blocks])
-            else:
-                phi["fintail"].append([Q0] * blocks)
-        ts = la.zeros(F.tail_mult, E.tail_mult)
-        for v in range(F.tail_mult):
-            for u in range(E.tail_mult):
-                ts[v][u] = vec[offs["tailscal"] + v * E.tail_mult + u]
-        phi["tailscal"] = ts
-        out.append(phi)
-    return out
+    return [{
+        "exc": [la.read_block(vec, blk[("exc", i)]) for i in range(base.r)],
+        "pat": [la.read_block(vec, blk[("pat", j)]) for j in range(base.m)],
+        "fin": la.read_block(vec, blk["fin"]),
+        "fintail": (la.read_block(vec, blk["fintail"]) if F.tail_mult
+                    else [[Q0] * blocks for _ in range(E.fin_dim)]),
+        "tailscal": la.read_block(vec, blk["tailscal"]),
+        "period": P,
+    } for vec in null]
 
 
 def hom_conv_dim(E: ConvSheaf, F: ConvSheaf) -> int:

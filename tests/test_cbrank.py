@@ -118,3 +118,31 @@ def test_equivariant_heights_corrupted_action():
         chain=X.chain,
     )
     assert not cb.check_equivariant_heights(bad)
+
+
+@pytest.mark.parametrize("sel,depth,rank", [
+    ("prod:pro_p:2,pro_p:3", 1, 3),
+    ("prod:pro_p:2,pro_p:3,pro_p:5", 2, 4),
+])
+def test_rank_not_capped_by_depth(sel, depth, rank):
+    # the derivative chain may be longer than the tree is deep: every
+    # thread carries a scattered certificate, so the rank is exact
+    X = tw.subgroup_space_tower(tw.builtin_tower(sel, depth))
+    cert = cb.cb_rank(X)
+    assert cert.verdict == "Exact" and cert.rank == rank
+    assert len(cert.trace) == rank
+
+
+def test_equivariant_heights_fiber_in_one_orbit():
+    # both threads over the root have height 1, but the swap puts the whole
+    # fiber in one orbit, so neither point can accumulate equivariantly
+    def tree(top_perms):
+        return cb.SpaceTree(
+            levels=[["*"], ["a", "b"]],
+            bonds=[[0, 0]],
+            certs=[cb.ThreadCert("scattered", 1)] * 2,
+            actions=[[(0,), (0,)], top_perms],
+        )
+
+    assert cb.check_equivariant_heights(tree([(0, 1), (0, 1)]))
+    assert not cb.check_equivariant_heights(tree([(0, 1), (1, 0)]))

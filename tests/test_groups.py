@@ -137,3 +137,21 @@ def test_subgroup_membership():
         members = [x for x in G.elements() if x in H]
         assert len(members) == H.order
         assert all(G.mul(a, b) in H for a in members for b in members)
+
+
+def test_dense_table_built_once():
+    G = gr.parse_group("prod:cyclic:4,cyclic:8")
+    calls = [0]
+    mul = G.mul
+
+    def counted(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    G.mul = counted
+    # the generic enumeration closes about 500 seeds over the dense table;
+    # each table build costs order^2 products
+    assert len(gr.all_subgroups(G)) == 22
+    assert calls[0] <= G.order ** 2
+    assert G.table() is G.table()
+    assert calls[0] <= G.order ** 2

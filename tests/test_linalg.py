@@ -117,3 +117,62 @@ def test_matvec_shape_mismatch():
         la.matvec(la.identity(3), [F(1), F(2)])
     with pytest.raises(ValueError):
         la.matvec(la.identity(2), [F(1), F(2), F(3)])
+
+
+def random_blocks(rng, k):
+    """k unknown blocks (offset, rows, cols) packed back to back, some empty."""
+    blocks, n = [], 0
+    for _ in range(k):
+        r, c = rng.randint(0, 3), rng.randint(0, 3)
+        blocks.append((n, r, c))
+        n += r * c
+    return blocks, n
+
+
+def pack(mats, n):
+    v = [F(0)] * n
+    off = 0
+    for m in mats:
+        for row in m:
+            v[off: off + len(row)] = row
+            off += len(row)
+    return v
+
+
+def test_read_block_inverts_packing():
+    rng = random.Random(13)
+    for _ in range(30):
+        blocks, n = random_blocks(rng, rng.randint(1, 5))
+        mats = [rand_matrix(rng, r, c) for _, r, c in blocks]
+        v = pack(mats, n)
+        assert len(v) == n
+        for m, blk in zip(mats, blocks):
+            assert la.read_block(v, blk) == m
+
+
+def test_intertwiner_rows_match_dense_product():
+    rng = random.Random(17)
+    for trial in range(60):
+        blocks, n = random_blocks(rng, rng.randint(1, 4))
+        mats = [rand_matrix(rng, r, c) for _, r, c in blocks]
+        v = pack(mats, n)
+        d = rng.randrange(len(blocks))
+        s = d if trial % 3 == 0 else rng.randrange(len(blocks))  # src = dst too
+        (_, rd, cd), (_, rs, cs) = blocks[d], blocks[s]
+        a = rand_matrix(rng, cd, cs)
+        b = rand_matrix(rng, rd, rs)
+        rows = la.intertwiner_rows(n, blocks[d], a, blocks[s], b)
+        assert len(rows) == rd * cs
+        assert all(len(row) == n for row in rows)
+        Xd, Xs = mats[d], mats[s]
+        want = [sum((Xd[i][t] * a[t][j] for t in range(cd)), F(0))
+                - sum((b[i][t] * Xs[t][j] for t in range(rs)), F(0))
+                for i in range(rd) for j in range(cs)]
+        assert [dense_matvec([row], v)[0] for row in rows] == want
+
+
+def test_intertwiner_rows_zero_size():
+    assert la.intertwiner_rows(4, (0, 0, 2), [], (0, 0, 2), []) == []
+    assert la.intertwiner_rows(4, (0, 2, 2), la.zeros(2, 0), (4, 0, 0), la.zeros(2, 0)) == []
+    # X·a - b·X with a = b = 1 on a 1x1 block is the zero equation
+    assert la.intertwiner_rows(1, (0, 1, 1), [[F(1)]], (0, 1, 1), [[F(1)]]) == [[F(0)]]

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from profmack import burnside as bs
 from profmack import groups as gr
 from profmack import gsets as gs
 from profmack import linalg as la
@@ -74,6 +75,53 @@ def test_axiom_violation_detected():
     assert mk.check_axioms(B, collect=True) != []
 
 
+@pytest.mark.parametrize("sel", ["sym:3", "dihedral:8"])
+def test_structure_maps_cover_every_map(sel):
+    G = gr.parse_group(sel)
+    objs = [mk.representable(G, gs.transitive_gset(G, H)) for H in class_reps(G)]
+    if sel == "sym:3":
+        objs += [mk.fixed_point_functor(V) for V in mk.rational_irreducibles(G)]
+    maps = list(mk._structure_maps(G, gr.all_subgroups(G)))
+    for M in objs:
+        for name in ("res", "ind", "conj"):
+            keys = [key for kind, key, _, _ in maps if kind == name]
+            assert keys == list(getattr(M, name))
+        for kind, key, src, dst in maps:
+            m = M.map(kind, key)
+            if m:
+                assert la.shape(m) == (M.dim(dst), M.dim(src))
+            else:
+                assert M.dim(dst) == 0
+
+
+def reference_representable_conj(G, A):
+    """conj[(g, H)] of Span(-, A): precompose with O_Hg -> O_H, xHg |-> xgH."""
+    cache = mk._OrbitCache(G)
+    subs = gr.all_subgroups(G)
+    basis = {H: bs.hom_basis(cache.orbit(H), A) for H in subs}
+    out = {}
+    for H in subs:
+        spans = [bs.component_span(G, cache.orbit(H), A, c) for c in basis[H]]
+        for g in G.elements():
+            Hg = gr.conjugate_subgroup(H, g)
+            iota = mk._one_leg_span(cache, Hg, H, g)
+            index = {c: i for i, c in enumerate(basis[Hg])}
+            m = la.zeros(len(basis[Hg]), len(basis[H]))
+            for j, s_c in enumerate(spans):
+                for comp, mult in bs.decompose_span(bs.span_compose(iota, s_c)).items():
+                    m[index[comp]][j] += mult
+            out[(g, H)] = m
+    return out
+
+
+@pytest.mark.parametrize("sel", ["sym:3", "dihedral:8"])
+def test_representable_conj_matches_one_leg_construction(sel):
+    G = gr.parse_group(sel)
+    for H in class_reps(G):
+        A = gs.transitive_gset(G, H)
+        assert mk.representable(G, A).conj == reference_representable_conj(G, A)
+
+
 # ---------------------------------------------------------------------------
 # hom spaces and Yoneda
 
@@ -95,8 +143,6 @@ def test_hom_morphisms_are_natural():
 
 
 def test_hom_basis_count_matches_yoneda_pairing():
-    from profmack import burnside as bs
-
     G = gr.symmetric(3)
     reps = class_reps(G)
     for H in reps:
@@ -213,13 +259,11 @@ def test_span_functor_round_trip():
         A = mk.burnside_mackey(G)
         F = mk.to_span_functor(A)
         B = mk.from_span_functor(F)
-        reps = class_reps(G)
-        for H in reps:
-            assert B.dim(H) == A.dim(H)
-            for K in reps:
-                if set(K.elements) <= set(H.elements):
-                    assert la.eq(B.res[(H, K)], A.res[(H, K)])
-                    assert la.eq(B.ind[(H, K)], A.ind[(H, K)])
+        assert B.dims == A.dims
+        for name in ("res", "ind", "conj"):
+            assert getattr(B, name).keys() == getattr(A, name).keys()
+            for key, m in getattr(A, name).items():
+                assert la.eq(getattr(B, name)[key], m), (name, key)
 
 
 def test_mackey_json_round_trip():
