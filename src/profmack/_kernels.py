@@ -1,20 +1,17 @@
 """Integer table kernels: subgroup closure and orbit partitioning."""
 
-import numpy as np
-
 # There is no compiled variant of these kernels; the constant stays for
 # readers that record which kernels ran.
 HAVE_NUMBA = False
 
 
-def closure(mult: np.ndarray, seed) -> list[int]:
+def closure(mult, seed) -> list[int]:
     """Smallest subset of {0..n-1} containing ``seed`` closed under the table.
 
-    ``mult`` must be the full multiplication table of a group, so closure
-    under products alone also yields closure under inverses.
-    Returns a sorted list.
+    ``mult`` must be the full multiplication table of a group, indexed
+    ``mult[a][b]``, so closure under products alone also yields closure under
+    inverses.  Returns a sorted list.
     """
-    item = np.asarray(mult, dtype=np.int64).item
     seed = [int(s) for s in seed]
     if not seed:
         raise ValueError("closure needs a non-empty seed")
@@ -26,7 +23,7 @@ def closure(mult: np.ndarray, seed) -> list[int]:
         a = stack.pop()
         elems.append(a)
         for b in elems:
-            for c in (item(a, b), item(b, a)):
+            for c in (mult[a][b], mult[b][a]):
                 if c not in members:
                     members.add(c)
                     stack.append(c)

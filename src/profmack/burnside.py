@@ -10,6 +10,7 @@ matched with equal basepoint data.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from .groups import (
@@ -66,7 +67,12 @@ class Span:
         return tuple(c for c in sorted(comps) for _ in range(comps[c]))
 
     def dual(self) -> "Span":
-        return Span(self.right_foot, self.left_foot, self.apex, self.right, self.left)
+        # the legs were checked when this span was built and swapping them
+        # keeps them equivariant, so the copy skips __post_init__
+        d = copy.copy(self)
+        d.left_foot, d.right_foot = self.right_foot, self.left_foot
+        d.left, d.right = self.right, self.left
+        return d
 
 
 def span_equivalent(s: Span, t: Span) -> bool:

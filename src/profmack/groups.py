@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import random
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import _kernels
 
@@ -40,7 +40,7 @@ class FiniteGroup:
     label: str
     identity: int
     # built on first use: the dense table and the subgroup list
-    _table: np.ndarray | None = None
+    _table: tuple[tuple[int, ...], ...] | None = None
     _subgroup_cache: list[Subgroup] | None = None
 
     def mul(self, a: int, b: int) -> int:
@@ -56,7 +56,7 @@ class FiniteGroup:
         """g x g^-1."""
         return self.mul(self.mul(g, x), self.inv(g))
 
-    def table(self) -> np.ndarray:
+    def table(self) -> tuple[tuple[int, ...], ...]:
         """Dense multiplication table, built once; guarded by TABLE_LIMIT."""
         if self.order > TABLE_LIMIT:
             raise CapacityError(
@@ -66,71 +66,66 @@ class FiniteGroup:
             self._table = self._dense_table()
         return self._table
 
-    def _dense_table(self) -> np.ndarray:
+    def _dense_table(self) -> tuple[tuple[int, ...], ...]:
         n = self.order
-        t = np.empty((n, n), dtype=np.int64)
-        for a in range(n):
-            for b in range(n):
-                t[a, b] = self.mul(a, b)
-        return t
+        return tuple(tuple(self.mul(a, b) for b in range(n)) for a in range(n))
 
     def __repr__(self):
         return f"<{self.__class__.__name__} {self.label} order={self.order}>"
 
 
 class TableGroup(FiniteGroup):
-    def __init__(self, mult, label: str = "G", check: bool = True):
-        self._mult = np.asarray(mult, dtype=np.int64)
-        n = self._mult.shape[0]
-        if self._mult.shape != (n, n):
+    def __init__(self, mult, label: str = "G"):
+        self._mult = tuple(tuple(int(x) for x in row) for row in mult)
+        n = len(self._mult)
+        if any(len(row) != n for row in self._mult):
             raise ValueError("multiplication table must be square")
         self.order = n
         self.label = label
         self.identity = self._find_identity()
         self._inv = self._build_inv()
-        if check:
-            self._validate()
+        self._validate()
 
     def _find_identity(self) -> int:
-        n = self.order
-        for e in range(n):
-            if all(self._mult[e, x] == x and self._mult[x, e] == x for x in range(n)):
+        m = self._mult
+        ident = tuple(range(self.order))
+        for e in ident:
+            if m[e] == ident and all(row[e] == x for x, row in enumerate(m)):
                 return e
         raise ValueError("table has no two-sided identity")
 
-    def _build_inv(self) -> np.ndarray:
-        n, e = self.order, self.identity
-        inv = np.full(n, -1, dtype=np.int64)
-        for a in range(n):
-            hits = np.where(self._mult[a] == e)[0]
-            if hits.size != 1 or self._mult[hits[0], a] != e:
+    def _build_inv(self) -> tuple[int, ...]:
+        m, e = self._mult, self.identity
+        inv = []
+        for a, row in enumerate(m):
+            hits = [b for b, x in enumerate(row) if x == e]
+            if len(hits) != 1 or m[hits[0]][a] != e:
                 raise ValueError(f"element {a} lacks a two-sided inverse")
-            inv[a] = hits[0]
-        return inv
+            inv.append(hits[0])
+        return tuple(inv)
 
     def _validate(self):
-        n = self.order
-        m = self._mult
-        if m.min() < 0 or m.max() >= n:
+        n, m = self.order, self._mult
+        if any(not 0 <= x < n for row in m for x in row):
             raise ValueError("table entries out of range")
         if n <= FULL_CHECK_LIMIT:
-            # full associativity via matrix indexing: (ab)c == a(bc)
-            left = m[m, :]  # left[a,b,c] = (ab)c
-            right = m[:, m]  # right[a,b,c] = a(bc)
-            if not np.array_equal(left, right):
-                raise ValueError("multiplication table is not associative")
+            # full associativity, (ab)c == a(bc): row ab is a applied to row b
+            for ra in m:
+                for rb, ab in zip(m, ra):
+                    if m[ab] != tuple(map(ra.__getitem__, rb)):
+                        raise ValueError("multiplication table is not associative")
         else:
-            rng = np.random.default_rng(0)
+            rng = random.Random(0)
             for _ in range(2000):
-                a, b, c = rng.integers(0, n, 3)
-                if m[m[a, b], c] != m[a, m[b, c]]:
+                a, b, c = (rng.randrange(n) for _ in range(3))
+                if m[m[a][b]][c] != m[a][m[b][c]]:
                     raise ValueError("multiplication table is not associative")
 
     def mul(self, a, b):
-        return int(self._mult[a, b])
+        return self._mult[a][b]
 
     def inv(self, a):
-        return int(self._inv[a])
+        return self._inv[a]
 
     def _dense_table(self):
         return self._mult
@@ -263,7 +258,7 @@ def _is_coprime_cyclic_product(G: FiniteGroup) -> bool:
     orders = [f.order for f in flat]
     for i in range(len(orders)):
         for j in range(i + 1, len(orders)):
-            if np.gcd(orders[i], orders[j]) != 1:
+            if math.gcd(orders[i], orders[j]) != 1:
                 return False
     return True
 
@@ -424,8 +419,8 @@ class GroupHom:
         if n <= FULL_CHECK_LIMIT:
             pairs = itertools.product(range(n), range(n))
         else:
-            rng = np.random.default_rng(1)
-            pairs = (tuple(rng.integers(0, n, 2)) for _ in range(2000))
+            rng = random.Random(1)
+            pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(2000))
         for a, b in pairs:
             if self.mapping[self.domain.mul(a, b)] != self.codomain.mul(
                 self.mapping[a], self.mapping[b]
@@ -570,8 +565,8 @@ def parse_group(selector: str) -> FiniteGroup:
 
 
 def group_to_json(G: FiniteGroup) -> dict:
-    t = G.table()
-    return {"schema": 1, "order": G.order, "mult": t.tolist(), "label": G.label}
+    return {"schema": 1, "order": G.order, "mult": [list(r) for r in G.table()],
+            "label": G.label}
 
 
 def group_from_json(data: dict) -> TableGroup:

@@ -102,7 +102,7 @@ def _fixed_pattern_vector(F: ConvSheaf, j: int) -> list[Fraction] | None:
         for r in range(d):
             row = [a[r][c] - (Q1 if r == c else Q0) for c in range(d)]
             rows.append(row)
-    null = la.nullspace(rows) if rows else [list(e) for e in la.identity(d)]
+    null = la.nullspace(rows, d)
     return null[0] if null else None
 
 

@@ -91,6 +91,16 @@ def eq(a: Matrix, b: Matrix) -> bool:
     )
 
 
+def same_map(a: Matrix, b: Matrix) -> bool:
+    """Equality of two matrices of the same linear map, or both zero.
+
+    A matrix with no rows loses its column count, so maps into or out of a
+    zero space are stored with degenerate shapes; two all-zero matrices
+    between the same spaces are the same map.
+    """
+    return (is_zero(a) and is_zero(b)) or eq(a, b)
+
+
 def vstack(blocks: list[Matrix]) -> Matrix:
     out: Matrix = []
     for b in blocks:
@@ -159,18 +169,18 @@ def rank(a: Matrix) -> int:
     return len(rref(a)[1])
 
 
-def nullspace(a: Matrix) -> list[Vector]:
-    """Basis of the right null space {v : a v = 0}."""
-    rows, cols = shape(a)
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [e for e in identity(cols)]
+def nullspace(a: Matrix, n: int) -> list[Vector]:
+    """Basis of the right null space {v in Q^n : a v = 0}.
+
+    ``n`` is the number of unknowns, so ``a`` may have no rows.
+    """
+    if any(len(row) != n for row in a):
+        raise ValueError(f"nullspace row length differs from {n} unknowns")
     red, pivots = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
+    free = [c for c in range(n) if c not in pivots]
     basis = []
     for f in free:
-        v = [Q0] * cols
+        v = [Q0] * n
         v[f] = Q1
         for r, p in enumerate(pivots):
             v[p] = -red[r][f]

@@ -55,17 +55,6 @@ def _contains(H: Subgroup, K: Subgroup) -> bool:
     return set(K.elements) <= set(H.elements)
 
 
-def _meq(a: la.Matrix, b: la.Matrix) -> bool:
-    """Matrix equality tolerant of lost column counts on 0-row matrices.
-
-    Maps into or out of a zero space are stored with degenerate shapes; two
-    all-zero matrices between the same spaces are the same map.
-    """
-    if la.is_zero(a) and la.is_zero(b):
-        return True
-    return la.eq(a, b)
-
-
 def _madd(a: la.Matrix, b: la.Matrix) -> la.Matrix:
     """Sum tolerant of degenerate (all-zero, shape-lost) summands."""
     ca = len(a[0]) if a else 0
@@ -163,11 +152,11 @@ def check_axioms(M: MackeyFunctorQ, collect: bool = False):
             raise AxiomViolation(msg)
 
     for H in subs:
-        if not _meq(M.res_mat(H, H), la.identity(M.dim(H))):
+        if not la.same_map(M.res_mat(H, H), la.identity(M.dim(H))):
             report(f"res({H.order},{H.order}) not identity")
-        if not _meq(M.ind_mat(H, H), la.identity(M.dim(H))):
+        if not la.same_map(M.ind_mat(H, H), la.identity(M.dim(H))):
             report(f"ind({H.order},{H.order}) not identity")
-        if not _meq(M.conj_mat(G.identity, H), la.identity(M.dim(H))):
+        if not la.same_map(M.conj_mat(G.identity, H), la.identity(M.dim(H))):
             report(f"conj(e,{H.order}) not identity")
     for H in subs:
         for K in subs:
@@ -176,11 +165,11 @@ def check_axioms(M: MackeyFunctorQ, collect: bool = False):
             for J in subs:
                 if not _contains(K, J):
                     continue
-                if not _meq(
+                if not la.same_map(
                     la.matmul(M.res_mat(K, J), M.res_mat(H, K)), M.res_mat(H, J)
                 ):
                     report("res not transitive")
-                if not _meq(
+                if not la.same_map(
                     la.matmul(M.ind_mat(H, K), M.ind_mat(K, J)), M.ind_mat(H, J)
                 ):
                     report("ind not transitive")
@@ -190,18 +179,18 @@ def check_axioms(M: MackeyFunctorQ, collect: bool = False):
             for h in G.elements():
                 lhs = la.matmul(M.conj_mat(h, Hg), M.conj_mat(g, H))
                 rhs = M.conj_mat(G.mul(h, g), H)
-                if not _meq(lhs, rhs):
+                if not la.same_map(lhs, rhs):
                     report("conjugation not functorial")
             for K in subs:
                 if not _contains(H, K):
                     continue
                 Kg = conjugate_subgroup(K, g)
-                if not _meq(
+                if not la.same_map(
                     la.matmul(M.conj_mat(g, K), M.res_mat(H, K)),
                     la.matmul(M.res_mat(Hg, Kg), M.conj_mat(g, H)),
                 ):
                     report("conjugation does not intertwine res")
-                if not _meq(
+                if not la.same_map(
                     la.matmul(M.conj_mat(g, H), M.ind_mat(H, K)),
                     la.matmul(M.ind_mat(Hg, Kg), M.conj_mat(g, K)),
                 ):
@@ -227,7 +216,7 @@ def check_axioms(M: MackeyFunctorQ, collect: bool = False):
                         la.matmul(M.conj_mat(g, Ag), M.res_mat(L, Ag)),
                     )
                     total = _madd(total, term)
-                if not _meq(lhs, total):
+                if not la.same_map(lhs, total):
                     report(
                         f"Mackey formula fails at |H|={H.order},|K|={K.order},|L|={L.order}"
                     )
@@ -392,7 +381,7 @@ class GroupRep:
         G = self.group
         for a in range(G.order):
             for b in range(G.order):
-                if not _meq(
+                if not la.same_map(
                     la.matmul(self.mats[a], self.mats[b]), self.mats[G.mul(a, b)]
                 ):
                     raise ValueError("not a representation")
@@ -404,9 +393,7 @@ def _fixed_basis(rep: GroupRep, H: Subgroup) -> list[la.Vector]:
         m = rep.mats[h]
         for i in range(rep.dim):
             rows.append([m[i][j] - (Q1 if i == j else Q0) for j in range(rep.dim)])
-    if not rows:
-        return [list(e) for e in la.identity(rep.dim)]
-    return la.nullspace(rows)
+    return la.nullspace(rows, rep.dim)
 
 
 def _in_basis(basis: list[la.Vector], vecs: list[la.Vector]) -> la.Matrix:
@@ -598,7 +585,7 @@ class MackeyMorphism:
     def check(self) -> bool:
         M, N = self.src, self.dst
         return all(
-            _meq(la.matmul(self.mats[dst], M.map(kind, key)),
+            la.same_map(la.matmul(self.mats[dst], M.map(kind, key)),
                  la.matmul(N.map(kind, key), self.mats[src]))
             for kind, key, src, dst in _structure_maps(M.group, M.subs)
         )
@@ -629,7 +616,7 @@ def hom_space(M: MackeyFunctorQ, N: MackeyFunctorQ) -> list[MackeyMorphism]:
         # f_dst @ M(map) - N(map) @ f_src = 0
         rows += la.intertwiner_rows(total, blocks[dst], M.map(kind, key),
                                     blocks[src], N.map(kind, key))
-    null = la.nullspace(rows) if rows else [list(e) for e in la.identity(total)]
+    null = la.nullspace(rows, total)
     return [MackeyMorphism(M, N, {H: la.read_block(v, blocks[H]) for H in subs})
             for v in null]
 
@@ -785,8 +772,7 @@ def kernel_functor(phi: MackeyMorphism) -> tuple[MackeyFunctorQ, MackeyMorphism]
     M = phi.src
     G = M.group
     subs = M.subs
-    basis = {H: la.nullspace(phi.mats[H]) if la.shape(phi.mats[H])[0] else
-             [list(e) for e in la.identity(M.dim(H))] for H in subs}
+    basis = {H: la.nullspace(phi.mats[H], M.dim(H)) for H in subs}
     dims = {H: len(basis[H]) for H in subs}
 
     def restrict(kind, key, src, dst) -> la.Matrix:
@@ -957,45 +943,3 @@ def from_span_functor(F: SpanFunctorQ, tools: _RepTools | None = None) -> Mackey
         return total
 
     return _build_mackey(G, dims, span_between, "from_span")
-
-
-def mackey_to_json(M: MackeyFunctorQ) -> dict:
-    subs = M.subs
-    idx = {H: i for i, H in enumerate(subs)}
-
-    def mat(m):
-        return [[str(x) for x in row] for row in m]
-
-    return {
-        "schema": 1,
-        "group": M.group.label,
-        "name": M.name,
-        "subgroups": [list(H.elements) for H in subs],
-        "dims": [M.dim(H) for H in subs],
-        "res": {f"{idx[H]},{idx[K]}": mat(m) for (H, K), m in M.res.items()},
-        "ind": {f"{idx[H]},{idx[K]}": mat(m) for (H, K), m in M.ind.items()},
-        "conj": {f"{g},{idx[H]}": mat(m) for (g, H), m in M.conj.items()},
-    }
-
-
-def mackey_from_json(G: FiniteGroup, data: dict) -> MackeyFunctorQ:
-    subs = all_subgroups(G)
-    assert [list(H.elements) for H in subs] == [list(map(int, s)) for s in data["subgroups"]]
-
-    def mat(m):
-        return [[Fraction(x) for x in row] for row in m]
-
-    dims = {H: d for H, d in zip(subs, data["dims"])}
-    res = {}
-    for key, m in data["res"].items():
-        i, j = map(int, key.split(","))
-        res[(subs[i], subs[j])] = mat(m)
-    ind = {}
-    for key, m in data["ind"].items():
-        i, j = map(int, key.split(","))
-        ind[(subs[i], subs[j])] = mat(m)
-    conj = {}
-    for key, m in data["conj"].items():
-        g, i = map(int, key.split(","))
-        conj[(g, subs[i])] = mat(m)
-    return MackeyFunctorQ(G, dims, res, ind, conj, data.get("name", "M"))

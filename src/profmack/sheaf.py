@@ -59,7 +59,7 @@ class EqSheafFinite:
                     hx = self.base.act[h][x]
                     lhs = la.matmul(self.act[(g, hx)], self.act[(h, x)])
                     rhs = self.act[(G.mul(g, h), x)]
-                    if not (la.is_zero(lhs) and la.is_zero(rhs)) and not la.eq(lhs, rhs):
+                    if not la.same_map(lhs, rhs):
                         return False
         return True
 
@@ -90,7 +90,7 @@ def hom_fin(E: EqSheafFinite, F: EqSheafFinite) -> list[dict[int, la.Matrix]]:
             # phi_{gx} aE - aF phi_x = 0
             rows += la.intertwiner_rows(total, blocks[E.base.act[g][x]], E.act[(g, x)],
                                         blocks[x], F.act[(g, x)])
-    null = la.nullspace(rows) if rows else [list(e) for e in la.identity(total)]
+    null = la.nullspace(rows, total)
     return [{x: la.read_block(v, blocks[x]) for x in range(n)} for v in null]
 
 
@@ -556,7 +556,7 @@ def hom_conv(E: ConvSheaf, F: ConvSheaf, period: int | None = None) -> list[dict
                             if F.lam_tail[v] and a < dF and t < dE and dE == dF and a == t:
                                 row[offs["tailscal"] + v * E.tail_mult + u] -= F.lam_tail[v]
                         rows.append(row)
-    null = la.nullspace(rows) if rows else [list(e) for e in la.identity(total)]
+    null = la.nullspace(rows, total)
     return [{
         "exc": [la.read_block(vec, blk[("exc", i)]) for i in range(base.r)],
         "pat": [la.read_block(vec, blk[("pat", j)]) for j in range(base.m)],

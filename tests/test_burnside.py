@@ -76,6 +76,25 @@ def test_span_add_and_dual():
     assert bs.span_equivalent(s.dual().dual(), s)
 
 
+def test_dual_swaps_the_checked_legs():
+    rng = random.Random(SEED)
+    G = gr.symmetric(3)
+    sets = [gs.transitive_gset(G, H) for H in gr.all_subgroups(G)]
+    for _ in range(10):
+        A, B = rng.choice(sets), rng.choice(sets)
+        for comp in bs.hom_basis(A, B):
+            s = bs.component_span(G, A, B, comp)
+            assert s.dual() == bs.Span(s.right_foot, s.left_foot, s.apex, s.right, s.left)
+            assert s.dual().dual().canonical() == s.canonical()
+
+
+def test_span_rejects_a_leg_that_is_not_equivariant():
+    G = gr.cyclic(2)
+    X, P = regular(G), gs.point_gset(G)
+    with pytest.raises(ValueError):
+        bs.Span(P, X, X, (0, 0), (0, 0))
+
+
 def test_associativity_seeded_battery_small():
     rng = random.Random(SEED)
     for G in (gr.cyclic(2), gr.cyclic(3), gr.symmetric(3)):

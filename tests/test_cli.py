@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import profmack
 from profmack import cli
 from profmack.groups import CyclicGroup, group_to_json, trivial_subgroup
 from profmack.gsets import transitive_gset
@@ -150,3 +154,24 @@ def test_determinism_across_threads(capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_package_imports_only_the_standard_library():
+    # run in a fresh interpreter, so that modules other tests loaded do not count
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "before = set(sys.modules)\n"
+        "import profmack\n"
+        "for m in pkgutil.iter_modules(profmack.__path__):\n"
+        "    importlib.import_module('profmack.' + m.name)\n"
+        "from profmack import cli\n"
+        "assert cli.main(['group', 'info', '--group', 'sym:3']) == 0\n"
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(new - set(sys.stdlib_module_names) - {'profmack'}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(profmack.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

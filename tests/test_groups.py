@@ -155,3 +155,44 @@ def test_dense_table_built_once():
     assert calls[0] <= G.order ** 2
     assert G.table() is G.table()
     assert calls[0] <= G.order ** 2
+
+
+def test_table_group_rejects_a_non_square_table():
+    with pytest.raises(ValueError, match="square"):
+        gr.TableGroup([[0, 1], [1]])
+
+
+def test_table_group_rejects_an_out_of_range_entry():
+    # identity 0 and inverses 1 <-> 2 hold, so only the range check fires
+    with pytest.raises(ValueError, match="out of range"):
+        gr.TableGroup([[0, 1, 2], [1, 2, 0], [2, 0, 5]])
+
+
+def test_table_group_rejects_a_table_without_identity():
+    with pytest.raises(ValueError, match="identity"):
+        gr.TableGroup([[0, 0], [0, 0]])
+
+
+def test_table_group_rejects_an_element_without_inverse():
+    with pytest.raises(ValueError, match="inverse"):
+        gr.TableGroup([[0, 1, 2], [1, 1, 1], [2, 1, 0]])
+
+
+def test_table_group_rejects_a_non_associative_table():
+    table = [list(row) for row in gr.dihedral(8).table()]
+    # the products r^3·s and r^3·sr swapped; identity and inverses still hold
+    table[3][4], table[3][5] = table[3][5], table[3][4]
+    with pytest.raises(ValueError, match="associative"):
+        gr.TableGroup(table)
+
+
+def test_group_hom_rejects_a_non_multiplicative_map():
+    # full check of all pairs (order <= FULL_CHECK_LIMIT)
+    with pytest.raises(ValueError, match="multiplicative"):
+        gr.GroupHom(gr.cyclic(4), gr.cyclic(2), (0, 1, 1, 1))
+    # sampled pairs: the map is wrong on about half of all pairs
+    C512, C2 = gr.cyclic(512), gr.cyclic(2)
+    assert C512.order > gr.FULL_CHECK_LIMIT
+    gr.GroupHom(C512, C2, tuple(x % 2 for x in range(512)))
+    with pytest.raises(ValueError, match="multiplicative"):
+        gr.GroupHom(C512, C2, tuple(int(x >= 256) for x in range(512)))

@@ -26,10 +26,32 @@ def test_rank_and_nullspace_consistency():
         r, c = rng.randint(1, 5), rng.randint(1, 5)
         a = rand_matrix(rng, r, c)
         rk = la.rank(a)
-        null = la.nullspace(a)
+        null = la.nullspace(a, c)
         assert rk + len(null) == c
         for v in null:
             assert all(x == 0 for x in la.matvec(a, v))
+
+
+def test_same_map_treats_zero_maps_of_any_stored_shape_as_equal():
+    z = F(0)
+    assert la.same_map([], [[z, z]])
+    assert la.same_map([[], []], la.zeros(2, 3))
+    assert la.same_map(la.identity(2), la.identity(2))
+    assert not la.same_map(la.identity(2), [[F(1), z], [z, F(2)]])
+    assert not la.same_map([], la.identity(1))
+
+
+def test_nullspace_without_rows_or_unknowns():
+    assert la.nullspace([], 3) == la.identity(3)
+    assert la.nullspace([], 0) == []
+    assert la.nullspace([[], []], 0) == []
+
+
+def test_nullspace_rejects_row_length_mismatch():
+    with pytest.raises(ValueError):
+        la.nullspace([[F(1), F(2)]], 3)
+    with pytest.raises(ValueError):
+        la.nullspace([[F(1), F(2), F(3)], [F(1)]], 3)
 
 
 def test_solve_exact():

@@ -266,19 +266,6 @@ def test_span_functor_round_trip():
                 assert la.eq(getattr(B, name)[key], m), (name, key)
 
 
-def test_mackey_json_round_trip():
-    G = gr.symmetric(3)
-    A = mk.burnside_mackey(G)
-    data = mk.mackey_to_json(A)
-    B = mk.mackey_from_json(G, data)
-    assert B.dims == A.dims
-    for key in A.res:
-        assert la.eq(B.res[key], A.res[key])
-    for key in A.conj:
-        assert la.eq(B.conj[key], A.conj[key])
-    assert mk.check_axioms(B, collect=True) == []
-
-
 def test_direct_sum_and_zero():
     G = gr.cyclic(2)
     A = mk.burnside_mackey(G)
