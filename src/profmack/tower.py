@@ -27,6 +27,7 @@ from .groups import (
     UnknownFamily,
     all_subgroups,
     conjugate_subgroup,
+    generators,
     group_from_json,
     group_to_json,
     identity_hom,
@@ -166,22 +167,6 @@ class SubgroupPoint:
 # the subgroup space S(G) through the tower
 
 
-def _generators(G: FiniteGroup) -> list[int]:
-    if isinstance(G, CyclicGroup):
-        return [1] if G.order > 1 else []
-    if isinstance(G, ProductGroup) and all(
-        isinstance(f, CyclicGroup) for f in G.factors
-    ):
-        gens = []
-        for i, f in enumerate(G.factors):
-            if f.order > 1:
-                coords = [0] * len(G.factors)
-                coords[i] = 1
-                gens.append(G.encode(coords))
-        return gens
-    return [g for g in G.elements() if g != G.identity]
-
-
 def level_subgroups(G: FiniteGroup) -> list[Subgroup]:
     return all_subgroups(G)
 
@@ -240,7 +225,7 @@ def subgroup_space_tower(T: GroupTower) -> SpaceTree:
     for k, G in enumerate(T.levels):
         subs = subs_per_level[k]
         perms = []
-        for g in _generators(G):
+        for g in generators(G):
             perms.append(
                 tuple(index_per_level[k][conjugate_subgroup(H, g)] for H in subs)
             )

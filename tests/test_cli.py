@@ -112,6 +112,19 @@ def test_verify_round_trip(tmp_path, capsys):
     assert json.loads(out)["verified"]
 
 
+def test_cb_rank_three_prime_product_verifies(tmp_path, capsys):
+    code, out = run(capsys, ["cb", "rank", "--tower", "prod:pro_p:2,pro_p:3,pro_p:5",
+                             "--depth", "3", "--json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] == "Exact" and data["rank"] == 4
+    f = tmp_path / "cert.json"
+    f.write_text(out)
+    code, out = run(capsys, ["cb", "rank", "--verify", str(f), "--json"])
+    assert code == 0
+    assert json.loads(out)["verified"]
+
+
 def test_verify_rejects_tampered_certificate(tmp_path, capsys):
     _, out = run(capsys, ["homdim", "certify", "--setup", "spzp-weyl",
                           "--depth", "5", "--json"])

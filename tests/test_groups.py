@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from profmack import groups as gr
@@ -196,3 +198,142 @@ def test_group_hom_rejects_a_non_multiplicative_map():
     gr.GroupHom(C512, C2, tuple(x % 2 for x in range(512)))
     with pytest.raises(ValueError, match="multiplicative"):
         gr.GroupHom(C512, C2, tuple(int(x >= 256) for x in range(512)))
+
+
+SUBGROUP_GROUPS = ("cyclic:12", "dihedral:8", "sym:3", "prod:cyclic:2,cyclic:4",
+                   "prod:cyclic:2,sym:3")
+
+
+def _closed_all_pairs(G, S):
+    return all(G.mul(a, b) in S for a in S for b in S)
+
+
+@pytest.mark.parametrize("sel", SUBGROUP_GROUPS)
+def test_subgroup_accepts_every_subgroup(sel):
+    G = gr.parse_group(sel)
+    for H in gr.all_subgroups(G):
+        assert gr.subgroup(G, reversed(H.elements)) == H
+
+
+def test_subgroup_rejects_exactly_the_sets_all_pairs_rejects():
+    rng = random.Random(5)
+    outcomes = set()
+    for i in range(200):
+        G = gr.parse_group(SUBGROUP_GROUPS[i % len(SUBGROUP_GROUPS)])
+        # a subgroup with up to two non-identity elements toggled
+        S = set(rng.choice(gr.all_subgroups(G)).elements)
+        for _ in range(rng.randrange(3)):
+            S ^= {rng.randrange(G.order)} - {G.identity}
+        closed = _closed_all_pairs(G, S)
+        outcomes.add(closed)
+        if closed:
+            assert gr.subgroup(G, S).elements == tuple(sorted(S))
+        else:
+            with pytest.raises(ValueError, match="not closed"):
+                gr.subgroup(G, S)
+    assert outcomes == {True, False}
+
+
+def test_subgroup_rejects_a_set_closed_under_its_first_generator_only():
+    C12 = gr.cyclic(12)
+    # greedy generators 4 then 6: {0, 4, 8} is closed, 4 + 6 = 10 is not in S
+    assert gr.subgroup(C12, [0, 4, 8]).order == 3
+    with pytest.raises(ValueError, match="not closed"):
+        gr.subgroup(C12, [0, 4, 6, 8])
+    # in C2 x C8, S = <a> u b<a> with a = (0, 4), b = (1, 1): every product
+    # with a stays in S, and only b·b = (0, 2) leaves it
+    G = gr.parse_group("prod:cyclic:2,cyclic:8")
+    a, b = G.encode((0, 4)), G.encode((1, 1))
+    S = [0, a, b, G.mul(b, a)]
+    assert all(G.mul(x, a) in S for x in S)
+    with pytest.raises(ValueError, match="not closed"):
+        gr.subgroup(G, S)
+
+
+def test_subgroup_costs_at_most_two_products_per_element():
+    class CountingCyclic(gr.CyclicGroup):
+        products = 0
+
+        def mul(self, a, b):
+            self.products += 1
+            return super().mul(a, b)
+
+    G = CountingCyclic(4096)
+    H = gr.subgroup(G, range(0, 4096, 2))
+    assert H.order == 2048
+    assert G.products <= 2 * H.order
+
+
+@pytest.mark.parametrize("sel", ("cyclic:12", "prod:cyclic:2,cyclic:4"))
+def test_abelian_conjugation_is_the_identity(sel):
+    G = gr.parse_group(sel)
+    assert G.abelian
+    for H in gr.all_subgroups(G):
+        for g in G.elements():
+            generic = gr.Subgroup(G, tuple(sorted(G.conj(g, x) for x in H.elements)))
+            assert gr.conjugate_subgroup(H, g) == generic
+
+
+def test_non_abelian_groups_still_conjugate():
+    for sel in ("sym:3", "dihedral:8", "prod:cyclic:2,sym:3"):
+        assert not gr.parse_group(sel).abelian
+    D8 = gr.dihedral(8)
+    H = gr.subgroup(D8, [0, 4])  # {e, s}, not normal
+    moved = gr.conjugate_subgroup(H, 1)  # r s r^-1 = s r^-2
+    assert moved != H
+    assert moved.elements == tuple(sorted(D8.conj(1, x) for x in H.elements))
+
+
+@pytest.mark.parametrize("sel", ("cyclic:1", "cyclic:12", "dihedral:8", "sym:3",
+                                 "sym:4", "prod:cyclic:2,cyclic:4",
+                                 "prod:cyclic:3,cyclic:4", "prod:cyclic:2,sym:3"))
+def test_generators_generate_the_group(sel):
+    G = gr.parse_group(sel)
+    assert gr.closure_set(G, gr.generators(G)) == tuple(G.elements())
+
+
+def test_generators_of_a_cyclic_product_follow_the_factor_order():
+    G = gr.parse_group("prod:cyclic:2,cyclic:1,cyclic:4")
+    assert gr.generators(G) == [G.encode((1, 0, 0)), G.encode((0, 0, 1))]
+
+
+def test_group_hom_rejects_a_map_multiplicative_on_rotations_only():
+    D8, C2 = gr.dihedral(8), gr.cyclic(2)
+    gr.GroupHom(D8, C2, (0, 0, 0, 0, 1, 1, 1, 1))  # the sign of a reflection
+    # trivial on the rotations r^i, but s r^i goes to i+1 mod 2
+    with pytest.raises(ValueError, match="multiplicative"):
+        gr.GroupHom(D8, C2, (0, 0, 0, 0, 1, 0, 1, 0))
+    # r^i and s r^i both go to i in C4: f(xr) == f(x)f(r) for every x, so
+    # only the second generator s exposes f(rs) = f(s r^3) = 3 != f(r)f(s) = 1
+    with pytest.raises(ValueError, match="multiplicative"):
+        gr.GroupHom(D8, gr.cyclic(4), (0, 1, 2, 3, 0, 1, 2, 3))
+
+
+def test_light_associativity_test_checks_every_generator():
+    # identity 0, two-sided inverses 1 <-> 2, and (1·1)·2 = 0 != 1·(1·2) = 1
+    magma = [[0, 1, 2], [1, 1, 0], [2, 0, 2]]
+    # magma x C2, element 2m + c: the first greedy generator (0, 1) lies in
+    # the associative C2 factor, so only the second, (1, 0), exposes the magma
+    table = [[2 * magma[x // 2][y // 2] + (x + y) % 2 for y in range(6)]
+             for x in range(6)]
+    with pytest.raises(ValueError, match="associative"):
+        gr.TableGroup(table)
+
+
+def test_light_associativity_test_rejects_seeded_corrupted_tables():
+    rng = random.Random(3)
+    for sel in ("dihedral:8", "sym:3", "prod:cyclic:2,cyclic:4"):
+        G = gr.parse_group(sel)
+        n, e = G.order, G.identity
+        for _ in range(20):
+            table = [list(row) for row in G.table()]
+            # swap two entries of a row x != e, outside column e and away from
+            # the entry e, so that the identity and the inverses still hold
+            x = rng.choice([x for x in range(n) if x != e])
+            y1, y2 = rng.sample([y for y in range(n) if e not in (y, table[x][y])], 2)
+            table[x][y1], table[x][y2] = table[x][y2], table[x][y1]
+            # all-triples reference: a column now repeats an entry
+            assert not all(table[table[a][b]][c] == table[a][table[b][c]]
+                           for a in range(n) for b in range(n) for c in range(n))
+            with pytest.raises(ValueError, match="associative"):
+                gr.TableGroup(table)
