@@ -1,4 +1,4 @@
-"""Finite discrete G-sets, equivariant maps and orbit decompositions."""
+"""Finite discrete G-sets, inflation along group maps and orbit decompositions."""
 
 from __future__ import annotations
 
@@ -112,31 +112,6 @@ def product_gset(a: FiniteGSet, b: FiniteGSet) -> FiniteGSet:
         for g in G.elements()
     )
     return FiniteGSet(G, act, label=f"({a.label})x({b.label})")
-
-
-@dataclass
-class GMap:
-    """Equivariant map of G-sets, as a point-index table."""
-
-    src: FiniteGSet
-    dst: FiniteGSet
-    table: tuple[int, ...]
-
-    def __post_init__(self):
-        self.table = tuple(self.table)
-        if len(self.table) != self.src.size:
-            raise ValueError("map table has wrong length")
-        G = self.src.group
-        for g in G.elements():
-            for x in range(self.src.size):
-                if self.table[self.src.act[g][x]] != self.dst.act[g][self.table[x]]:
-                    raise ValueError("map is not equivariant")
-
-    def __call__(self, x: int) -> int:
-        return self.table[x]
-
-    def compose(self, inner: "GMap") -> "GMap":
-        return GMap(inner.src, self.dst, tuple(self.table[inner.table[x]] for x in range(inner.src.size)))
 
 
 def orbit_decompose(X: FiniteGSet):

@@ -93,16 +93,8 @@ def _reachable_span(E: ConvSheaf, F: ConvSheaf, P: int) -> list[list[Fraction]]:
 def _fixed_pattern_vector(F: ConvSheaf, j: int) -> list[Fraction] | None:
     """A W-fixed nonzero vector in the pattern stalk at position j."""
     W = F.base.group
-    d = F.pattern_dims[j]
-    if d == 0:
-        return None
-    rows = []
-    for g in W.elements():
-        a = F.act_pattern[(g, j)]
-        for r in range(d):
-            row = [a[r][c] - (Q1 if r == c else Q0) for c in range(d)]
-            rows.append(row)
-    null = la.nullspace(rows, d)
+    null = la.fixed_space([F.act_pattern[(g, j)] for g in W.elements()],
+                          F.pattern_dims[j])
     return null[0] if null else None
 
 

@@ -1,18 +1,36 @@
 """Exact rational linear algebra over fractions.Fraction.
 
-Matrices are lists of rows; rows are lists of Fraction.  Everything here is
-tolerance-free: dimensions in this package are integers and stay integers.
+Matrices are lists of rows that also record their column count (`Matrix`),
+so a matrix with no rows keeps its shape: a map into or out of the zero
+space is a true 0 x n or n x 0 matrix, and every operation here that returns
+a matrix returns one of the right shape.  Rows are lists of Fraction.  A
+plain list of rows is accepted as input when it has at least one row.
+Everything here is tolerance-free: dimensions in this package are integers
+and stay integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-Matrix = list[list[Fraction]]
 Vector = list[Fraction]
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
+
+
+class Matrix(list):
+    """A list of rows whose column count is `cols`, also with no rows.
+
+    CPython indexes a list subclass more slowly than a plain list, so the
+    hot loops below iterate over rows or index a plain list.
+    """
+
+    __slots__ = ("cols",)
+
+    def __init__(self, rows, cols: int):
+        list.__init__(self, rows)
+        self.cols = cols
 
 
 def frac(x) -> Fraction:
@@ -20,7 +38,7 @@ def frac(x) -> Fraction:
 
 
 def zeros(rows: int, cols: int) -> Matrix:
-    return [[Q0] * cols for _ in range(rows)]
+    return Matrix([[Q0] * cols for _ in range(rows)], cols)
 
 
 def identity(n: int) -> Matrix:
@@ -30,29 +48,25 @@ def identity(n: int) -> Matrix:
     return m
 
 
+def from_columns(vectors: list[Vector], rows: int) -> Matrix:
+    """The rows x len(vectors) matrix whose columns are the given vectors."""
+    return Matrix([[v[i] for v in vectors] for i in range(rows)], len(vectors))
+
+
 def shape(a: Matrix) -> tuple[int, int]:
-    return (len(a), len(a[0]) if a else 0)
-
-
-def copy(a: Matrix) -> Matrix:
-    return [row[:] for row in a]
+    """(rows, columns) of a Matrix, or of a plain list with at least one row."""
+    return len(a), a.cols if type(a) is Matrix else len(a[0])
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     ra, ca = shape(a)
     rb, cb = shape(b)
-    if ra == 0:
-        return []
     if ca != rb:
         raise ValueError(f"matmul shape mismatch {shape(a)} x {shape(b)}")
     out = zeros(ra, cb)
-    for i in range(ra):
-        ai = a[i]
-        oi = out[i]
-        for k in range(ca):
-            v = ai[k]
+    for ai, oi in zip(a, out):
+        for v, bk in zip(ai, b):
             if v:
-                bk = b[k]
                 for j in range(cb):
                     if bk[j]:
                         oi[j] += v * bk[j]
@@ -69,16 +83,29 @@ def matvec(a: Matrix, v: Vector) -> Vector:
 
 
 def add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    sa, sb = shape(a), shape(b)
+    if sa != sb:
+        raise ValueError(f"add shape mismatch {sa} + {sb}")
+    return Matrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], sa[1])
 
 
 def scale(a: Matrix, c: Fraction) -> Matrix:
-    return [[c * x for x in row] for row in a]
+    return Matrix([[c * x for x in row] for row in a], shape(a)[1])
+
+
+def add_block(out: Matrix, r0: int, c0: int, block: Matrix, f: Fraction = Q1) -> None:
+    """out[r0 + i][c0 + j] += f * block[i][j] over the nonzero block entries."""
+    scaled = f != 1  # most blocks are added unscaled: skip a Fraction product
+    for i, brow in enumerate(block):
+        orow = out[r0 + i]
+        for j, x in enumerate(brow):
+            if x:
+                orow[c0 + j] += x * f if scaled else x
 
 
 def transpose(a: Matrix) -> Matrix:
     r, c = shape(a)
-    return [[a[i][j] for i in range(r)] for j in range(c)]
+    return Matrix([[row[j] for row in a] for j in range(c)], r)
 
 
 def is_zero(a: Matrix) -> bool:
@@ -91,21 +118,8 @@ def eq(a: Matrix, b: Matrix) -> bool:
     )
 
 
-def same_map(a: Matrix, b: Matrix) -> bool:
-    """Equality of two matrices of the same linear map, or both zero.
-
-    A matrix with no rows loses its column count, so maps into or out of a
-    zero space are stored with degenerate shapes; two all-zero matrices
-    between the same spaces are the same map.
-    """
-    return (is_zero(a) and is_zero(b)) or eq(a, b)
-
-
 def vstack(blocks: list[Matrix]) -> Matrix:
-    out: Matrix = []
-    for b in blocks:
-        out.extend(copy(b))
-    return out
+    return Matrix([row[:] for b in blocks for row in b], shape(blocks[0])[1])
 
 
 Block = tuple[int, int, int]  # (offset, rows, cols) of an unknown matrix
@@ -119,16 +133,16 @@ def intertwiner_rows(n: int, dst: Block, a: Matrix, src: Block,
     blocks (they may be the same block); a maps into X_dst's source space and
     b out of X_src's target space.  One row per entry (i, j) of the product.
     """
-    od, rd, cd = dst
-    os_, rs, cs = src
-    rows = []
-    for i in range(rd):
+    od, _, cd = dst
+    os_, _, cs = src
+    rows = Matrix([], n)
+    for i, bi in enumerate(b):  # one per row of X_dst
         for j in range(cs):
             row = [Q0] * n
-            for t in range(cd):
-                row[od + i * cd + t] += a[t][j]
-            for t in range(rs):
-                row[os_ + t * cs + j] -= b[i][t]
+            for t, at in enumerate(a):  # one per column of X_dst
+                row[od + i * cd + t] += at[j]
+            for t, x in enumerate(bi):  # one per row of X_src
+                row[os_ + t * cs + j] -= x
             rows.append(row)
     return rows
 
@@ -136,16 +150,18 @@ def intertwiner_rows(n: int, dst: Block, a: Matrix, src: Block,
 def read_block(v: Vector, block: Block) -> Matrix:
     """The matrix packed row-major at `block` of the vector v."""
     off, r, c = block
-    return [v[off + i * c: off + (i + 1) * c] for i in range(r)]
+    return Matrix([v[off + i * c: off + (i + 1) * c] for i in range(r)], c)
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
-    m = copy(a)
-    rows, cols = shape(m)
+    rows, cols = shape(a)
+    m = [row[:] for row in a]
     pivots: list[int] = []
     r = 0
     for c in range(cols):
+        if r == rows:
+            break
         pr = next((i for i in range(r, rows) if m[i][c]), None)
         if pr is None:
             continue
@@ -158,34 +174,35 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
-        if r == rows:
-            break
-    return m, pivots
+    return Matrix(m, cols), pivots
 
 
 def rank(a: Matrix) -> int:
-    if not a or not a[0]:
-        return 0
     return len(rref(a)[1])
 
 
-def nullspace(a: Matrix, n: int) -> list[Vector]:
-    """Basis of the right null space {v in Q^n : a v = 0}.
-
-    ``n`` is the number of unknowns, so ``a`` may have no rows.
-    """
+def nullspace(a: Matrix) -> list[Vector]:
+    """Basis of the right null space {v : a v = 0}, one vector per free column."""
+    n = shape(a)[1]
     if any(len(row) != n for row in a):
-        raise ValueError(f"nullspace row length differs from {n} unknowns")
+        raise ValueError(f"nullspace row length differs from {n} columns")
     red, pivots = rref(a)
-    free = [c for c in range(n) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(n) if c not in pivot_set]
     basis = []
     for f in free:
         v = [Q0] * n
         v[f] = Q1
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
+        for p, row in zip(pivots, red):
+            v[p] = -row[f]
         basis.append(v)
     return basis
+
+
+def fixed_space(mats: list[Matrix], n: int) -> list[Vector]:
+    """Basis of the vectors of Q^n fixed by every n x n matrix in mats."""
+    return nullspace(Matrix([[x - Q1 if i == j else x for j, x in enumerate(row)]
+                             for m in mats for i, row in enumerate(m)], n))
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:
@@ -193,24 +210,18 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     rows, cols = shape(a)
     if rows != len(b):
         raise ValueError("solve shape mismatch")
-    aug = [a[i][:] + [b[i]] for i in range(rows)] if rows else []
-    if not aug:
-        return [Q0] * cols
-    red, pivots = rref(aug)
+    red, pivots = rref(Matrix([row + [x] for row, x in zip(a, b)], cols + 1))
     if cols in pivots:
         return None
     x = [Q0] * cols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][cols]
+    for p, row in zip(pivots, red):
+        x[p] = row[cols]
     return x
 
 
 def in_span(vectors: list[Vector], v: Vector) -> bool:
     """True iff v lies in the span of the given vectors."""
-    if not vectors:
-        return all(not x for x in v)
-    a = transpose(vectors)
-    return solve(a, v) is not None
+    return solve(from_columns(vectors, len(v)), v) is not None
 
 
 def quotient_basis(sub: list[Vector], dim: int) -> tuple[list[int], Matrix]:
@@ -220,15 +231,13 @@ def quotient_basis(sub: list[Vector], dim: int) -> tuple[list[int], Matrix]:
     shape (len(complement), dim) such that P maps v to the coordinates of
     its class in the chosen complement basis.
     """
-    if not sub:
-        return list(range(dim)), identity(dim)
-    red, piv = rref(sub)  # row space of sub
+    red, piv = rref(Matrix(sub, dim))  # row space of sub
     comp = [j for j in range(dim) if j not in piv]
     # projection: subtract the unique span element matching pivot coords
     # For v in Q^dim, class coords: v_comp - R v_piv with R from rref rows.
     proj = zeros(len(comp), dim)
-    for ci, j in enumerate(comp):
-        proj[ci][j] = Q1
-        for r, p in enumerate(piv):
-            proj[ci][p] = -red[r][j]
+    for prow, j in zip(proj, comp):
+        prow[j] = Q1
+        for p, row in zip(piv, red):
+            prow[p] = -row[j]
     return comp, proj

@@ -35,6 +35,7 @@ from .groups import (
     UnknownFamily,
     all_subgroups,
     conjugate_subgroup,
+    intersection,
     left_cosets,
     subgroup_conjugacy_classes,
 )
@@ -53,17 +54,6 @@ class ResolutionTooShort(Exception):
 
 def _contains(H: Subgroup, K: Subgroup) -> bool:
     return set(K.elements) <= set(H.elements)
-
-
-def _madd(a: la.Matrix, b: la.Matrix) -> la.Matrix:
-    """Sum tolerant of degenerate (all-zero, shape-lost) summands."""
-    ca = len(a[0]) if a else 0
-    cb = len(b[0]) if b else 0
-    if len(b) < len(a) or cb < ca:
-        return a
-    if len(a) < len(b) or ca < cb:
-        return b
-    return la.add(a, b)
 
 
 def _double_coset_reps(G: FiniteGroup, K: Subgroup, H: Subgroup, L: Subgroup):
@@ -152,11 +142,11 @@ def check_axioms(M: MackeyFunctorQ, collect: bool = False):
             raise AxiomViolation(msg)
 
     for H in subs:
-        if not la.same_map(M.res_mat(H, H), la.identity(M.dim(H))):
+        if not la.eq(M.res_mat(H, H), la.identity(M.dim(H))):
             report(f"res({H.order},{H.order}) not identity")
-        if not la.same_map(M.ind_mat(H, H), la.identity(M.dim(H))):
+        if not la.eq(M.ind_mat(H, H), la.identity(M.dim(H))):
             report(f"ind({H.order},{H.order}) not identity")
-        if not la.same_map(M.conj_mat(G.identity, H), la.identity(M.dim(H))):
+        if not la.eq(M.conj_mat(G.identity, H), la.identity(M.dim(H))):
             report(f"conj(e,{H.order}) not identity")
     for H in subs:
         for K in subs:
@@ -165,11 +155,11 @@ def check_axioms(M: MackeyFunctorQ, collect: bool = False):
             for J in subs:
                 if not _contains(K, J):
                     continue
-                if not la.same_map(
+                if not la.eq(
                     la.matmul(M.res_mat(K, J), M.res_mat(H, K)), M.res_mat(H, J)
                 ):
                     report("res not transitive")
-                if not la.same_map(
+                if not la.eq(
                     la.matmul(M.ind_mat(H, K), M.ind_mat(K, J)), M.ind_mat(H, J)
                 ):
                     report("ind not transitive")
@@ -179,18 +169,18 @@ def check_axioms(M: MackeyFunctorQ, collect: bool = False):
             for h in G.elements():
                 lhs = la.matmul(M.conj_mat(h, Hg), M.conj_mat(g, H))
                 rhs = M.conj_mat(G.mul(h, g), H)
-                if not la.same_map(lhs, rhs):
+                if not la.eq(lhs, rhs):
                     report("conjugation not functorial")
             for K in subs:
                 if not _contains(H, K):
                     continue
                 Kg = conjugate_subgroup(K, g)
-                if not la.same_map(
+                if not la.eq(
                     la.matmul(M.conj_mat(g, K), M.res_mat(H, K)),
                     la.matmul(M.res_mat(Hg, Kg), M.conj_mat(g, H)),
                 ):
                     report("conjugation does not intertwine res")
-                if not la.same_map(
+                if not la.eq(
                     la.matmul(M.conj_mat(g, H), M.ind_mat(H, K)),
                     la.matmul(M.ind_mat(Hg, Kg), M.conj_mat(g, K)),
                 ):
@@ -207,16 +197,14 @@ def check_axioms(M: MackeyFunctorQ, collect: bool = False):
                 total = la.zeros(M.dim(K), M.dim(L))
                 for g in _double_coset_reps(G, K, H, L):
                     Lg = conjugate_subgroup(L, g)
-                    A = Subgroup(
-                        G, tuple(sorted(set(K.elements) & set(Lg.elements)))
-                    )  # K ∩ gLg^-1
+                    A = intersection(K, Lg)  # K ∩ gLg^-1
                     Ag = conjugate_subgroup(A, G.inv(g))  # L ∩ g^-1 K g
                     term = la.matmul(
                         M.ind_mat(K, A),
                         la.matmul(M.conj_mat(g, Ag), M.res_mat(L, Ag)),
                     )
-                    total = _madd(total, term)
-                if not la.same_map(lhs, total):
+                    total = la.add(total, term)
+                if not la.eq(lhs, total):
                     report(
                         f"Mackey formula fails at |H|={H.order},|K|={K.order},|L|={L.order}"
                     )
@@ -282,11 +270,7 @@ def span_action_matrix(M: MackeyFunctorQ, s: Span) -> la.Matrix:
                 la.matmul(M.res_mat(Sag, L), M.conj_mat(g, Sa)),
             ),
         )
-        oa, ob = VA.offsets[ia], VB.offsets[ib]
-        for r in range(len(block)):
-            row = out[ob + r]
-            for c in range(len(block[0])):
-                row[oa + c] += block[r][c]
+        la.add_block(out, VB.offsets[ib], VA.offsets[ia], block)
     return out
 
 
@@ -381,44 +365,28 @@ class GroupRep:
         G = self.group
         for a in range(G.order):
             for b in range(G.order):
-                if not la.same_map(
+                if not la.eq(
                     la.matmul(self.mats[a], self.mats[b]), self.mats[G.mul(a, b)]
                 ):
                     raise ValueError("not a representation")
 
 
-def _fixed_basis(rep: GroupRep, H: Subgroup) -> list[la.Vector]:
-    rows = []
-    for h in H.elements:
-        m = rep.mats[h]
-        for i in range(rep.dim):
-            rows.append([m[i][j] - (Q1 if i == j else Q0) for j in range(rep.dim)])
-    return la.nullspace(rows, rep.dim)
-
-
-def _in_basis(basis: list[la.Vector], vecs: list[la.Vector]) -> la.Matrix:
-    """Coordinates of each vector of `vecs` in the given basis (columns).
+def _in_basis(B: la.Matrix, vecs: list[la.Vector]) -> la.Matrix:
+    """Coordinates of each vector of `vecs` in the basis of B's columns.
 
     One augmented row reduction [B | v_1 ... v_k] instead of a solve per
     vector; a pivot landing in the vector block means some v is outside the
     span, which is an axiom violation for the callers.
     """
-    if not basis:
-        if any(any(v) for v in vecs):
-            raise AxiomViolation("vector not in claimed subspace")
-        return la.zeros(0, len(vecs))
-    if not vecs:
-        return la.zeros(len(basis), 0)
-    nb, dim = len(basis), len(basis[0])
-    aug = [[basis[c][r] for c in range(nb)] + [v[r] for v in vecs]
-           for r in range(dim)]
+    nb = B.cols
+    aug = la.Matrix([row + [v[r] for v in vecs] for r, row in enumerate(B)],
+                    nb + len(vecs))
     red, pivots = la.rref(aug)
     if any(p >= nb for p in pivots):
         raise AxiomViolation("vector not in claimed subspace")
     out = la.zeros(nb, len(vecs))
     for r, p in enumerate(pivots):
-        for j in range(len(vecs)):
-            out[p][j] = red[r][nb + j]
+        out[p] = red[r][nb:]
     return out
 
 
@@ -426,18 +394,20 @@ def fixed_point_functor(rep: GroupRep, name: str | None = None) -> MackeyFunctor
     """H |-> V^H with inclusion restrictions and transfer inductions."""
     G = rep.group
     subs = all_subgroups(G)
-    basis = {H: _fixed_basis(rep, H) for H in subs}
+    basis = {H: la.fixed_space([rep.mats[h] for h in H.elements], rep.dim)
+             for H in subs}
+    incl = {H: la.from_columns(basis[H], rep.dim) for H in subs}
     dims = {H: len(basis[H]) for H in subs}
 
     def make(kind, key, src, dst) -> la.Matrix:
         if kind == "res":
-            return _in_basis(basis[dst], basis[src])
+            return _in_basis(incl[dst], basis[src])
         if kind == "conj":
             T = rep.mats[key[0]]
         else:  # transfer: sum over coset reps of src in dst
             reps, _ = left_cosets(G, src, elements=dst.elements)
             T = functools.reduce(la.add, (rep.mats[h] for h in reps))
-        return _in_basis(basis[dst], [la.matvec(T, v) for v in basis[src]])
+        return _in_basis(incl[dst], [la.matvec(T, v) for v in basis[src]])
 
     return _build_mackey(G, dims, make, name or f"FP({rep.name})")
 
@@ -528,7 +498,7 @@ def _s3_irreducibles(G: TableGroup) -> list[GroupRep]:
                 img[p[i]] += Fraction(c)
             # write img (sum zero) as x*f1 + y*f2: x = img[0], y = -img[2]
             cols.append([Fraction(img[0]), -Fraction(img[2])])
-        std_mats.append(la.transpose(cols))
+        std_mats.append(la.from_columns(cols, 2))
     std = GroupRep(G, 2, std_mats, name="std")
     return [triv, sgn, std]
 
@@ -585,8 +555,8 @@ class MackeyMorphism:
     def check(self) -> bool:
         M, N = self.src, self.dst
         return all(
-            la.same_map(la.matmul(self.mats[dst], M.map(kind, key)),
-                 la.matmul(N.map(kind, key), self.mats[src]))
+            la.eq(la.matmul(self.mats[dst], M.map(kind, key)),
+                  la.matmul(N.map(kind, key), self.mats[src]))
             for kind, key, src, dst in _structure_maps(M.group, M.subs)
         )
 
@@ -608,7 +578,7 @@ def hom_space(M: MackeyFunctorQ, N: MackeyFunctorQ) -> list[MackeyMorphism]:
     if total == 0:
         return []
 
-    rows: la.Matrix = []
+    rows = la.Matrix([], total)
     for kind, key, src, dst in _structure_maps(G, subs):
         identity = key[0] == G.identity if kind == "conj" else key[0] is key[1]
         if identity:  # f_H = f_H gives no equations
@@ -616,7 +586,7 @@ def hom_space(M: MackeyFunctorQ, N: MackeyFunctorQ) -> list[MackeyMorphism]:
         # f_dst @ M(map) - N(map) @ f_src = 0
         rows += la.intertwiner_rows(total, blocks[dst], M.map(kind, key),
                                     blocks[src], N.map(kind, key))
-    null = la.nullspace(rows, total)
+    null = la.nullspace(rows)
     return [MackeyMorphism(M, N, {H: la.read_block(v, blocks[H]) for H in subs})
             for v in null]
 
@@ -632,12 +602,9 @@ def direct_sum_mackey(Ms: list[MackeyFunctorQ], name: str | None = None) -> Mack
         ro = 0
         co = 0
         for M in Ms:
-            p, rd, cd = M.map(kind, key), M.dim(dst), M.dim(src)
-            for i in range(rd):
-                for j in range(cd):
-                    m[ro + i][co + j] = p[i][j]
-            ro += rd
-            co += cd
+            la.add_block(m, ro, co, M.map(kind, key))
+            ro += M.dim(dst)
+            co += M.dim(src)
         return m
 
     return _build_mackey(
@@ -647,7 +614,7 @@ def direct_sum_mackey(Ms: list[MackeyFunctorQ], name: str | None = None) -> Mack
 
 def zero_mackey(G: FiniteGroup) -> MackeyFunctorQ:
     dims = {H: 0 for H in all_subgroups(G)}
-    return _build_mackey(G, dims, lambda *_: [], "0")
+    return _build_mackey(G, dims, lambda *_: la.zeros(0, 0), "0")
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +730,7 @@ def _yoneda_morphism(P, N, gen_subgroups, gen_vectors, bases, tools) -> MackeyMo
         for (i, c) in bases[K]:
             H = gen_subgroups[i]
             cols.append(la.matvec(tools.dual_action(N, K, H, c), gen_vectors[i]))
-        mats[K] = la.transpose(cols) if cols else la.zeros(N.dim(K), 0)
+        mats[K] = la.from_columns(cols, N.dim(K))
     return MackeyMorphism(P, N, mats)
 
 
@@ -772,19 +739,16 @@ def kernel_functor(phi: MackeyMorphism) -> tuple[MackeyFunctorQ, MackeyMorphism]
     M = phi.src
     G = M.group
     subs = M.subs
-    basis = {H: la.nullspace(phi.mats[H], M.dim(H)) for H in subs}
+    basis = {H: la.nullspace(phi.mats[H]) for H in subs}
+    incl = {H: la.from_columns(basis[H], M.dim(H)) for H in subs}
     dims = {H: len(basis[H]) for H in subs}
 
     def restrict(kind, key, src, dst) -> la.Matrix:
         T = M.map(kind, key)
-        return _in_basis(basis[dst], [la.matvec(T, v) for v in basis[src]])
+        return _in_basis(incl[dst], [la.matvec(T, v) for v in basis[src]])
 
     Kf = _build_mackey(G, dims, restrict, f"ker({M.name})")
-    incl = MackeyMorphism(
-        Kf, M, {H: la.transpose(basis[H]) if basis[H] else la.zeros(M.dim(H), 0)
-                for H in subs}
-    )
-    return Kf, incl
+    return Kf, MackeyMorphism(Kf, M, incl)
 
 
 @dataclass
@@ -841,14 +805,9 @@ def _hom_complex_diff(res: Resolution, N: MackeyFunctorQ, j: int,
         idx = cov_j1.id_index[i2]
         for p, (i, c) in enumerate(cov_j.bases[H2]):
             f = d.mats[H2][p][idx]
-            if not f:
-                continue
-            A = tools.dual_action(N, H2, cov_j.gen_subgroups[i], c)
-            for r, arow in enumerate(A):
-                orow = out[row0 + r]
-                for t, x in enumerate(arow):
-                    if x:
-                        orow[col0[i] + t] += x * f
+            if f:
+                la.add_block(out, row0, col0[i],
+                             tools.dual_action(N, H2, cov_j.gen_subgroups[i], c), f)
         row0 += N.dim(H2)
     return out
 

@@ -59,7 +59,7 @@ class EqSheafFinite:
                     hx = self.base.act[h][x]
                     lhs = la.matmul(self.act[(g, hx)], self.act[(h, x)])
                     rhs = self.act[(G.mul(g, h), x)]
-                    if not la.same_map(lhs, rhs):
+                    if not la.eq(lhs, rhs):
                         return False
         return True
 
@@ -84,13 +84,13 @@ def hom_fin(E: EqSheafFinite, F: EqSheafFinite) -> list[dict[int, la.Matrix]]:
     if total == 0:
         return []
 
-    rows = []
+    rows = la.Matrix([], total)
     for g in G.elements():
         for x in range(n):
             # phi_{gx} aE - aF phi_x = 0
             rows += la.intertwiner_rows(total, blocks[E.base.act[g][x]], E.act[(g, x)],
                                         blocks[x], F.act[(g, x)])
-    null = la.nullspace(rows, total)
+    null = la.nullspace(rows)
     return [{x: la.read_block(v, blocks[x]) for x in range(n)} for v in null]
 
 
@@ -390,21 +390,20 @@ def coker_delta(E: ConvSheaf) -> ConvSheaf:
 
 def godement_resolution(E: ConvSheaf, max_n: int = 4) -> GodementResolution:
     """0 -> E -> I0 -> I1 -> ...; always terminates within two stages here."""
-    stages = []
-    cur = E
-    for _ in range(max_n + 1):
-        I = godement_I0(cur)
-        stages.append(I)
-        cur = coker_delta(cur)
-        if cur.fin_dim == 0 and cur.tail_effective_mult() == 0 \
-                and not any(cur.exc_dims) and cur.pattern_zero():
-            break
-    # drop trailing zero stages
     def stage_zero(I: ConvSheaf) -> bool:
         return (
             I.fin_dim == 0 and I.tail_effective_mult() == 0
             and not any(I.exc_dims) and I.pattern_zero()
         )
+
+    stages = []
+    cur = E
+    for _ in range(max_n + 1):
+        stages.append(godement_I0(cur))
+        cur = coker_delta(cur)
+        if stage_zero(cur):
+            break
+    # drop trailing zero stages
     while stages and stage_zero(stages[-1]):
         stages.pop()
     return GodementResolution(E, stages, len(stages) - 1)
@@ -481,7 +480,7 @@ def hom_conv(E: ConvSheaf, F: ConvSheaf, period: int | None = None) -> list[dict
         return []
     offs = {key: b[0] for key, b in blk.items()}
 
-    rows = []
+    rows = la.Matrix([], total)
 
     def zrow():
         return [Q0] * total
@@ -556,13 +555,13 @@ def hom_conv(E: ConvSheaf, F: ConvSheaf, period: int | None = None) -> list[dict
                             if F.lam_tail[v] and a < dF and t < dE and dE == dF and a == t:
                                 row[offs["tailscal"] + v * E.tail_mult + u] -= F.lam_tail[v]
                         rows.append(row)
-    null = la.nullspace(rows, total)
+    null = la.nullspace(rows)
     return [{
         "exc": [la.read_block(vec, blk[("exc", i)]) for i in range(base.r)],
         "pat": [la.read_block(vec, blk[("pat", j)]) for j in range(base.m)],
         "fin": la.read_block(vec, blk["fin"]),
         "fintail": (la.read_block(vec, blk["fintail"]) if F.tail_mult
-                    else [[Q0] * blocks for _ in range(E.fin_dim)]),
+                    else la.zeros(E.fin_dim, blocks)),
         "tailscal": la.read_block(vec, blk["tailscal"]),
         "period": P,
     } for vec in null]

@@ -90,6 +90,22 @@ def _prime_of(tag: str) -> int:
     return p
 
 
+def _family_primes(fam: str) -> list[int]:
+    """The primes of a ``pro_p:<p>`` or ``prod:pro_p:<p1>,...`` family."""
+    if fam.startswith("prod:"):
+        return [_prime_of(t.strip()) for t in fam[5:].split(",")]
+    return [_prime_of(fam)]
+
+
+def _valuation(n: int, p: int) -> int:
+    """The exponent of the prime p in n > 0."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
 def builtin_tower(family: str, depth: int) -> GroupTower:
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -110,7 +126,7 @@ def builtin_tower(family: str, depth: int) -> GroupTower:
         ]
         return GroupTower(levels, bonds, family)
     if family.startswith("prod:"):
-        primes = [_prime_of(t.strip()) for t in family[5:].split(",")]
+        primes = _family_primes(family)
         if len(set(primes)) != len(primes):
             raise UnknownFamily("product families need pairwise distinct primes")
         levels = [
@@ -167,10 +183,6 @@ class SubgroupPoint:
 # the subgroup space S(G) through the tower
 
 
-def level_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    return all_subgroups(G)
-
-
 def _thread_cert(T: GroupTower, H: Subgroup) -> ThreadCert:
     """Certificate for the thread of subgroup H at the top level."""
     D = T.depth
@@ -186,16 +198,8 @@ def _thread_cert(T: GroupTower, H: Subgroup) -> ThreadCert:
             "scattered", 1, "zero thread: accumulation point of the p^i"
         )
     if fam is not None and fam.startswith("prod:") and D >= 1:
-        primes = [_prime_of(t.strip()) for t in fam[5:].split(",")]
         index = T.levels[D].order // H.order
-        maxed = 0
-        for p in primes:
-            e = 0
-            while index % p == 0:
-                index //= p
-                e += 1
-            if e == D:
-                maxed += 1
+        maxed = sum(_valuation(index, p) == D for p in _family_primes(fam))
         return ThreadCert(
             "scattered", maxed, f"{maxed} coordinate(s) at maximal index"
         )
@@ -207,7 +211,7 @@ def subgroup_space_tower(T: GroupTower) -> SpaceTree:
     subs_per_level: list[list[Subgroup]] = []
     index_per_level: list[dict] = []
     for k, G in enumerate(T.levels):
-        subs = level_subgroups(G)
+        subs = all_subgroups(G)
         subs_per_level.append(subs)
         index_per_level.append({H: i for i, H in enumerate(subs)})
         levels.append([f"ord{H.order}" + (f"#{i}" if _dup(subs, H) else "")
@@ -252,17 +256,8 @@ def stability_oracle(T: GroupTower, x: SubgroupPoint) -> str:
     if fam is not None and (fam.startswith("pro_p:") or fam.startswith("prod:")):
         if k == 0:
             return UNKNOWN
-        if fam.startswith("pro_p:"):
-            primes = [_prime_of(fam)]
-        else:
-            primes = [_prime_of(t.strip()) for t in fam[5:].split(",")]
         index = T.levels[k].order // H.order
-        for p in primes:
-            e = 0
-            while index % p == 0:
-                index //= p
-                e += 1
-            if e == k:
-                return UNSTABLE
+        if any(_valuation(index, p) == k for p in _family_primes(fam)):
+            return UNSTABLE
         return STABLE
     return UNKNOWN

@@ -191,13 +191,11 @@ def twisted_ses(A, B, h):
     M = mk.direct_sum_mackey([A, B])
     subs = A.subs
     inc = mk.MackeyMorphism(A, M, {
-        H: la.vstack([la.identity(A.dim(H)), h(H)]) if A.dim(H)
-        else la.zeros(M.dim(H), 0)
-        for H in subs})
+        H: la.vstack([la.identity(A.dim(H)), h(H)]) for H in subs})
     proj = mk.MackeyMorphism(M, B, {
-        H: [[-h(H)[i][j] for j in range(A.dim(H))]
-            + [la.Q1 if i == t else la.Q0 for t in range(B.dim(H))]
-            for i in range(B.dim(H))]
+        H: la.Matrix([[-h(H)[i][j] for j in range(A.dim(H))]
+                      + [la.Q1 if i == t else la.Q0 for t in range(B.dim(H))]
+                      for i in range(B.dim(H))], M.dim(H))
         for H in subs})
     return inc, proj
 

@@ -26,32 +26,29 @@ def test_rank_and_nullspace_consistency():
         r, c = rng.randint(1, 5), rng.randint(1, 5)
         a = rand_matrix(rng, r, c)
         rk = la.rank(a)
-        null = la.nullspace(a, c)
+        null = la.nullspace(a)
         assert rk + len(null) == c
         for v in null:
             assert all(x == 0 for x in la.matvec(a, v))
 
 
-def test_same_map_treats_zero_maps_of_any_stored_shape_as_equal():
-    z = F(0)
-    assert la.same_map([], [[z, z]])
-    assert la.same_map([[], []], la.zeros(2, 3))
-    assert la.same_map(la.identity(2), la.identity(2))
-    assert not la.same_map(la.identity(2), [[F(1), z], [z, F(2)]])
-    assert not la.same_map([], la.identity(1))
-
-
 def test_nullspace_without_rows_or_unknowns():
-    assert la.nullspace([], 3) == la.identity(3)
-    assert la.nullspace([], 0) == []
-    assert la.nullspace([[], []], 0) == []
+    assert la.nullspace(la.zeros(0, 3)) == la.identity(3)
+    assert la.nullspace(la.zeros(0, 0)) == []
+    assert la.nullspace(la.zeros(2, 0)) == []
+
+
+def test_nullspace_of_zero_row_matrix_has_one_vector_per_column():
+    null = la.nullspace(la.zeros(0, 3))
+    assert len(null) == 3
+    assert la.from_columns(null, 3) == la.identity(3)
 
 
 def test_nullspace_rejects_row_length_mismatch():
     with pytest.raises(ValueError):
-        la.nullspace([[F(1), F(2)]], 3)
+        la.nullspace(la.Matrix([[F(1), F(2)]], 3))
     with pytest.raises(ValueError):
-        la.nullspace([[F(1), F(2), F(3)], [F(1)]], 3)
+        la.nullspace(la.Matrix([[F(1), F(2), F(3)], [F(1)]], 3))
 
 
 def test_solve_exact():
@@ -88,10 +85,89 @@ def test_in_span():
 
 
 def test_degenerate_matmul():
-    # zero-row matrices are stored as [] and must multiply through
-    assert la.matmul([], la.identity(4)) == []
-    z = la.zeros(3, 0)
-    assert la.matmul(z, []) == la.zeros(3, 0)
+    # matrices with no rows or no columns keep their shape through products
+    m = la.matmul(la.zeros(0, 4), la.identity(4))
+    assert la.shape(m) == (0, 4)
+    m = la.matmul(la.zeros(3, 0), la.zeros(0, 0))
+    assert la.shape(m) == (3, 0) and m == [[], [], []]
+    m = la.matmul(la.zeros(0, 2), la.zeros(2, 5))
+    assert la.shape(m) == (0, 5)
+    with pytest.raises(ValueError):
+        la.matmul(la.zeros(0, 3), la.identity(4))
+
+
+def test_matmul_through_zero_space_is_the_zero_map():
+    m = la.matmul(la.zeros(2, 0), la.zeros(0, 3))
+    assert la.shape(m) == (2, 3)
+    assert la.eq(m, la.zeros(2, 3))
+
+
+def test_solve_without_equations():
+    assert la.solve(la.zeros(0, 2), []) == [F(0), F(0)]
+    assert la.solve(la.zeros(0, 0), []) == []
+
+
+def test_add_rejects_shape_mismatch():
+    with pytest.raises(ValueError):
+        la.add(la.zeros(2, 3), la.zeros(3, 2))
+    with pytest.raises(ValueError):
+        la.add(la.zeros(0, 2), la.zeros(0, 3))
+    assert la.shape(la.add(la.zeros(0, 2), la.zeros(0, 2))) == (0, 2)
+
+
+def test_operations_keep_shape_without_rows_or_columns():
+    assert la.shape(la.zeros(0, 3)) == (0, 3)
+    assert la.shape(la.identity(0)) == (0, 0)
+    assert la.shape(la.transpose(la.zeros(0, 3))) == (3, 0)
+    assert la.shape(la.transpose(la.zeros(3, 0))) == (0, 3)
+    assert la.shape(la.scale(la.zeros(0, 2), F(3))) == (0, 2)
+    assert la.shape(la.vstack([la.zeros(0, 2), la.zeros(0, 2)])) == (0, 2)
+    assert la.shape(la.from_columns([], 3)) == (3, 0)
+    assert la.shape(la.from_columns([[], []], 0)) == (0, 2)
+    assert la.shape(la.read_block([F(1)] * 4, (2, 0, 5))) == (0, 5)
+    assert la.shape(la.intertwiner_rows(4, (0, 0, 2), [], (0, 0, 2), [])) == (0, 4)
+    red, piv = la.rref(la.zeros(0, 3))
+    assert la.shape(red) == (0, 3) and piv == []
+    assert la.rank(la.zeros(0, 3)) == 0 and la.rank(la.zeros(3, 0)) == 0
+    # a plain list of rows is read by its first row
+    assert la.shape([[F(1), F(2)]]) == (1, 2)
+
+
+def test_from_columns_is_transpose_of_rows():
+    rng = random.Random(19)
+    for _ in range(20):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        a = rand_matrix(rng, r, c)
+        cols = [[a[i][j] for i in range(r)] for j in range(c)]
+        assert la.from_columns(cols, r) == a
+        assert la.eq(la.from_columns(cols, r), la.transpose(la.transpose(a)))
+
+
+def test_add_block_adds_scaled_nonzero_entries():
+    rng = random.Random(23)
+    for _ in range(30):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        out = rand_matrix(rng, r, c)
+        br, bc = rng.randint(0, r), rng.randint(0, c)
+        r0, c0 = rng.randint(0, r - br), rng.randint(0, c - bc)
+        block = la.Matrix(sparse_matrix(rng, br, bc, 0.5), bc)
+        f = F(rng.randint(-3, 3), rng.randint(1, 3))
+        want = [[out[i][j] + (f * block[i - r0][j - c0]
+                              if r0 <= i < r0 + br and c0 <= j < c0 + bc else 0)
+                 for j in range(c)] for i in range(r)]
+        la.add_block(out, r0, c0, block, f)
+        assert out == want
+        assert all(type(x) is Fraction for row in out for x in row)
+
+
+def test_fixed_space_of_permutation_and_reflection():
+    swap = [[F(0), F(1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(1)]]
+    fixed = la.fixed_space([swap], 3)
+    assert len(fixed) == 2
+    assert all(la.matvec(swap, v) == v for v in fixed)
+    assert la.fixed_space([swap, la.scale(la.identity(3), F(-1))], 3) == []
+    assert la.fixed_space([], 2) == la.identity(2)
+    assert la.fixed_space([la.zeros(0, 0)], 0) == []
 
 
 def test_matmul_associativity():

@@ -87,11 +87,7 @@ def test_structure_maps_cover_every_map(sel):
             keys = [key for kind, key, _, _ in maps if kind == name]
             assert keys == list(getattr(M, name))
         for kind, key, src, dst in maps:
-            m = M.map(kind, key)
-            if m:
-                assert la.shape(m) == (M.dim(dst), M.dim(src))
-            else:
-                assert M.dim(dst) == 0
+            assert la.shape(M.map(kind, key)) == (M.dim(dst), M.dim(src))
 
 
 def reference_representable_conj(G, A):
@@ -264,6 +260,56 @@ def test_span_functor_round_trip():
             assert getattr(B, name).keys() == getattr(A, name).keys()
             for key, m in getattr(A, name).items():
                 assert la.eq(getattr(B, name)[key], m), (name, key)
+
+
+def test_kernel_of_map_through_zero_is_everything():
+    G = gr.cyclic(2)
+    M = mk.burnside_mackey(G)
+    Z = mk.zero_mackey(G)
+    phi = mk.zero_morphism(Z, M).compose(mk.zero_morphism(M, Z))
+    K, incl = mk.kernel_functor(phi)
+    assert K.dims == M.dims
+    assert all(la.eq(incl.mats[H], la.identity(M.dim(H))) for H in M.subs)
+    assert incl.check()
+    assert mk.check_axioms(K, collect=True) == []
+
+
+def assert_shapes(M):
+    """Every structure map of M is a (dim dst) x (dim src) Matrix."""
+    for kind, key, src, dst in mk._structure_maps(M.group, M.subs):
+        m = M.map(kind, key)
+        assert type(m) is la.Matrix and la.shape(m) == (M.dim(dst), M.dim(src)), \
+            (M.name, kind)
+
+
+def assert_morphism_shapes(f):
+    for H in f.src.subs:
+        m = f.mats[H]
+        assert type(m) is la.Matrix and la.shape(m) == (f.dst.dim(H), f.src.dim(H))
+
+
+@pytest.mark.parametrize("sel", ["cyclic:4", "sym:3", "prod:cyclic:2,cyclic:2"])
+def test_structure_and_morphism_matrices_carry_their_shape(sel):
+    G = gr.parse_group(sel)
+    objs = [mk.representable(G, gs.transitive_gset(G, H)) for H in class_reps(G)]
+    objs += [mk.fixed_point_functor(V) for V in mk.rational_irreducibles(G)]
+    tools = mk._RepTools(G)
+    rep_store = {}
+    Z = mk.zero_mackey(G)
+    functors = objs + [Z, mk.direct_sum_mackey(objs), mk.direct_sum_mackey([Z, objs[-1]])]
+    morphisms = []
+    for M in objs:
+        cov = mk.free_cover(M, tools, rep_store)
+        K, incl = mk.kernel_functor(cov.cover)
+        functors += [cov.functor, K]
+        morphisms += [cov.cover, incl, mk.zero_morphism(M, Z), mk.zero_morphism(Z, M)]
+    for M, N in [(objs[0], objs[-1]), (objs[-1], objs[0]), (objs[1], objs[1])]:
+        morphisms += mk.hom_space(M, N)
+    assert any(0 in M.dims.values() and any(M.dims.values()) for M in functors)
+    for M in functors:
+        assert_shapes(M)
+    for f in morphisms:
+        assert_morphism_shapes(f)
 
 
 def test_direct_sum_and_zero():

@@ -1,7 +1,7 @@
 import pytest
 
 from profmack import tower as tw
-from profmack.groups import UnknownFamily
+from profmack.groups import UnknownFamily, all_subgroups
 
 
 def test_pro_p_levels_and_bonds():
@@ -64,7 +64,7 @@ def test_thread_certs_pro_p():
 
 def test_stability_oracle():
     T = tw.builtin_tower("pro_p:2", 4)
-    subs2 = tw.level_subgroups(T.levels[2])
+    subs2 = all_subgroups(T.levels[2])
     verdicts = {
         H.order: tw.stability_oracle(T, tw.SubgroupPoint(2, H)) for H in subs2
     }
@@ -73,11 +73,11 @@ def test_stability_oracle():
     assert verdicts[2] == tw.STABLE
     assert verdicts[4] == tw.STABLE
     triv = tw.builtin_tower("trivial", 2)
-    H = tw.level_subgroups(triv.levels[1])[0]
+    H = all_subgroups(triv.levels[1])[0]
     assert tw.stability_oracle(triv, tw.SubgroupPoint(1, H)) == tw.STABLE
 
 
 def test_stability_oracle_level_zero_unknown():
     T = tw.builtin_tower("pro_p:2", 3)
-    H = tw.level_subgroups(T.levels[0])[0]
+    H = all_subgroups(T.levels[0])[0]
     assert tw.stability_oracle(T, tw.SubgroupPoint(0, H)) == tw.UNKNOWN
