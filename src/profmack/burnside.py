@@ -18,6 +18,8 @@ from .groups import (
     GroupHom,
     Subgroup,
     all_subgroups,
+    conjugate_subgroup,
+    generators,
     left_cosets,
     subgroup_conjugacy_classes,
 )
@@ -42,7 +44,13 @@ class MiddleMismatch(Exception):
 
 @dataclass
 class Span:
-    """A span left_foot <- apex -> right_foot of equivariant maps."""
+    """A span left_foot <- apex -> right_foot of equivariant maps.
+
+    Construction checks each leg exactly at |apex|·(1 + |gens|) cost: it maps
+    the apex into its foot, and leg(s·x) == s·leg(x) for every generator s
+    of ``generators(G)`` and every x.  Apex and feet are valid actions, so
+    this gives leg(g·x) == g·leg(x) for every g by induction on word length.
+    """
 
     left_foot: FiniteGSet
     right_foot: FiniteGSet
@@ -53,14 +61,18 @@ class Span:
     def __post_init__(self):
         self.left = tuple(self.left)
         self.right = tuple(self.right)
-        G = self.apex.group
+        apex = self.apex
+        gens = generators(apex.group)
         for table, foot in ((self.left, self.left_foot), (self.right, self.right_foot)):
-            if len(table) != self.apex.size:
+            if len(table) != apex.size:
                 raise ValueError("leg table has wrong length")
-            for g in G.elements():
-                for x in range(self.apex.size):
-                    if table[self.apex.act[g][x]] != foot.act[g][table[x]]:
-                        raise ValueError("span leg is not equivariant")
+            if table and (min(table) < 0 or max(table) >= foot.size):
+                raise ValueError("span leg leaves its foot")
+            for s in gens:
+                foot_s = foot.act[s]
+                if (tuple(map(table.__getitem__, apex.act[s]))
+                        != tuple(map(foot_s.__getitem__, table))):
+                    raise ValueError("span leg is not equivariant")
 
     def canonical(self) -> CanonicalSpan:
         comps = decompose_span(self)
@@ -102,20 +114,30 @@ def span_compose(s1: Span, s2: Span) -> Span:
     if s1.right_foot is not s2.left_foot:
         raise MiddleMismatch("middle objects differ")
     G = s1.apex.group
-    pairs = [
-        (m1, m2)
-        for m1 in range(s1.apex.size)
-        for m2 in range(s2.apex.size)
-        if s1.right[m1] == s2.left[m2]
-    ]
-    index = {p: i for i, p in enumerate(pairs)}
+    # the points of s2's apex over each middle point, ascending; pair
+    # (m1, m2) is numbered start[m1] + rank[m2], with m1 then m2 ascending,
+    # and g moves it to the pair (g·m1, g·m2), which lies over one point too
+    over: dict[int, list[int]] = {}
+    rank = []
+    for m2, b in enumerate(s2.left):
+        bucket = over.setdefault(b, [])
+        rank.append(len(bucket))
+        bucket.append(m2)
+    p1: list[int] = []  # the pullback's point i is the pair (p1[i], p2[i])
+    p2: list[int] = []
+    start = []
+    for m1, b in enumerate(s1.right):
+        start.append(len(p1))
+        bucket = over.get(b, ())
+        p1.extend([m1] * len(bucket))
+        p2.extend(bucket)
     act = tuple(
-        tuple(index[(s1.apex.act[g][m1], s2.apex.act[g][m2])] for m1, m2 in pairs)
-        for g in G.elements()
+        tuple(start[a1[m1]] + rank[a2[m2]] for m1, m2 in zip(p1, p2))
+        for a1, a2 in zip(s1.apex.act, s2.apex.act)
     )
     apex = FiniteGSet(G, act, label="pullback")
-    left = tuple(s1.left[m1] for m1, _ in pairs)
-    right = tuple(s2.right[m2] for _, m2 in pairs)
+    left = tuple(map(s1.left.__getitem__, p1))
+    right = tuple(map(s2.right.__getitem__, p2))
     return Span(s1.left_foot, s2.right_foot, apex, left, right)
 
 
@@ -161,15 +183,12 @@ def hom_basis(A: FiniteGSet, B: FiniteGSet) -> list[Component]:
         if not fa or not fb:
             continue
         reps, _ = left_cosets(G, L)
+        # basepoints (a, b) move to (ga, gb) with stabilizer gLg^-1
+        moved = [(conjugate_subgroup(L, g).elements, A.act[g], B.act[g])
+                 for g in reps]
         for a in fa:
             for b in fb:
-                best = None
-                for g in reps:
-                    stab = tuple(sorted(G.conj(g, x) for x in L.elements))
-                    cand = (stab, A.act[g][a], B.act[g][b])
-                    if best is None or cand < best:
-                        best = cand
-                seen.add(best)
+                seen.add(min((stab, ag[a], bg[b]) for stab, ag, bg in moved))
     return sorted(seen)
 
 

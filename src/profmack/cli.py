@@ -250,10 +250,13 @@ def cmd_span_compose(args):
     from .groups import group_from_json
 
     G = group_from_json(data["group"])
-    sets = {k: _gset_from_json(G, v) for k, v in data["gsets"].items()}
     s1d, s2d = data["spans"]
-    s1 = _span_from_json(G, (sets[s1d["left_foot"]], sets[s1d["right_foot"]]), s1d)
-    s2 = _span_from_json(G, (sets[s2d["left_foot"]], sets[s2d["right_foot"]]), s2d)
+    try:  # a G-set or span that fails validation is a usage error
+        sets = {k: _gset_from_json(G, v) for k, v in data["gsets"].items()}
+        s1 = _span_from_json(G, (sets[s1d["left_foot"]], sets[s1d["right_foot"]]), s1d)
+        s2 = _span_from_json(G, (sets[s2d["left_foot"]], sets[s2d["right_foot"]]), s2d)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     try:
         comp = bs.span_compose(s1, s2)
     except bs.MiddleMismatch as e:

@@ -42,9 +42,12 @@ class FiniteGroup:
     label: str
     identity: int
     abelian = False  # known commutative: CyclicGroup and products of them
-    # built on first use: the dense table and the subgroup list
+    # built on first use: the dense table, the subgroup list, the generators
+    # and their left-multiplication rows
     _table: tuple[tuple[int, ...], ...] | None = None
     _subgroup_cache: list[Subgroup] | None = None
+    _generators: list[int] | None = None
+    _generator_rows: list[tuple[int, tuple[int, ...]]] | None = None
 
     def mul(self, a: int, b: int) -> int:
         raise NotImplementedError
@@ -116,7 +119,7 @@ class TableGroup(FiniteGroup):
             # the elements a that pass it are closed under products, and the
             # left-normed words of the generators cover the table.  Row xa is
             # row x applied to row a.
-            for a in greedy_generators(self, range(n)):
+            for a in generators(self):
                 ra = m[a]
                 for rx in m:
                     if m[rx[a]] != tuple(map(rx.__getitem__, ra)):
@@ -259,20 +262,33 @@ def greedy_generators(G: FiniteGroup, elements) -> list[int]:
 
 
 def generators(G: FiniteGroup) -> list[int]:
-    """A generating set of G: 1 in a cyclic group, the factors' generators
-    placed in their coordinates (in factor order) in a product, and the
-    greedy set otherwise."""
-    if isinstance(G, CyclicGroup):
-        return [1] if G.order > 1 else []
-    if isinstance(G, ProductGroup):
-        gens = []
-        for i, f in enumerate(G.factors):
-            for g in generators(f):
-                parts = [h.identity for h in G.factors]
-                parts[i] = g
-                gens.append(G.encode(tuple(parts)))
-        return gens
-    return greedy_generators(G, G.elements())
+    """A generating set of G, built once per group (callers must not change
+    it): 1 in a cyclic group, the factors' generators placed in their
+    coordinates (in factor order) in a product, and the greedy set
+    otherwise."""
+    if G._generators is None:
+        if isinstance(G, CyclicGroup):
+            gens = [1] if G.order > 1 else []
+        elif isinstance(G, ProductGroup):
+            gens = []
+            for i, f in enumerate(G.factors):
+                for g in generators(f):
+                    parts = [h.identity for h in G.factors]
+                    parts[i] = g
+                    gens.append(G.encode(tuple(parts)))
+        else:
+            gens = greedy_generators(G, G.elements())
+        G._generators = gens
+    return G._generators
+
+
+def generator_rows(G: FiniteGroup) -> list[tuple[int, tuple[int, ...]]]:
+    """Each generator s of ``generators(G)`` with the row (s·h for h in G),
+    built once per group: |gens|·|G| products."""
+    if G._generator_rows is None:
+        G._generator_rows = [(s, tuple(G.mul(s, h) for h in G.elements()))
+                             for s in generators(G)]
+    return G._generator_rows
 
 
 def subgroup(G: FiniteGroup, elements) -> Subgroup:

@@ -74,7 +74,8 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def matvec(a: Matrix, v: Vector) -> Vector:
-    if a and len(a[0]) != len(v):
+    # a plain list without rows records no column count
+    if (a or type(a) is Matrix) and shape(a)[1] != len(v):
         raise ValueError(f"matvec shape mismatch {shape(a)} x {len(v)}")
     # matrices on the Ext path are about 10% nonzero: multiply only where
     # both factors are nonzero
@@ -119,7 +120,10 @@ def eq(a: Matrix, b: Matrix) -> bool:
 
 
 def vstack(blocks: list[Matrix]) -> Matrix:
-    return Matrix([row[:] for b in blocks for row in b], shape(blocks[0])[1])
+    cols = shape(blocks[0])[1]
+    if any(shape(b)[1] != cols for b in blocks):
+        raise ValueError(f"vstack column mismatch {[shape(b) for b in blocks]}")
+    return Matrix([row[:] for b in blocks for row in b], cols)
 
 
 Block = tuple[int, int, int]  # (offset, rows, cols) of an unknown matrix

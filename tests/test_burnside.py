@@ -218,3 +218,111 @@ def test_canonical_matches_per_orbit_minimum():
             for s in (s1, bs.span_compose(s1, s2), bs.span_add(s1, s1)):
                 assert s.canonical() == _per_orbit_minimum(s)
             done += 1
+
+
+# ---------------------------------------------------------------------------
+# reduced checks and hoisted loops against their old all-pairs forms
+
+
+def test_span_rejects_a_leg_outside_its_foot():
+    G = gr.cyclic(2)
+    T, P = regular(G), gs.point_gset(G)
+    with pytest.raises(ValueError, match="leaves its foot"):
+        bs.Span(T, P, T, (0, 1), (0, 7))
+    with pytest.raises(ValueError, match="leaves its foot"):
+        bs.Span(T, P, T, (0, 1), (0, -1))
+    with pytest.raises(ValueError, match="leaves its foot"):
+        bs.Span(T, gs.empty_gset(G), T, (0, 1), (0, 0))
+
+
+def test_span_rejects_a_leg_equivariant_for_the_first_generator_only():
+    D8 = gr.dihedral(8)
+    r, s = gr.generators(D8)
+    rotations = set(gr.closure_set(D8, [r]))
+    X = regular(D8)  # point x is the element x, and g·x = gx
+    assert all(X.act[g][x] == D8.mul(g, x) for g in D8.elements() for x in range(8))
+    # the identity on the rotations, x ↦ xs on the reflections: it commutes
+    # with left multiplication by r but sends s·e = s to e, not to s·e
+    leg = tuple(x if x in rotations else D8.mul(x, s) for x in range(8))
+    assert all(leg[D8.mul(r, x)] == D8.mul(r, leg[x]) for x in range(8))
+    assert leg[D8.mul(s, 0)] != D8.mul(s, leg[0])
+    ident = tuple(range(8))
+    with pytest.raises(ValueError, match="not equivariant"):
+        bs.Span(X, X, X, ident, leg)
+    with pytest.raises(ValueError, match="not equivariant"):
+        bs.Span(X, X, X, leg, ident)
+
+
+def _hom_basis_per_pair(A, B):
+    """hom_basis with the conjugate stabilizer recomputed per (a, b, g)."""
+    G = A.group
+    seen = set()
+    for L in gr.all_subgroups(G):
+        fa = A.fixed_points(L)
+        fb = B.fixed_points(L)
+        if not fa or not fb:
+            continue
+        reps, _ = gr.left_cosets(G, L)
+        for a in fa:
+            for b in fb:
+                best = None
+                for g in reps:
+                    stab = tuple(sorted(G.conj(g, x) for x in L.elements))
+                    cand = (stab, A.act[g][a], B.act[g][b])
+                    if best is None or cand < best:
+                        best = cand
+                seen.add(best)
+    return sorted(seen)
+
+
+def _span_compose_all_pairs(s1, s2):
+    """(apex act, left, right) of s2 o s1 from the all-pairs pullback filter."""
+    G = s1.apex.group
+    pairs = [
+        (m1, m2)
+        for m1 in range(s1.apex.size)
+        for m2 in range(s2.apex.size)
+        if s1.right[m1] == s2.left[m2]
+    ]
+    index = {p: i for i, p in enumerate(pairs)}
+    act = tuple(
+        tuple(index[(s1.apex.act[g][m1], s2.apex.act[g][m2])] for m1, m2 in pairs)
+        for g in G.elements()
+    )
+    left = tuple(s1.left[m1] for m1, _ in pairs)
+    right = tuple(s2.right[m2] for _, m2 in pairs)
+    return act, left, right
+
+
+REFERENCE_GROUPS = ("dihedral:8", "prod:cyclic:2,cyclic:4", "cyclic:12", "sym:3")
+
+
+@pytest.mark.parametrize("sel", REFERENCE_GROUPS)
+def test_hom_basis_matches_the_per_pair_reference(sel):
+    G = gr.parse_group(sel)
+    sets = [gs.transitive_gset(G, H) for H in gr.all_subgroups(G)]
+    for A in sets:
+        for B in sets:
+            assert bs.hom_basis(A, B) == _hom_basis_per_pair(A, B)
+
+
+def test_span_compose_matches_the_all_pairs_reference():
+    rng = random.Random(SEED)
+    done = 0
+    while done < 30:
+        G = gr.parse_group(rng.choice(REFERENCE_GROUPS))
+        sets = [gs.transitive_gset(G, H) for H in gr.all_subgroups(G)]
+        A, B, C = (rng.choice(sets) for _ in range(3))
+        h1, h2 = bs.hom_basis(A, B), bs.hom_basis(B, C)
+        if not (h1 and h2):
+            continue
+        s1 = bs.component_span(G, A, B, rng.choice(h1))
+        s2 = bs.component_span(G, B, C, rng.choice(h2))
+        # a sum and a composite give apexes with several orbits
+        if rng.random() < 0.5:
+            s1 = bs.span_add(s1, bs.component_span(G, A, B, rng.choice(h1)))
+        if rng.random() < 0.5:
+            s2 = bs.span_compose(bs.identity_span(B), s2)
+        comp = bs.span_compose(s1, s2)
+        assert (comp.apex.act, comp.left, comp.right) == _span_compose_all_pairs(s1, s2)
+        done += 1

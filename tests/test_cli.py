@@ -158,6 +158,35 @@ def test_span_compose_cli(tmp_path, capsys):
     assert json.loads(out)["apex_size"] == 2
 
 
+def _span_file(tmp_path, act, right):
+    """A span file over C2 whose G-set O has the given action rows and whose
+    second span has the given right leg."""
+    G = CyclicGroup(2)
+    ident = [0, 1]
+    span = {"left_foot": "O", "right_foot": "O", "apex": {"act": act},
+            "left": ident, "right": ident}
+    data = {"schema": 1, "group": group_to_json(G), "gsets": {"O": {"act": act}},
+            "spans": [span, dict(span, right=right)]}
+    f = tmp_path / "spans.json"
+    f.write_text(json.dumps(data))
+    return f
+
+
+def test_span_compose_rejects_an_invalid_file_as_usage(tmp_path, capsys):
+    regular = [[0, 1], [1, 0]]
+    f = _span_file(tmp_path, regular, [0, 1])
+    assert run(capsys, ["span", "compose", "--file", str(f)])[0] == 0
+    for act, right in ((regular, [0, 0]),  # a leg that is not equivariant
+                       ([[0, 1], [1, 0, 5]], [0, 1])):  # a ragged action row
+        f = _span_file(tmp_path, act, right)
+        code = cli.main(["span", "compose", "--file", str(f)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+
 def test_determinism_across_threads(capsys):
     outs = []
     for n in ("1", "4"):

@@ -337,3 +337,13 @@ def test_light_associativity_test_rejects_seeded_corrupted_tables():
                            for a in range(n) for b in range(n) for c in range(n))
             with pytest.raises(ValueError, match="associative"):
                 gr.TableGroup(table)
+
+
+@pytest.mark.parametrize("sel", ("cyclic:1", "cyclic:12", "dihedral:8", "sym:3",
+                                 "sym:4", "prod:cyclic:2,cyclic:4",
+                                 "prod:cyclic:3,cyclic:4", "prod:cyclic:2,sym:3"))
+def test_generators_are_built_once(sel):
+    G = gr.parse_group(sel)
+    gens = gr.generators(G)
+    assert gr.generators(G) is gens
+    assert gr.closure_set(G, gr.generators(G)) == tuple(G.elements())

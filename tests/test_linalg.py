@@ -274,3 +274,17 @@ def test_intertwiner_rows_zero_size():
     assert la.intertwiner_rows(4, (0, 2, 2), la.zeros(2, 0), (4, 0, 0), la.zeros(2, 0)) == []
     # X·a - b·X with a = b = 1 on a 1x1 block is the zero equation
     assert la.intertwiner_rows(1, (0, 1, 1), [[F(1)]], (0, 1, 1), [[F(1)]]) == [[F(0)]]
+
+
+def test_matvec_checks_the_column_count_without_rows():
+    assert la.matvec(la.zeros(0, 3), [F(1)] * 3) == []
+    with pytest.raises(ValueError):
+        la.matvec(la.zeros(0, 3), [F(1)])
+
+
+def test_vstack_rejects_blocks_of_different_widths():
+    with pytest.raises(ValueError):
+        la.vstack([la.zeros(1, 2), la.zeros(1, 3)])
+    with pytest.raises(ValueError):
+        la.vstack([la.zeros(0, 2), la.zeros(0, 3)])
+    assert la.shape(la.vstack([la.zeros(1, 2), la.zeros(2, 2)])) == (3, 2)
