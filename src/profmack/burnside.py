@@ -142,16 +142,28 @@ def span_compose(s1: Span, s2: Span) -> Span:
 
 
 def decompose_span(s: Span) -> dict[Component, int]:
-    """Multiset of transitive components of a span."""
+    """Multiset of transitive components of a span.
+
+    G is scanned once per orbit, from its least point x0: that gives the
+    stabilizer of x0 and, for each point x of the orbit, a t with t·x0 = x,
+    so that the stabilizer of x is t·Stab(x0)·t⁻¹.
+    """
     out: dict[Component, int] = {}
     G = s.apex.group
+    act = s.apex.act
     for orbit in s.apex.orbits():
-        best = None
-        for x in orbit:
-            stab = tuple(sorted(g for g in G.elements() if s.apex.act[g][x] == x))
-            cand = (stab, s.left[x], s.right[x])
-            if best is None or cand < best:
-                best = cand
+        x0 = orbit[0]
+        stab0 = []
+        transporter: dict[int, int] = {}
+        for g in G.elements():
+            y = act[g][x0]
+            if y == x0:
+                stab0.append(g)
+            if y not in transporter:
+                transporter[y] = g
+        S0 = Subgroup(G, tuple(stab0))
+        best = min((conjugate_subgroup(S0, transporter[x]).elements,
+                    s.left[x], s.right[x]) for x in orbit)
         out[best] = out.get(best, 0) + 1
     return out
 

@@ -243,20 +243,27 @@ def _span_from_json(G, feet, data) -> bs.Span:
 
 
 def cmd_span_compose(args):
-    with open(args.file) as fh:
-        data = json.load(fh)
-    if data.get("schema") != 1:
-        raise UsageError("span file needs schema 1")
     from .groups import group_from_json
 
-    G = group_from_json(data["group"])
-    s1d, s2d = data["spans"]
-    try:  # a G-set or span that fails validation is a usage error
+    # a file that is not JSON, holds a group, G-set or span that fails
+    # validation or an entry of the wrong type, or lacks an entry (or names
+    # a foot that is not in "gsets") is a usage error
+    try:
+        with open(args.file) as fh:
+            data = json.load(fh)
+        if data.get("schema") != 1:
+            raise UsageError("span file needs schema 1")
+        G = group_from_json(data["group"])
+        s1d, s2d = data["spans"]
         sets = {k: _gset_from_json(G, v) for k, v in data["gsets"].items()}
         s1 = _span_from_json(G, (sets[s1d["left_foot"]], sets[s1d["right_foot"]]), s1d)
         s2 = _span_from_json(G, (sets[s2d["left_foot"]], sets[s2d["right_foot"]]), s2d)
     except ValueError as e:
         raise UsageError(str(e)) from None
+    except TypeError as e:
+        raise UsageError(f"span file has an entry of the wrong type ({e})") from None
+    except KeyError as e:
+        raise UsageError(f"span file has no entry {e}") from None
     try:
         comp = bs.span_compose(s1, s2)
     except bs.MiddleMismatch as e:

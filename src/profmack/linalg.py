@@ -225,6 +225,8 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
 
 def in_span(vectors: list[Vector], v: Vector) -> bool:
     """True iff v lies in the span of the given vectors."""
+    if not vectors:  # the span of nothing is {0}
+        return not any(v)
     return solve(from_columns(vectors, len(v)), v) is not None
 
 

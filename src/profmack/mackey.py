@@ -35,6 +35,7 @@ from .groups import (
     UnknownFamily,
     all_subgroups,
     conjugate_subgroup,
+    generators,
     intersection,
     left_cosets,
     subgroup_conjugacy_classes,
@@ -73,8 +74,9 @@ def _structure_maps(G: FiniteGroup, subs: list[Subgroup]):
     """(kind, key, src, dst) for every structure map M(src) -> M(dst).
 
     For each H: res and ind at (H, K) for every K ⊆ H, then conj at (g, H)
-    for every g.  This order fixes the dict order of res/ind/conj and the
-    row order of the hom_space equations.
+    for every g.  This order fixes the dict order of res/ind/conj and,
+    restricted to `_generating_maps`, the row order of the hom_space
+    equations.
     """
     for H in subs:
         for K in subs:
@@ -85,12 +87,86 @@ def _structure_maps(G: FiniteGroup, subs: list[Subgroup]):
             yield "conj", (g, H), H, conjugate_subgroup(H, g)
 
 
+def _maximal_subgroups(subs: list[Subgroup]) -> dict[Subgroup, list[Subgroup]]:
+    """For each H of subs, the K of subs maximal in H, in subs order."""
+    elems = {H: frozenset(H.elements) for H in subs}
+    out = {}
+    for H in subs:
+        below = [K for K in subs if elems[K] < elems[H]]
+        out[H] = [K for K in below if not any(elems[K] < elems[J] for J in below)]
+    return out
+
+
+def _generating_maps(G: FiniteGroup, subs: list[Subgroup]):
+    """The generating maps among `_structure_maps(G, subs)`, in its order.
+
+    res and ind at (H, K) for K maximal in H, and conj at (s, H) for s in
+    `generators(G)`.  Every other structure map of a Mackey functor is an
+    identity or a composite of these (Thévenaz–Webb, Trans. AMS 347, 1995).
+    """
+    maximal = _maximal_subgroups(subs)
+    gens = sorted(generators(G))
+    for H in subs:
+        for K in maximal[H]:
+            yield "res", (H, K), H, K
+            yield "ind", (H, K), K, H
+        for s in gens:
+            yield "conj", (s, H), H, conjugate_subgroup(H, s)
+
+
+def _generator_words(G: FiniteGroup) -> list[tuple[int, int, int]]:
+    """(g, s, h) with g = s·h, s a generator, for every g but the identity,
+    in breadth-first order from the identity: h always comes earlier."""
+    gens = sorted(generators(G))
+    reached = [G.identity]
+    seen = {G.identity}
+    words = []
+    for h in reached:
+        for s in gens:
+            g = G.mul(s, h)
+            if g not in seen:
+                seen.add(g)
+                reached.append(g)
+                words.append((g, s, h))
+    return words
+
+
 def _build_mackey(G: FiniteGroup, dims: dict, make, name: str) -> MackeyFunctorQ:
-    """The functor whose map (kind, key): M(src) -> M(dst) is make(...)."""
-    maps: dict[str, dict] = {"res": {}, "ind": {}, "conj": {}}
-    for kind, key, src, dst in _structure_maps(G, all_subgroups(G)):
-        maps[kind][key] = make(kind, key, src, dst)
-    return MackeyFunctorQ(G, dims, **maps, name=name)
+    """The functor whose generating maps (kind, key): M(src) -> M(dst) are
+    make(kind, key, src, dst).
+
+    make is called only on `_generating_maps`.  res, ind and conj by the
+    identity are `la.identity`.  Every other map is one matmul of maps
+    already built: res(H, K) = res(J, K)·res(H, J) and ind(H, K) =
+    ind(H, J)·ind(J, K) through the first J maximal in H that contains K,
+    and conj along a breadth-first word in the generators, c_{s·h} on H =
+    (c_s on hHh⁻¹)·(c_h on H).  When make describes a Mackey functor these
+    are the maps make would give.  The res/ind/conj dicts keep the
+    `_structure_maps` order.
+    """
+    subs = all_subgroups(G)
+    maximal = _maximal_subgroups(subs)
+    maps = {(kind, key): make(kind, key, src, dst)
+            for kind, key, src, dst in _generating_maps(G, subs)}
+    words = _generator_words(G)
+    for H in subs:  # subs ascend by order: every map below H is built
+        maps["res", (H, H)] = la.identity(dims[H])
+        maps["ind", (H, H)] = la.identity(dims[H])
+        maps["conj", (G.identity, H)] = la.identity(dims[H])
+        for K in subs:
+            if ("res", (H, K)) in maps or not _contains(H, K):
+                continue
+            J = next(J for J in maximal[H] if _contains(J, K))
+            maps["res", (H, K)] = la.matmul(maps["res", (J, K)], maps["res", (H, J)])
+            maps["ind", (H, K)] = la.matmul(maps["ind", (H, J)], maps["ind", (J, K)])
+        for g, s, h in words:
+            if ("conj", (g, H)) not in maps:
+                maps["conj", (g, H)] = la.matmul(
+                    maps["conj", (s, conjugate_subgroup(H, h))], maps["conj", (h, H)])
+    out: dict[str, dict] = {"res": {}, "ind": {}, "conj": {}}
+    for kind, key, _, _ in _structure_maps(G, subs):
+        out[kind][key] = maps[kind, key]
+    return MackeyFunctorQ(G, dims, **out, name=name)
 
 
 @dataclass
@@ -568,8 +644,14 @@ def zero_morphism(M: MackeyFunctorQ, N: MackeyFunctorQ) -> MackeyMorphism:
 
 
 def hom_space(M: MackeyFunctorQ, N: MackeyFunctorQ) -> list[MackeyMorphism]:
-    """Basis of natural transformations M -> N (exact naturality solve)."""
-    G = M.group
+    """Basis of natural transformations M -> N (exact naturality solve).
+
+    Naturality is written only for the `_generating_maps`, grouped by
+    subgroup.  In Mackey functors every other structure map is an identity
+    or a composite of generating maps (exactly so for functors built by
+    `_build_mackey`), so the equations have the solutions of the full set
+    and row-reduce to the same basis.
+    """
     subs = M.subs
     blocks, total = {}, 0
     for H in subs:  # f_H is N.dim(H) x M.dim(H)
@@ -579,10 +661,7 @@ def hom_space(M: MackeyFunctorQ, N: MackeyFunctorQ) -> list[MackeyMorphism]:
         return []
 
     rows = la.Matrix([], total)
-    for kind, key, src, dst in _structure_maps(G, subs):
-        identity = key[0] == G.identity if kind == "conj" else key[0] is key[1]
-        if identity:  # f_H = f_H gives no equations
-            continue
+    for kind, key, src, dst in _generating_maps(M.group, subs):
         # f_dst @ M(map) - N(map) @ f_src = 0
         rows += la.intertwiner_rows(total, blocks[dst], M.map(kind, key),
                                     blocks[src], N.map(kind, key))
@@ -643,12 +722,19 @@ class _RepTools:
         self.subs = all_subgroups(G)
         self.class_reps = [rep for rep, _ in subgroup_conjugacy_classes(G)]
         self._basis: dict = {}
+        self._representables: dict[Subgroup, MackeyFunctorQ] = {}
 
     def basis(self, K: Subgroup, H: Subgroup) -> list[Component]:
         key = (K, H)
         if key not in self._basis:
             self._basis[key] = hom_basis(self.cache.orbit(K), self.cache.orbit(H))
         return self._basis[key]
+
+    def representable(self, H: Subgroup) -> MackeyFunctorQ:
+        """rep(O_H), built once per tools."""
+        if H not in self._representables:
+            self._representables[H] = representable(self.G, self.cache.orbit(H))
+        return self._representables[H]
 
     def dual_action(self, T: MackeyFunctorQ, K: Subgroup, H: Subgroup,
                     c: Component) -> la.Matrix:
@@ -665,13 +751,7 @@ def _identity_component(H: Subgroup) -> Component:
     return (tuple(H.elements), 0, 0)
 
 
-def _rep_cached(tools: _RepTools, H: Subgroup, store: dict) -> MackeyFunctorQ:
-    if H not in store:
-        store[H] = representable(tools.G, tools.cache.orbit(H))
-    return store[H]
-
-
-def free_cover(T: MackeyFunctorQ, tools: _RepTools, rep_store: dict) -> FreeCover:
+def free_cover(T: MackeyFunctorQ, tools: _RepTools) -> FreeCover:
     """Greedy Yoneda cover of T by a sum of representables.
 
     Generators are chosen smallest-orbit-first (largest subgroup first) and
@@ -699,7 +779,7 @@ def free_cover(T: MackeyFunctorQ, tools: _RepTools, rep_store: dict) -> FreeCove
                 add_generator(H, e)
     gen_subgroups = [H for H, _ in gens]
     gen_vectors = [x for _, x in gens]
-    summands = [_rep_cached(tools, H, rep_store) for H in gen_subgroups]
+    summands = [tools.representable(H) for H in gen_subgroups]
     P = (
         direct_sum_mackey(summands)
         if summands
@@ -762,7 +842,6 @@ class Resolution:
 def projective_resolution(M: MackeyFunctorQ, length: int,
                           tools: _RepTools | None = None) -> Resolution:
     tools = tools or _RepTools(M.group)
-    rep_store: dict = {}
     covers: list[FreeCover] = []
     diffs: list[MackeyMorphism] = []
     T = M
@@ -772,7 +851,7 @@ def projective_resolution(M: MackeyFunctorQ, length: int,
         if T.is_zero():
             exact_at = j - 1
             break
-        cov = free_cover(T, tools, rep_store)
+        cov = free_cover(T, tools)
         covers.append(cov)
         if incl is not None:
             diffs.append(incl.compose(cov.cover))

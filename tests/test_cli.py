@@ -172,19 +172,56 @@ def _span_file(tmp_path, act, right):
     return f
 
 
+def _assert_usage_error(path, capsys):
+    code = cli.main(["span", "compose", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def _edited(path, edit):
+    """The span file at path, rewritten after edit(data) on its JSON."""
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    return path
+
+
+REGULAR = [[0, 1], [1, 0]]
+
+
 def test_span_compose_rejects_an_invalid_file_as_usage(tmp_path, capsys):
-    regular = [[0, 1], [1, 0]]
-    f = _span_file(tmp_path, regular, [0, 1])
+    f = _span_file(tmp_path, REGULAR, [0, 1])
     assert run(capsys, ["span", "compose", "--file", str(f)])[0] == 0
-    for act, right in ((regular, [0, 0]),  # a leg that is not equivariant
+    for act, right in ((REGULAR, [0, 0]),  # a leg that is not equivariant
                        ([[0, 1], [1, 0, 5]], [0, 1])):  # a ragged action row
-        f = _span_file(tmp_path, act, right)
-        code = cli.main(["span", "compose", "--file", str(f)])
-        captured = capsys.readouterr()
-        assert code == cli.EXIT_USAGE
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert "Traceback" not in captured.err
+        _assert_usage_error(_span_file(tmp_path, act, right), capsys)
+
+
+def test_span_compose_rejects_a_string_in_an_action_row(tmp_path, capsys):
+    _assert_usage_error(_span_file(tmp_path, [[0, 1], [1, "0"]], [0, 1]), capsys)
+
+
+def test_span_compose_rejects_a_span_without_left(tmp_path, capsys):
+    f = _span_file(tmp_path, REGULAR, [0, 1])
+    _assert_usage_error(_edited(f, lambda d: d["spans"][1].pop("left")), capsys)
+
+
+def test_span_compose_rejects_an_unknown_foot(tmp_path, capsys):
+    f = _span_file(tmp_path, REGULAR, [0, 1])
+    _assert_usage_error(
+        _edited(f, lambda d: d["spans"][0].update(right_foot="P")), capsys)
+
+
+def test_span_compose_rejects_a_file_that_is_not_json_or_lacks_its_group(
+        tmp_path, capsys):
+    f = tmp_path / "spans.json"
+    f.write_text("{not json")
+    _assert_usage_error(f, capsys)
+    f = _span_file(tmp_path, REGULAR, [0, 1])
+    _assert_usage_error(_edited(f, lambda d: d.pop("group")), capsys)
 
 
 def test_determinism_across_threads(capsys):

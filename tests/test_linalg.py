@@ -288,3 +288,13 @@ def test_vstack_rejects_blocks_of_different_widths():
     with pytest.raises(ValueError):
         la.vstack([la.zeros(0, 2), la.zeros(0, 3)])
     assert la.shape(la.vstack([la.zeros(1, 2), la.zeros(2, 2)])) == (3, 2)
+
+
+def test_in_span_of_no_vectors_needs_no_elimination(monkeypatch):
+    def no_rref(a):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr(la, "rref", no_rref)
+    assert la.in_span([], [F(0), F(0)])
+    assert not la.in_span([], [F(0), F(1)])
+    assert la.in_span([], [])

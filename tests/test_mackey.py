@@ -15,6 +15,13 @@ def class_reps(G):
     return [rep for rep, _ in gr.subgroup_conjugacy_classes(G)]
 
 
+def battery(G):
+    """Representables on the class representatives, then the fixed-point
+    functors of the rational irreducibles."""
+    objs = [mk.representable(G, gs.transitive_gset(G, H)) for H in class_reps(G)]
+    return objs + [mk.fixed_point_functor(V) for V in mk.rational_irreducibles(G)]
+
+
 def s3_objects():
     G = gr.symmetric(3)
     objs = [mk.representable(G, gs.transitive_gset(G, H),
@@ -189,7 +196,7 @@ def test_free_cover_surjective():
     G = gr.symmetric(3)
     A = mk.burnside_mackey(G)
     tools = mk._RepTools(G)
-    cov = mk.free_cover(A, tools, {})
+    cov = mk.free_cover(A, tools)
     for H in A.subs:
         mat = cov.cover.mats[H]
         if A.dim(H):
@@ -200,7 +207,7 @@ def test_kernel_functor_is_kernel():
     G = gr.cyclic(2)
     A = mk.burnside_mackey(G)
     tools = mk._RepTools(G)
-    cov = mk.free_cover(A, tools, {})
+    cov = mk.free_cover(A, tools)
     K, inc = mk.kernel_functor(cov.cover)
     assert mk.check_axioms(K, collect=True) == []
     assert cov.cover.compose(inc).is_zero()
@@ -234,8 +241,7 @@ def reference_hom_complex_diff(res, N, j, tools):
 @pytest.mark.parametrize("sel", ["cyclic:4", "sym:3"])
 def test_hom_complex_diff_matches_yoneda_composition(sel):
     G = gr.parse_group(sel)
-    objs = [mk.representable(G, gs.transitive_gset(G, H)) for H in class_reps(G)]
-    objs += [mk.fixed_point_functor(V) for V in mk.rational_irreducibles(G)]
+    objs = battery(G)
     tools = mk._RepTools(G)
     resolutions = [mk.projective_resolution(M, 2, tools) for M in objs[:2]]
     assert all(len(res.covers) == 3 for res in resolutions)
@@ -291,15 +297,13 @@ def assert_morphism_shapes(f):
 @pytest.mark.parametrize("sel", ["cyclic:4", "sym:3", "prod:cyclic:2,cyclic:2"])
 def test_structure_and_morphism_matrices_carry_their_shape(sel):
     G = gr.parse_group(sel)
-    objs = [mk.representable(G, gs.transitive_gset(G, H)) for H in class_reps(G)]
-    objs += [mk.fixed_point_functor(V) for V in mk.rational_irreducibles(G)]
+    objs = battery(G)
     tools = mk._RepTools(G)
-    rep_store = {}
     Z = mk.zero_mackey(G)
     functors = objs + [Z, mk.direct_sum_mackey(objs), mk.direct_sum_mackey([Z, objs[-1]])]
     morphisms = []
     for M in objs:
-        cov = mk.free_cover(M, tools, rep_store)
+        cov = mk.free_cover(M, tools)
         K, incl = mk.kernel_functor(cov.cover)
         functors += [cov.functor, K]
         morphisms += [cov.cover, incl, mk.zero_morphism(M, Z), mk.zero_morphism(Z, M)]
@@ -321,3 +325,118 @@ def test_direct_sum_and_zero():
     assert mk.check_axioms(S, collect=True) == []
     assert Z.is_zero()
     assert mk.check_axioms(Z, collect=True) == []
+
+
+# ---------------------------------------------------------------------------
+# functors built from generating maps, against every map computed directly
+
+
+def check_every_build(monkeypatch):
+    """Make every _build_mackey call assert that each map it returns equals
+    make(...) called directly, and return the names of the functors built."""
+    build = mk._build_mackey
+    names = []
+
+    def checked(G, dims, make, name):
+        M = build(G, dims, make, name)
+        for kind, key, src, dst in mk._structure_maps(G, M.subs):
+            assert la.eq(M.map(kind, key), make(kind, key, src, dst)), (name, kind, key)
+        names.append(name)
+        return M
+
+    monkeypatch.setattr(mk, "_build_mackey", checked)
+    return names
+
+
+@pytest.mark.parametrize("sel", ["cyclic:4", "sym:3", "prod:cyclic:2,cyclic:2"])
+def test_battery_and_kernels_equal_their_maps_built_directly(sel, monkeypatch):
+    names = check_every_build(monkeypatch)
+    G = gr.parse_group(sel)
+    tools = mk._RepTools(G)
+    objs = battery(G)
+    for M in objs:
+        mk.kernel_functor(mk.free_cover(M, tools).cover)
+    assert sum(name.startswith("ker(") for name in names) == len(objs)
+
+
+@pytest.mark.parametrize("sel", ["dihedral:8", "prod:cyclic:2,cyclic:4", "cyclic:12"])
+def test_representables_equal_their_maps_built_directly(sel, monkeypatch):
+    names = check_every_build(monkeypatch)
+    G = gr.parse_group(sel)
+    for H in class_reps(G):
+        mk.representable(G, gs.transitive_gset(G, H))
+    assert len(names) == len(class_reps(G))
+
+
+def maximal_in(H, K, subs):
+    """K is a maximal subgroup of H among subs, coded from the definition."""
+    inside = set(K.elements) < set(H.elements)
+    return inside and not any(set(K.elements) < set(J.elements) < set(H.elements)
+                              for J in subs)
+
+
+@pytest.mark.parametrize("sel", ["sym:3", "dihedral:8", "prod:cyclic:2,cyclic:4"])
+def test_generating_maps_are_the_structure_maps_they_name_in_order(sel):
+    G = gr.parse_group(sel)
+    subs = gr.all_subgroups(G)
+    gens = set(gr.generators(G))
+    expected = [m for m in mk._structure_maps(G, subs)
+                if (m[1][0] in gens if m[0] == "conj" else maximal_in(*m[1], subs))]
+    assert list(mk._generating_maps(G, subs)) == expected
+
+
+def reference_hom_space(M, N):
+    """hom_space with naturality written for every structure map."""
+    subs = M.subs
+    blocks, total = {}, 0
+    for H in subs:
+        blocks[H] = (total, N.dim(H), M.dim(H))
+        total += N.dim(H) * M.dim(H)
+    rows = la.Matrix([], total)
+    for kind, key, src, dst in mk._structure_maps(M.group, subs):
+        rows += la.intertwiner_rows(total, blocks[dst], M.map(kind, key),
+                                    blocks[src], N.map(kind, key))
+    return [{H: la.read_block(v, blocks[H]) for H in subs} for v in la.nullspace(rows)]
+
+
+@pytest.mark.parametrize("sel", ["cyclic:4", "sym:3", "prod:cyclic:2,cyclic:2"])
+def test_hom_space_equals_the_all_maps_equation_basis(sel):
+    objs = battery(gr.parse_group(sel))
+    for M in objs:
+        for N in objs:
+            got = [f.mats for f in mk.hom_space(M, N)]
+            assert got == reference_hom_space(M, N), (M.name, N.name)
+
+
+@pytest.mark.parametrize("sel", ["cyclic:4", "sym:3"])
+def test_one_corrupt_generator_conj_map_fails_the_axioms(sel, monkeypatch):
+    G = gr.parse_group(sel)
+    build = mk._build_mackey
+    made = []
+    monkeypatch.setattr(mk, "_build_mackey",
+                        lambda G, dims, make, name: made.append((dims, make))
+                        or build(G, dims, make, name))
+    A = mk.burnside_mackey(G)
+    dims, make = made[0]
+    target = ("conj", (min(gr.generators(G)), gr.trivial_subgroup(G)))
+
+    def corrupt(kind, key, src, dst):
+        m = make(kind, key, src, dst)
+        return la.scale(m, la.frac(2)) if (kind, key) == target else m
+
+    assert mk.check_axioms(A, collect=True) == []
+    assert mk.check_axioms(build(G, dims, corrupt, "corrupt"), collect=True) != []
+
+
+def test_rep_tools_build_each_representable_once(monkeypatch):
+    G = gr.symmetric(3)
+    built = []
+    representable = mk.representable
+    monkeypatch.setattr(mk, "representable",
+                        lambda G, A, name=None: built.append(A) or representable(G, A, name))
+    tools = mk._RepTools(G)
+    A = mk.burnside_mackey(G)
+    for M in (A, A):
+        mk.projective_resolution(M, 2, tools)
+    covers = built[1:]  # built[0] is burnside_mackey itself
+    assert covers and len(covers) == len({id(A) for A in covers})
