@@ -198,14 +198,18 @@ class Subgroup:
     parent: FiniteGroup = field(compare=False)
     elements: tuple[int, ...] = ()
 
+    # hashed once: subgroups key most dicts of the Mackey layer
+    _hash: int = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         if tuple(sorted(set(self.elements))) != self.elements:
             raise ValueError("subgroup elements must be strictly sorted")
         if self.parent.identity not in self.elements:
             raise ValueError("subgroup must contain the identity")
+        object.__setattr__(self, "_hash", hash((id(self.parent), self.elements)))
 
     def __hash__(self):
-        return hash((id(self.parent), self.elements))
+        return self._hash
 
     def __eq__(self, other):
         return (

@@ -7,6 +7,11 @@ a matrix returns one of the right shape.  Rows are lists of Fraction.  A
 plain list of rows is accepted as input when it has at least one row.
 Everything here is tolerance-free: dimensions in this package are integers
 and stay integers.
+
+Matrices go in and come out dense.  Elimination (`rref`, and through it
+`rank`, `nullspace`, `solve`, `in_span` and `quotient_basis`) works on
+sparse rows inside the function, because the equation systems it meets are
+mostly zero.
 """
 
 from __future__ import annotations
@@ -139,14 +144,20 @@ def intertwiner_rows(n: int, dst: Block, a: Matrix, src: Block,
     """
     od, _, cd = dst
     os_, _, cs = src
+    # only nonzero terms are written; a terms never meet each other, nor do
+    # b terms, so a cell still holding the Q0 object takes a term as it is
+    a_cols = [[(od + t, frac(at[j])) for t, at in enumerate(a) if at[j]]
+              for j in range(cs)]
     rows = Matrix([], n)
     for i, bi in enumerate(b):  # one per row of X_dst
-        for j in range(cs):
+        b_neg = [(os_ + t * cs, -frac(x)) for t, x in enumerate(bi) if x]
+        for j, a_col in enumerate(a_cols):
             row = [Q0] * n
-            for t, at in enumerate(a):  # one per column of X_dst
-                row[od + i * cd + t] += at[j]
-            for t, x in enumerate(bi):  # one per row of X_src
-                row[os_ + t * cs + j] -= x
+            for k, x in a_col:  # one per column of X_dst
+                row[k + i * cd] = x
+            for k, x in b_neg:  # one per row of X_src
+                k += j
+                row[k] = x if row[k] is Q0 else row[k] + x
             rows.append(row)
     return rows
 
@@ -158,27 +169,43 @@ def read_block(v: Vector, block: Block) -> Matrix:
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
+    """Reduced row echelon form and the list of pivot columns.
+
+    Sparse Gauss–Jordan on {column: Fraction} rows: each incoming row is
+    reduced by the pivots it has, and a nonzero remainder, normalised at its
+    leading column, clears that column from the other pivot rows.  The form
+    is unique, so the dense result equals that of dense elimination.
+    """
     rows, cols = shape(a)
-    m = [row[:] for row in a]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pr = next((i for i in range(r, rows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = Q1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return Matrix(m, cols), pivots
+    piv: dict[int, dict[int, Fraction]] = {}  # pivot column -> its row
+    for dense in a:
+        r = {j: x for j, x in enumerate(dense) if x}
+        for p in [j for j in r if j in piv]:  # piv[p] is 0 at the other pivots
+            _sub_into(r, r[p], piv[p])
+        if r:
+            c = min(r)
+            inv = Q1 / r[c]
+            r = {j: x * inv for j, x in r.items()}
+            for q in piv.values():
+                if c in q:
+                    _sub_into(q, q[c], r)
+            piv[c] = r
+    pivots = sorted(piv)
+    m = zeros(rows, cols)  # pivot rows in column order, then zero rows
+    for out, p in zip(m, pivots):
+        for j, x in piv[p].items():
+            out[j] = x
+    return m, pivots
+
+
+def _sub_into(r: dict[int, Fraction], f: Fraction, p: dict[int, Fraction]) -> None:
+    """r -= f·p on sparse rows, dropping the entries that cancel."""
+    for j, y in p.items():
+        x = r[j] - f * y if j in r else -f * y
+        if x:
+            r[j] = x
+        else:
+            del r[j]
 
 
 def rank(a: Matrix) -> int:
@@ -190,6 +217,12 @@ def nullspace(a: Matrix) -> list[Vector]:
     n = shape(a)[1]
     if any(len(row) != n for row in a):
         raise ValueError(f"nullspace row length differs from {n} columns")
+    return _null_basis(a, n)[1]
+
+
+def _null_basis(a: Matrix, n: int) -> tuple[list[int], list[Vector]]:
+    """The free columns f of rref(a), each with the null vector that is 1 at f
+    and 0 at the other free columns."""
     red, pivots = rref(a)
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
@@ -200,7 +233,7 @@ def nullspace(a: Matrix) -> list[Vector]:
         for p, row in zip(pivots, red):
             v[p] = -row[f]
         basis.append(v)
-    return basis
+    return free, basis
 
 
 def fixed_space(mats: list[Matrix], n: int) -> list[Vector]:
@@ -237,13 +270,7 @@ def quotient_basis(sub: list[Vector], dim: int) -> tuple[list[int], Matrix]:
     shape (len(complement), dim) such that P maps v to the coordinates of
     its class in the chosen complement basis.
     """
-    red, piv = rref(Matrix(sub, dim))  # row space of sub
-    comp = [j for j in range(dim) if j not in piv]
-    # projection: subtract the unique span element matching pivot coords
-    # For v in Q^dim, class coords: v_comp - R v_piv with R from rref rows.
-    proj = zeros(len(comp), dim)
-    for prow, j in zip(proj, comp):
-        prow[j] = Q1
-        for p, row in zip(piv, red):
-            prow[p] = -row[j]
-    return comp, proj
+    # P kills span(sub) and keeps the free coordinates: its rows are the null
+    # vectors of sub, one per free column j, each 1 at j and 0 at the others
+    comp, proj = _null_basis(Matrix(sub, dim), dim)
+    return comp, Matrix(proj, dim)

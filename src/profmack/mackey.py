@@ -35,6 +35,7 @@ from .groups import (
     UnknownFamily,
     all_subgroups,
     conjugate_subgroup,
+    generator_rows,
     generators,
     intersection,
     left_cosets,
@@ -432,18 +433,31 @@ def burnside_mackey(G: FiniteGroup) -> MackeyFunctorQ:
 
 @dataclass
 class GroupRep:
+    """A rational representation: mats[g] is the dim x dim matrix of g.
+
+    Construction checks it exactly at |gens|·|G| products: one matrix per
+    element, each dim x dim, the identity acting as I, and
+    mats[s·h] == mats[s]·mats[h] for every generator s of ``generators(G)``
+    and every h.  By induction on the length of g as a word in the
+    generators this gives mats[g·h] == mats[g]·mats[h] for all g, h.
+    """
+
     group: FiniteGroup
     dim: int
     mats: list[la.Matrix]  # one per element
     name: str = "V"
 
     def __post_init__(self):
-        G = self.group
-        for a in range(G.order):
-            for b in range(G.order):
-                if not la.eq(
-                    la.matmul(self.mats[a], self.mats[b]), self.mats[G.mul(a, b)]
-                ):
+        G, n, mats = self.group, self.dim, self.mats
+        if len(mats) != G.order:
+            raise ValueError("a representation needs one matrix per group element")
+        if any(len(m) != n or any(len(row) != n for row in m) for m in mats):
+            raise ValueError(f"every matrix of a representation must be {n} x {n}")
+        if mats[G.identity] != la.identity(n):
+            raise ValueError("the identity must act as the identity matrix")
+        for s, s_row in generator_rows(G):
+            for h, sh in zip(G.elements(), s_row):
+                if not la.eq(la.matmul(mats[s], mats[h]), mats[sh]):
                     raise ValueError("not a representation")
 
 

@@ -298,3 +298,154 @@ def test_in_span_of_no_vectors_needs_no_elimination(monkeypatch):
     assert la.in_span([], [F(0), F(0)])
     assert not la.in_span([], [F(0), F(1)])
     assert la.in_span([], [])
+
+
+def dense_rref(a, cols):
+    """Dense Gauss–Jordan with whole-row updates: the reference for `la.rref`."""
+    rows = len(a)
+    m = [row[:] for row in a]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = F(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def dense_solve(a, cols, b):
+    red, piv = dense_rref([row + [x] for row, x in zip(a, b)], cols + 1)
+    if cols in piv:
+        return None
+    x = [F(0)] * cols
+    for p, row in zip(piv, red):
+        x[p] = row[cols]
+    return x
+
+
+def oracle_matrices():
+    """About 200 seeded rational matrices: empty shapes, zero and duplicate
+    rows, rank-deficient products, densities from 5% to 100%."""
+    rng = random.Random(20261019)
+    out = [la.zeros(0, 0), la.zeros(0, 4), la.zeros(3, 0), la.zeros(4, 5),
+           la.identity(5)]
+    for k in range(200):
+        r, c = rng.randint(1, 12), rng.randint(1, 12)
+        density = (0.05, 0.1, 0.25, 0.5, 1.0)[k % 5]
+        a = sparse_matrix(rng, r, c, density)
+        if k % 4 == 1:  # rank-deficient: a product through a thin space
+            t = rng.randint(1, max(1, min(r, c) - 1))
+            left, right = rand_matrix(rng, r, t), sparse_matrix(rng, t, c, density)
+            a = [[sum((x * right[s][j] for s, x in enumerate(row)), F(0))
+                  for j in range(c)] for row in left]
+        if k % 6 == 2:
+            a[rng.randrange(r)] = [F(0)] * c
+        if k % 6 == 3 and r > 1:
+            a[rng.randrange(r)] = a[rng.randrange(r)][:]
+        if k % 7 == 4:
+            a.append([F(-x) for x in a[0]])  # a negated duplicate
+        out.append(la.Matrix(a, c))
+    return out
+
+
+def test_rref_matches_dense_gauss_jordan():
+    seen_rank_deficient = 0
+    for a in oracle_matrices():
+        rows, cols = la.shape(a)
+        before = [row[:] for row in a]
+        red, piv = la.rref(a)
+        assert a == before and la.shape(a) == (rows, cols)  # input untouched
+        want, want_piv = dense_rref(before, cols)
+        assert piv == want_piv
+        assert la.shape(red) == (rows, cols)
+        assert red == want
+        assert all(type(x) is Fraction for row in red for x in row)
+        seen_rank_deficient += len(piv) < min(rows, cols)
+    assert seen_rank_deficient >= 40
+
+
+def test_nullspace_solve_and_in_span_agree_with_dense_reference():
+    rng = random.Random(41)
+    for a in oracle_matrices():
+        rows, cols = la.shape(a)
+        rk = len(dense_rref(a, cols)[1])
+        null = la.nullspace(a)
+        assert len(null) == cols - rk
+        assert all(not any(dense_matvec(a, v)) for v in null)
+        assert la.rank(la.Matrix(null, cols)) == len(null)
+        # P of quotient_basis kills the row space and keeps the free coordinates
+        comp, proj = la.quotient_basis([row[:] for row in a], cols)
+        want_piv = dense_rref(a, cols)[1]
+        assert comp == [j for j in range(cols) if j not in want_piv]
+        assert la.shape(proj) == (len(comp), cols)
+        assert all(not any(dense_matvec(proj, row)) for row in a)
+        assert [[row[j] for j in comp] for row in proj] == la.identity(len(comp))
+        for consistent in (True, False):
+            x0 = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
+            b = dense_matvec(a, x0) if consistent else \
+                [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rows)]
+            x = la.solve(a, b)
+            assert x == dense_solve(a, cols, b)
+            if consistent:
+                assert x is not None and dense_matvec(a, x) == b
+        # in_span over the rows of a, of a row combination and of a random vector
+        if rows and cols:
+            combo = [sum((F(s) * row[j] for s, row in zip(range(1, rows + 1), a)), F(0))
+                     for j in range(cols)]
+            v = [F(rng.randint(-3, 3)) for _ in range(cols)]
+            assert la.in_span([row[:] for row in a], combo)
+            in_ref = dense_solve(la.from_columns(a, cols), rows, v) is not None
+            assert la.in_span([row[:] for row in a], v) == in_ref
+
+
+def test_intertwiner_rows_on_one_block_with_zero_heavy_maps():
+    """dst == src, as in sheaf.hom_fin and hom_conv: X·a − b·X = 0 on one
+    block, where an a term and a b term can land on the same unknown."""
+    rng = random.Random(29)
+    met = cancelled = 0
+    for trial in range(80):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        off = rng.randint(0, 3)
+        n = off + r * c + rng.randint(0, 2)
+        blk = (off, r, c)
+        a = sparse_matrix(rng, c, c, 0.3)
+        b = sparse_matrix(rng, r, r, 0.3)
+        i0, j0 = rng.randrange(r), rng.randrange(c)
+        # a[j0][j0] and b[i0][i0] both meet at unknown X[i0][j0] of row (i0, j0);
+        # every fourth trial they cancel there
+        a[j0][j0] = F(rng.randint(1, 4), rng.randint(1, 3))
+        b[i0][i0] = a[j0][j0] if trial % 4 == 0 else F(-rng.randint(1, 4), 3)
+        rows = la.intertwiner_rows(n, blk, la.Matrix(a, c), blk, la.Matrix(b, r))
+        assert la.shape(rows) == (r * c, n)
+        assert all(type(x) is Fraction for row in rows for x in row)
+        for i in range(r):
+            for j in range(c):
+                row = rows[i * c + j]
+                for p in range(r):
+                    for q in range(c):
+                        want = (a[q][j] if p == i else 0) - (b[i][p] if q == j else 0)
+                        assert row[off + p * c + q] == want
+                assert not any(row[:off]) and not any(row[off + r * c:])
+        both = rows[i0 * c + j0][off + i0 * c + j0]
+        assert both == a[j0][j0] - b[i0][i0]
+        met += 1
+        cancelled += both == 0
+        # the rows evaluate X·a − b·X on a random X
+        X = rand_matrix(rng, r, c)
+        v = [F(0)] * off + [x for row in X for x in row] + [F(0)] * (n - off - r * c)
+        want = [sum((X[i][t] * a[t][j] for t in range(c)), F(0))
+                - sum((b[i][t] * X[t][j] for t in range(r)), F(0))
+                for i in range(r) for j in range(c)]
+        assert [dense_matvec([row], v)[0] for row in rows] == want
+    assert met == 80 and cancelled == 20

@@ -440,3 +440,27 @@ def test_rep_tools_build_each_representable_once(monkeypatch):
         mk.projective_resolution(M, 2, tools)
     covers = built[1:]  # built[0] is burnside_mackey itself
     assert covers and len(covers) == len({id(A) for A in covers})
+
+
+def test_group_rep_rejects_the_zero_map_and_wrong_shapes():
+    G = gr.parse_group("sym:3")
+    with pytest.raises(ValueError, match="identity"):
+        mk.GroupRep(G, 2, [la.zeros(2, 2)] * 6)
+    with pytest.raises(ValueError, match="one matrix per group element"):
+        mk.GroupRep(G, 2, [la.identity(2)] * 5)
+    with pytest.raises(ValueError, match="2 x 2"):
+        mk.GroupRep(G, 2, [la.identity(2)] * 5 + [la.zeros(2, 3)])
+
+
+def test_group_rep_checks_every_generator():
+    """1 on the subgroup of the first generator, 2 off it: right for the first
+    generator of D8 and wrong for the second."""
+    G = gr.parse_group("dihedral:8")
+    s1, s2 = gr.generators(G)[:2]
+    first = set(gr.closure_set(G, [s1]))
+    mats = [la.Matrix([[la.Q1 if g in first else la.frac(2)]], 1)
+            for g in G.elements()]
+    assert all(mats[G.mul(s1, h)] == la.matmul(mats[s1], mats[h]) for h in G.elements())
+    assert any(mats[G.mul(s2, h)] != la.matmul(mats[s2], mats[h]) for h in G.elements())
+    with pytest.raises(ValueError, match="not a representation"):
+        mk.GroupRep(G, 1, mats)
