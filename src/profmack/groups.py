@@ -159,36 +159,42 @@ class CyclicGroup(FiniteGroup):
 
 
 class ProductGroup(FiniteGroup):
+    """Direct product on mixed-radix indices: element i has digit
+    i // w % n in factor f of order n, whose place weight w is the product of
+    the orders of the factors after f (the first factor is most
+    significant)."""
+
     def __init__(self, factors: list[FiniteGroup], label: str | None = None):
         if not factors:
             raise ValueError("product needs at least one factor")
         self.factors = list(factors)
+        places = []
         self.order = 1
-        for f in factors:
+        for f in reversed(self.factors):
+            places.append((f, f.order, self.order))
             self.order *= f.order
+        self._places = places[::-1]  # (factor, order, weight) in factor order
         self.label = label or "x".join(f.label for f in factors)
         self.abelian = all(f.abelian for f in factors)
         self.identity = self.encode(tuple(f.identity for f in factors))
 
     def decode(self, i: int) -> tuple[int, ...]:
-        out = []
-        for f in reversed(self.factors):
-            out.append(i % f.order)
-            i //= f.order
-        return tuple(reversed(out))
+        return tuple(i // w % n for _, n, w in self._places)
 
     def encode(self, parts: tuple[int, ...]) -> int:
-        i = 0
-        for f, p in zip(self.factors, parts):
-            i = i * f.order + p
-        return i
+        return sum(x * w for (_, _, w), x in zip(self._places, parts))
 
     def mul(self, a, b):
-        pa, pb = self.decode(a), self.decode(b)
-        return self.encode(tuple(f.mul(x, y) for f, x, y in zip(self.factors, pa, pb)))
+        out = 0
+        for f, n, w in self._places:
+            out += f.mul(a // w % n, b // w % n) * w
+        return out
 
     def inv(self, a):
-        return self.encode(tuple(f.inv(x) for f, x in zip(self.factors, self.decode(a))))
+        out = 0
+        for f, n, w in self._places:
+            out += f.inv(a // w % n) * w
+        return out
 
 
 @dataclass(frozen=True)
@@ -364,17 +370,18 @@ def _all_subgroup_tuples(G: FiniteGroup, limit: int) -> list[tuple[int, ...]]:
         )
     if _is_coprime_cyclic_product(G):
         # coprime cyclic product: every subgroup is a product of factor
-        # subgroups, encoded through the mixed-radix element indexing
+        # subgroups, encoded through the mixed-radix element indexing one
+        # factor at a time; ascending factor tuples give an ascending result
         parts = [_all_subgroup_tuples(f, DEFAULT_SUBGROUP_LIMIT) for f in G.factors]
         out = []
         for combo in itertools.product(*parts):
-            elems = [
-                G.encode(p)
-                for p in itertools.product(*combo)
-            ]
+            elems = [0]
+            for f, part in zip(G.factors, combo):
+                n = f.order
+                elems = [e * n + x for e in elems for x in part]
             if len(out) >= limit:
                 raise CapacityError(f"subgroup count exceeds bound {limit}")
-            out.append(tuple(sorted(elems)))
+            out.append(tuple(elems))
         return sorted(out, key=lambda t: (len(t), t))
     # generic cyclic-extension enumeration over the dense table
     if G.order > TABLE_LIMIT:

@@ -135,12 +135,12 @@ def builtin_tower(family: str, depth: int) -> GroupTower:
         ]
         bonds = []
         for k in range(depth):
-            Gm, Gk = levels[k + 1], levels[k]
-            table = tuple(
-                Gk.encode([x % p**k for x, p in zip(Gm.decode(g), primes)])
-                for g in range(Gm.order)
-            )
-            bonds.append(GroupHom(Gm, Gk, table))
+            # reduce each mixed-radix digit mod p^k, one factor at a time
+            table = [0]
+            for p in primes:
+                m = p**k
+                table = [t * m + x % m for t in table for x in range(m * p)]
+            bonds.append(GroupHom(levels[k + 1], levels[k], tuple(table)))
         return GroupTower(levels, bonds, family)
     if family.startswith("finite:"):
         G = parse_group(family[7:])
@@ -218,11 +218,11 @@ def subgroup_space_tower(T: GroupTower) -> SpaceTree:
                        for i, H in enumerate(subs)])
     bonds = []
     for k in range(T.depth):
-        q = T.bonds[k]
+        q = T.bonds[k].mapping
         Gk = T.levels[k]
         row = []
         for H in subs_per_level[k + 1]:
-            img = subgroup(Gk, sorted({q(h) for h in H.elements}))
+            img = subgroup(Gk, {q[h] for h in H.elements})
             row.append(index_per_level[k][img])
         bonds.append(row)
     actions = []

@@ -146,3 +146,14 @@ def test_equivariant_heights_fiber_in_one_orbit():
 
     assert cb.check_equivariant_heights(tree([(0, 1), (0, 1)]))
     assert not cb.check_equivariant_heights(tree([(0, 1), (1, 0)]))
+
+
+@pytest.mark.parametrize("primes", [(2,), (3,), (5,), (2, 3), (2, 5), (3, 5), (2, 3, 5)])
+@pytest.mark.parametrize("depth", (1, 2, 3))
+def test_cb_rank_product_rule(primes, depth):
+    # rank(Z_p) = 2, and a product of k such factors has rank
+    # sum of ranks - (k - 1) = k + 1; pro_p:p is the case k = 1
+    tags = ",".join(f"pro_p:{p}" for p in primes)
+    fam = tags if len(primes) == 1 else f"prod:{tags}"
+    cert = cb.cb_rank(tw.subgroup_space_tower(tw.builtin_tower(fam, depth)))
+    assert cert.verdict == "Exact" and cert.rank == len(primes) + 1

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -347,3 +348,36 @@ def test_generators_are_built_once(sel):
     gens = gr.generators(G)
     assert gr.generators(G) is gens
     assert gr.closure_set(G, gr.generators(G)) == tuple(G.elements())
+
+
+def _tuple_decode(G, i):
+    """Reference: the per-factor tuple decoding of a product index."""
+    out = []
+    for f in reversed(G.factors):
+        out.append(i % f.order)
+        i //= f.order
+    return tuple(reversed(out))
+
+
+def _tuple_encode(G, parts):
+    i = 0
+    for f, x in zip(G.factors, parts):
+        i = i * f.order + x
+    return i
+
+
+@pytest.mark.parametrize("sel", ("prod:cyclic:2,cyclic:4", "prod:cyclic:3,cyclic:4",
+                                 "prod:cyclic:2,sym:3", "prod:cyclic:2,cyclic:1,cyclic:4"))
+def test_product_digit_arithmetic_matches_the_tuple_formula(sel):
+    G = gr.parse_group(sel)
+    fs = G.factors
+    codes = [_tuple_decode(G, i) for i in G.elements()]
+    assert set(codes) == set(itertools.product(*(f.elements() for f in fs)))
+    assert G.identity == _tuple_encode(G, [f.identity for f in fs])
+    for i, t in enumerate(codes):
+        assert G.decode(i) == t
+        assert G.encode(t) == i
+        assert G.inv(i) == _tuple_encode(G, [f.inv(x) for f, x in zip(fs, t)])
+        for j, u in enumerate(codes):
+            assert G.mul(i, j) == _tuple_encode(
+                G, [f.mul(x, y) for f, x, y in zip(fs, t, u)])

@@ -1,7 +1,7 @@
 import pytest
 
 from profmack import tower as tw
-from profmack.groups import UnknownFamily, all_subgroups
+from profmack.groups import TableGroup, UnknownFamily, all_subgroups
 
 
 def test_pro_p_levels_and_bonds():
@@ -45,13 +45,16 @@ def test_tower_json_round_trip():
 
 
 def test_subgroup_space_tower_shapes():
-    T = tw.builtin_tower("pro_p:2", 3)
-    X = tw.subgroup_space_tower(T)
-    # S(Z/2^k) has k+1 subgroups
-    assert [len(level) for level in X.levels] == [1, 2, 3, 4]
-    # bonds map the level-(k+1) subgroups onto level-k images surjectively
-    for row in X.bonds:
-        assert set(row) <= set(range(len(row)))
+    for fam, depth, sizes in (
+        ("pro_p:2", 3, [1, 2, 3, 4]),  # S(Z/2^k) has k+1 subgroups
+        ("prod:pro_p:2,pro_p:3", 2, [1, 4, 9]),  # S(Z/2^k x Z/3^k): (k+1)^2
+    ):
+        X = tw.subgroup_space_tower(tw.builtin_tower(fam, depth))
+        assert [len(level) for level in X.levels] == sizes
+        # bond k maps the level-(k+1) subgroups onto all level-k subgroups
+        for k, row in enumerate(X.bonds):
+            assert len(row) == len(X.levels[k + 1])
+            assert set(row) == set(range(len(X.levels[k])))
 
 
 def test_thread_certs_pro_p():
@@ -81,3 +84,42 @@ def test_stability_oracle_level_zero_unknown():
     T = tw.builtin_tower("pro_p:2", 3)
     H = all_subgroups(T.levels[0])[0]
     assert tw.stability_oracle(T, tw.SubgroupPoint(0, H)) == tw.UNKNOWN
+
+
+PRODUCT_FAMILIES = ("prod:pro_p:2,pro_p:3", "prod:pro_p:2,pro_p:5",
+                    "prod:pro_p:2,pro_p:3,pro_p:5")
+
+
+def test_product_level_subgroups_match_the_generic_enumeration():
+    # Sub(A x B) = Sub(A) x Sub(B) for coprime orders: the digit-built
+    # subgroups of each level of order <= 100 (C6, C36, C10, C100, C30) equal
+    # the closure enumeration over the level's multiplication table
+    seen = set()
+    for fam in PRODUCT_FAMILIES:
+        for G in tw.builtin_tower(fam, 2).levels:
+            if G.order > 100:
+                continue
+            seen.add(G.order)
+            generic = all_subgroups(TableGroup(G.table()))
+            assert [H.elements for H in all_subgroups(G)] == [H.elements for H in generic]
+    assert seen == {1, 6, 36, 10, 100, 30}
+
+
+@pytest.mark.parametrize("fam,depth", [
+    ("prod:pro_p:2,pro_p:3", 5), ("prod:pro_p:2,pro_p:3,pro_p:5", 3),
+])
+def test_product_level_subgroup_count(fam, depth):
+    primes = tw._family_primes(fam)
+    for k, G in enumerate(tw.builtin_tower(fam, depth).levels):
+        assert len(all_subgroups(G)) == (k + 1) ** len(primes)
+
+
+@pytest.mark.parametrize("fam", PRODUCT_FAMILIES)
+def test_product_bonds_reduce_every_coordinate(fam):
+    primes = tw._family_primes(fam)
+    T = tw.builtin_tower(fam, 3)
+    for k, q in enumerate(T.bonds):
+        Gm, Gk = T.levels[k + 1], T.levels[k]
+        assert q.mapping == tuple(
+            Gk.encode([x % p**k for x, p in zip(Gm.decode(g), primes)])
+            for g in range(Gm.order))
