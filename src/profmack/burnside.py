@@ -20,11 +20,11 @@ from .groups import (
     all_subgroups,
     conjugate_subgroup,
     generators,
-    left_cosets,
     subgroup_conjugacy_classes,
 )
 from .gsets import (
     FiniteGSet,
+    coset_orbit,
     disjoint_union,
     inflate_gset,
     orbit_decompose,
@@ -144,25 +144,13 @@ def span_compose(s1: Span, s2: Span) -> Span:
 def decompose_span(s: Span) -> dict[Component, int]:
     """Multiset of transitive components of a span.
 
-    G is scanned once per orbit, from its least point x0: that gives the
-    stabilizer of x0 and, for each point x of the orbit, a t with t·x0 = x,
-    so that the stabilizer of x is t·Stab(x0)·t⁻¹.
+    One ``orbit_scan`` of the apex gives, per orbit, the stabilizer of its
+    least point x0 and a t[x] with t[x]·x0 = x for each point x, so that the
+    stabilizer of x is t[x]·Stab(x0)·t[x]⁻¹.
     """
     out: dict[Component, int] = {}
-    G = s.apex.group
-    act = s.apex.act
-    for orbit in s.apex.orbits():
-        x0 = orbit[0]
-        stab0 = []
-        transporter: dict[int, int] = {}
-        for g in G.elements():
-            y = act[g][x0]
-            if y == x0:
-                stab0.append(g)
-            if y not in transporter:
-                transporter[y] = g
-        S0 = Subgroup(G, tuple(stab0))
-        best = min((conjugate_subgroup(S0, transporter[x]).elements,
+    for orbit, S0, t in s.apex.orbit_scan():
+        best = min((conjugate_subgroup(S0, t[x]).elements,
                     s.left[x], s.right[x]) for x in orbit)
         out[best] = out.get(best, 0) + 1
     return out
@@ -171,10 +159,8 @@ def decompose_span(s: Span) -> dict[Component, int]:
 def component_span(G: FiniteGroup, A: FiniteGSet, B: FiniteGSet, comp: Component) -> Span:
     """Representative transitive span for one component invariant."""
     stab, a, b = comp
-    L = Subgroup(G, stab)
-    apex = transitive_gset(G, L)
-    # point i of apex is the coset with canonical representative r_i
-    reps, _ = left_cosets(G, L)
+    # point i of apex is the coset with canonical representative reps[i]
+    reps, _, apex = coset_orbit(G, Subgroup(G, stab))
     left = tuple(A.act[r][a] for r in reps)
     right = tuple(B.act[r][b] for r in reps)
     return Span(A, B, apex, left, right)
@@ -194,7 +180,7 @@ def hom_basis(A: FiniteGSet, B: FiniteGSet) -> list[Component]:
         fb = B.fixed_points(L)
         if not fa or not fb:
             continue
-        reps, _ = left_cosets(G, L)
+        reps = coset_orbit(G, L)[0]
         # basepoints (a, b) move to (ga, gb) with stabilizer gLg^-1
         moved = [(conjugate_subgroup(L, g).elements, A.act[g], B.act[g])
                  for g in reps]

@@ -43,9 +43,10 @@ class FiniteGroup:
     identity: int
     abelian = False  # known commutative: CyclicGroup and products of them
     # built on first use: the dense table, the subgroup list, the generators
-    # and their left-multiplication rows
+    # and their left-multiplication rows, and the orbits G/H (gsets.coset_orbit)
     _table: tuple[tuple[int, ...], ...] | None = None
     _subgroup_cache: list[Subgroup] | None = None
+    _coset_orbits: dict | None = None
     _generators: list[int] | None = None
     _generator_rows: list[tuple[int, tuple[int, ...]]] | None = None
 

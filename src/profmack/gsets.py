@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import _kernels
@@ -53,12 +54,6 @@ class FiniteGSet:
     def size(self) -> int:
         return len(self.act[0]) if self.act else 0
 
-    def stabilizer(self, x: int) -> Subgroup:
-        G = self.group
-        return Subgroup(
-            G, tuple(sorted(g for g in G.elements() if self.act[g][x] == x))
-        )
-
     def fixed_points(self, H: Subgroup) -> list[int]:
         return [
             x
@@ -73,6 +68,25 @@ class FiniteGSet:
             out.setdefault(l, []).append(x)
         return list(out.values())  # labels follow each orbit's least point
 
+    def orbit_scan(self) -> Iterator[tuple[list[int], Subgroup, dict[int, int]]]:
+        """Yield per orbit, in ``orbits()`` order: its points, the stabilizer
+        of its least point x0, and t with t[x] the least g such that g·x0 = x.
+
+        G is scanned once per orbit; the stabilizer of x is t[x]·Stab(x0)·t[x]⁻¹.
+        """
+        G = self.group
+        for orbit in self.orbits():
+            x0 = orbit[0]
+            stab = []
+            t: dict[int, int] = {}
+            for g, row in zip(G.elements(), self.act):
+                y = row[x0]
+                if y == x0:
+                    stab.append(g)
+                if y not in t:
+                    t[y] = g
+            yield orbit, Subgroup(G, tuple(stab)), t
+
 
 def empty_gset(G: FiniteGroup) -> FiniteGSet:
     return FiniteGSet(G, tuple(() for _ in range(G.order)), label="empty")
@@ -82,14 +96,29 @@ def point_gset(G: FiniteGroup) -> FiniteGSet:
     return FiniteGSet(G, tuple((0,) for _ in range(G.order)), label="*")
 
 
+def coset_orbit(G: FiniteGroup, H: Subgroup):
+    """(reps, rep_of, G/H) for a subgroup H of G, built once and kept on G.
+
+    reps is the ascending tuple of least coset representatives and rep_of
+    maps each element to its coset's; point i of G/H is the coset reps[i]·H.
+    Every caller shares these objects, so none may modify them.
+    """
+    if G._coset_orbits is None:
+        G._coset_orbits = {}
+    if H not in G._coset_orbits:
+        reps, rep_of = left_cosets(G, H)
+        index = {r: i for i, r in enumerate(reps)}
+        act = tuple(
+            tuple(index[rep_of[G.mul(g, r)]] for r in reps) for g in G.elements()
+        )
+        orbit = FiniteGSet(G, act, label=f"{G.label}/{H.order}")
+        G._coset_orbits[H] = (tuple(reps), rep_of, orbit)
+    return G._coset_orbits[H]
+
+
 def transitive_gset(G: FiniteGroup, H: Subgroup) -> FiniteGSet:
-    """G/H with points the cosets gH, indexed by canonical (minimal) reps."""
-    reps, rep_of = left_cosets(G, H)
-    index = {r: i for i, r in enumerate(reps)}
-    act = tuple(
-        tuple(index[rep_of[G.mul(g, r)]] for r in reps) for g in G.elements()
-    )
-    return FiniteGSet(G, act, label=f"{G.label}/{H.order}")
+    """G/H, the same object on every call (see ``coset_orbit``)."""
+    return coset_orbit(G, H)[2]
 
 
 def disjoint_union(*sets: FiniteGSet) -> FiniteGSet:
@@ -129,18 +158,14 @@ def orbit_decompose(X: FiniteGSet):
     """X as a disjoint union of G/H with canonical class representatives.
 
     Returns a list of (class representative Subgroup, orbit point list),
-    one entry per orbit, together with the conjugacy classes used.
+    one entry per orbit, in ``orbits()`` order.
     """
     classes = subgroup_conjugacy_classes(X.group)
     rep_for = {}
     for rep, members in classes:
         for m in members:
             rep_for[m] = rep
-    out = []
-    for orbit in X.orbits():
-        stab = X.stabilizer(orbit[0])
-        out.append((rep_for[stab], orbit))
-    return out
+    return [(rep_for[stab], orbit) for orbit, stab, _ in X.orbit_scan()]
 
 
 def inflate_gset(A: FiniteGSet, q: GroupHom) -> FiniteGSet:

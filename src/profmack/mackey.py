@@ -41,7 +41,7 @@ from .groups import (
     left_cosets,
     subgroup_conjugacy_classes,
 )
-from .gsets import FiniteGSet, transitive_gset
+from .gsets import FiniteGSet, coset_orbit, transitive_gset
 
 Q0, Q1 = la.Q0, la.Q1
 
@@ -294,35 +294,29 @@ def check_axioms(M: MackeyFunctorQ, collect: bool = False):
 
 @dataclass
 class GSetValue:
-    """M evaluated on a G-set: one summand M(stab basepoint) per orbit."""
+    """M evaluated on a G-set: one summand M(stab basepoint) per orbit, the
+    basepoint being the orbit's least point."""
 
-    gset: FiniteGSet
     orbit_of: list[int]
-    basepoints: list[int]
     stabs: list[Subgroup]
-    transporter: list[int]  # g with point = g . basepoint(orbit)
+    transporter: list[int]  # least g with point = g . basepoint(orbit)
     offsets: list[int]
     dim: int
 
 
 def value_on_gset(M: MackeyFunctorQ, A: FiniteGSet) -> GSetValue:
-    G = M.group
-    orbits = A.orbits()
     orbit_of = [0] * A.size
-    transporter = [G.identity] * A.size
-    basepoints, stabs, offsets = [], [], []
+    transporter = [M.group.identity] * A.size
+    stabs, offsets = [], []
     off = 0
-    for i, orbit in enumerate(orbits):
-        b = min(orbit)
-        basepoints.append(b)
-        stab = A.stabilizer(b)
+    for i, (orbit, stab, t) in enumerate(A.orbit_scan()):
         stabs.append(stab)
         offsets.append(off)
         off += M.dim(stab)
         for x in orbit:
             orbit_of[x] = i
-            transporter[x] = next(g for g in G.elements() if A.act[g][b] == x)
-    return GSetValue(A, orbit_of, basepoints, stabs, transporter, offsets, off)
+            transporter[x] = t[x]
+    return GSetValue(orbit_of, stabs, transporter, offsets, off)
 
 
 def span_action_matrix(M: MackeyFunctorQ, s: Span) -> la.Matrix:
@@ -331,9 +325,8 @@ def span_action_matrix(M: MackeyFunctorQ, s: Span) -> la.Matrix:
     VA = value_on_gset(M, s.left_foot)
     VB = value_on_gset(M, s.right_foot)
     out = la.zeros(VB.dim, VA.dim)
-    for orbit in s.apex.orbits():
-        w = min(orbit)
-        L = s.apex.stabilizer(w)
+    for orbit, L, _ in s.apex.orbit_scan():
+        w = orbit[0]
         a, b = s.left[w], s.right[w]
         ia, ib = VA.orbit_of[a], VB.orbit_of[b]
         Sa, Sb = VA.stabs[ia], VB.stabs[ib]
@@ -355,62 +348,44 @@ def span_action_matrix(M: MackeyFunctorQ, s: Span) -> la.Matrix:
 # representables
 
 
-class _OrbitCache:
-    def __init__(self, G: FiniteGroup):
-        self.G = G
-        self._orbits: dict[Subgroup, FiniteGSet] = {}
-        self._reps: dict[Subgroup, list[int]] = {}
-        self._rep_of: dict[Subgroup, dict[int, int]] = {}
-
-    def orbit(self, H: Subgroup) -> FiniteGSet:
-        if H not in self._orbits:
-            self._orbits[H] = transitive_gset(self.G, H)
-            self._reps[H], self._rep_of[H] = left_cosets(self.G, H)
-        return self._orbits[H]
-
-    def coset_map(self, K: Subgroup, H: Subgroup, g: int) -> tuple[int, ...]:
-        """Table of the G-map O_K -> O_H, rK |-> rgH (needs g^-1 K g ⊆ H)."""
-        self.orbit(K), self.orbit(H)
-        idx = {r: i for i, r in enumerate(self._reps[H])}
-        return tuple(
-            idx[self._rep_of[H][self.G.mul(r, g)]] for r in self._reps[K]
-        )
+def _coset_map(G: FiniteGroup, K: Subgroup, H: Subgroup, g: int) -> tuple[int, ...]:
+    """Table of the G-map O_K -> O_H, rK |-> rgH (needs g^-1 K g ⊆ H)."""
+    reps_H, rep_of_H, _ = coset_orbit(G, H)
+    index = {r: i for i, r in enumerate(reps_H)}
+    return tuple(index[rep_of_H[G.mul(r, g)]] for r in coset_orbit(G, K)[0])
 
 
-def _one_leg_span(cache: _OrbitCache, K: Subgroup, H: Subgroup, g: int) -> Span:
+def _one_leg_span(G: FiniteGroup, K: Subgroup, H: Subgroup, g: int) -> Span:
     """The span O_K <-id- O_K -> O_H with right leg rK |-> rgH."""
-    OK, OH = cache.orbit(K), cache.orbit(H)
-    return Span(OK, OH, OK, tuple(range(OK.size)), cache.coset_map(K, H, g))
+    OK, OH = transitive_gset(G, K), transitive_gset(G, H)
+    return Span(OK, OH, OK, tuple(range(OK.size)), _coset_map(G, K, H, g))
 
 
-def _structure_span(cache: _OrbitCache, kind: str, key: tuple, src: Subgroup,
+def _structure_span(G: FiniteGroup, kind: str, key: tuple, src: Subgroup,
                     dst: Subgroup) -> Span:
     """The span O_src -> O_dst through which the structure map acts.
 
     ind is the projection O_K -> O_H, res its dual, and conj at (g, H) the
     isomorphism xH |-> x g^-1 (gHg^-1).
     """
-    G = cache.G
     if kind == "res":
-        return _one_leg_span(cache, dst, src, G.identity).dual()
+        return _one_leg_span(G, dst, src, G.identity).dual()
     if kind == "ind":
-        return _one_leg_span(cache, src, dst, G.identity)
-    return _one_leg_span(cache, src, dst, G.inv(key[0]))
+        return _one_leg_span(G, src, dst, G.identity)
+    return _one_leg_span(G, src, dst, G.inv(key[0]))
 
 
 def representable(G: FiniteGroup, A: FiniteGSet, name: str | None = None) -> MackeyFunctorQ:
     """The Mackey functor Span(-, A) ⊗ Q."""
-    cache = _OrbitCache(G)
     subs = all_subgroups(G)
-    basis = {H: hom_basis(cache.orbit(H), A) for H in subs}
-    spans = {
-        H: [component_span(G, cache.orbit(H), A, c) for c in basis[H]] for H in subs
-    }
+    orbit = {H: transitive_gset(G, H) for H in subs}
+    basis = {H: hom_basis(orbit[H], A) for H in subs}
+    spans = {H: [component_span(G, orbit[H], A, c) for c in basis[H]] for H in subs}
     dims = {H: len(basis[H]) for H in subs}
 
     def precompose(kind, key, src, dst) -> la.Matrix:
         """Matrix of c |-> c ∘ u^dual from Q basis[src] to Q basis[dst]."""
-        u = _structure_span(cache, kind, key, src, dst).dual()
+        u = _structure_span(G, kind, key, src, dst).dual()
         index = {c: i for i, c in enumerate(basis[dst])}
         m = la.zeros(dims[dst], dims[src])
         for j, s_c in enumerate(spans[src]):
@@ -732,7 +707,6 @@ class _RepTools:
 
     def __init__(self, G: FiniteGroup):
         self.G = G
-        self.cache = _OrbitCache(G)
         self.subs = all_subgroups(G)
         self.class_reps = [rep for rep, _ in subgroup_conjugacy_classes(G)]
         self._basis: dict = {}
@@ -741,13 +715,14 @@ class _RepTools:
     def basis(self, K: Subgroup, H: Subgroup) -> list[Component]:
         key = (K, H)
         if key not in self._basis:
-            self._basis[key] = hom_basis(self.cache.orbit(K), self.cache.orbit(H))
+            self._basis[key] = hom_basis(transitive_gset(self.G, K),
+                                         transitive_gset(self.G, H))
         return self._basis[key]
 
     def representable(self, H: Subgroup) -> MackeyFunctorQ:
         """rep(O_H), built once per tools."""
         if H not in self._representables:
-            self._representables[H] = representable(self.G, self.cache.orbit(H))
+            self._representables[H] = representable(self.G, transitive_gset(self.G, H))
         return self._representables[H]
 
     def dual_action(self, T: MackeyFunctorQ, K: Subgroup, H: Subgroup,
@@ -756,7 +731,8 @@ class _RepTools:
         store = T._dual_action_cache
         key = (K, H, c)
         if key not in store:
-            s = component_span(self.G, self.cache.orbit(K), self.cache.orbit(H), c)
+            s = component_span(self.G, transitive_gset(self.G, K),
+                               transitive_gset(self.G, H), c)
             store[key] = span_action_matrix(T, s.dual())
         return store[key]
 
@@ -948,23 +924,21 @@ def to_span_functor(M: MackeyFunctorQ, tools: _RepTools | None = None) -> SpanFu
     """Values of M on all transitive span classes between class reps."""
     if check_axioms(M, collect=True):
         raise AxiomViolation(f"{M.name} violates the Mackey axioms")
-    tools = tools or _RepTools(M.group)
+    G = M.group
+    tools = tools or _RepTools(G)
     reps = tools.class_reps
     mats = {}
     for H in reps:
         for K in reps:
             for c in tools.basis(H, K):
-                s = component_span(
-                    M.group, tools.cache.orbit(H), tools.cache.orbit(K), c
-                )
+                s = component_span(G, transitive_gset(G, H), transitive_gset(G, K), c)
                 mats[(H, K, c)] = span_action_matrix(M, s)
-    return SpanFunctorQ(M.group, {H: M.dim(H) for H in reps}, mats)
+    return SpanFunctorQ(G, {H: M.dim(H) for H in reps}, mats)
 
 
-def from_span_functor(F: SpanFunctorQ, tools: _RepTools | None = None) -> MackeyFunctorQ:
+def from_span_functor(F: SpanFunctorQ) -> MackeyFunctorQ:
     """Rebuild a Mackey functor (on all subgroups) from span-class matrices."""
     G = F.group
-    tools = tools or _RepTools(G)
     subs = all_subgroups(G)
     classes = subgroup_conjugacy_classes(G)
     rep_for = {}
@@ -985,9 +959,9 @@ def from_span_functor(F: SpanFunctorQ, tools: _RepTools | None = None) -> Mackey
         A0, B0 = rep_for[src], rep_for[dst]
         # iso O_A0 -> O_src, then the map, then iso O_dst -> O_B0; compose
         # as actual spans and decompose.
-        s1 = _one_leg_span(tools.cache, A0, src, G.inv(transporter[src]))
-        s2 = _structure_span(tools.cache, kind, key, src, dst)
-        s3 = _one_leg_span(tools.cache, dst, B0, transporter[dst])
+        s1 = _one_leg_span(G, A0, src, G.inv(transporter[src]))
+        s2 = _structure_span(G, kind, key, src, dst)
+        s3 = _one_leg_span(G, dst, B0, transporter[dst])
         s = span_compose(span_compose(s1, s2), s3)
         total = la.zeros(F.dims[B0], F.dims[A0])
         for comp, mult in decompose_span(s).items():

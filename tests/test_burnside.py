@@ -44,6 +44,21 @@ def test_middle_mismatch():
         bs.span_compose(s, t)
 
 
+def test_spans_on_feet_from_separate_calls_compose():
+    """transitive_gset returns one G/H per group, so feet built by separate
+    calls are the same object and spans over them compose."""
+    G = gr.symmetric(3)
+    e, H = gr.trivial_subgroup(G), gr.all_subgroups(G)[1]
+    A, B = gs.transitive_gset(G, e), gs.transitive_gset(G, H)
+    s = bs.component_span(G, A, B, bs.hom_basis(A, B)[0])
+    B2, C = gs.transitive_gset(G, H), gs.transitive_gset(G, e)
+    t = bs.component_span(G, B2, C, bs.hom_basis(B2, C)[0])
+    u = bs.span_compose(s, t)
+    assert u.left_foot is A and u.right_foot is C
+    ids = bs.identity_span(gs.transitive_gset(G, H))
+    assert bs.span_equivalent(bs.span_compose(s, ids), s)
+
+
 def test_pullback_size_identity():
     """|apex(s2 o s1)| = sum over middle points of fiber products."""
     rng = random.Random(SEED)

@@ -124,3 +124,73 @@ def test_gset_rejects_seeded_single_row_corruptions():
         with pytest.raises(ValueError):
             gs.FiniteGSet(G, act)
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# one G/H per group and one orbit scan
+
+
+def relabelled(G, shift):
+    """G as a TableGroup with element a renamed (a + shift) % |G|."""
+    n = G.order
+    mult = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            mult[(a + shift) % n][(b + shift) % n] = (G.mul(a, b) + shift) % n
+    return gr.TableGroup(mult, label=f"{G.label}+{shift}")
+
+
+def scan_groups():
+    groups = [gr.parse_group(sel)
+              for sel in ("sym:3", "dihedral:8", "prod:cyclic:2,cyclic:4")]
+    moved = relabelled(gr.symmetric(3), 2)
+    assert moved.identity != 0
+    return groups + [moved]
+
+
+@pytest.mark.parametrize("G", scan_groups(), ids=lambda G: G.label)
+def test_transitive_gset_is_one_object_numbered_by_coset_reps(G):
+    for H in gr.all_subgroups(G):
+        X = gs.transitive_gset(G, H)
+        assert gs.transitive_gset(G, H) is X
+        reps, rep_of, Y = gs.coset_orbit(G, H)
+        assert Y is X
+        assert list(reps) == sorted(reps) and len(reps) == X.size
+        cosets = [{G.mul(r, h) for h in H.elements} for r in reps]
+        for r, coset in zip(reps, cosets):
+            assert r == min(coset) and all(rep_of[x] == r for x in coset)
+        # point i is the coset reps[i]·H, so g moves it to the coset of g·reps[i]
+        for g in G.elements():
+            for i, r in enumerate(reps):
+                assert G.mul(g, r) in cosets[X.act[g][i]]
+
+
+def brute_force_scan(X):
+    """Per orbit, ordered by least point: its points, the stabilizer of the
+    least point x0, and the least g with g·x0 = x for each point x."""
+    G = X.group
+    out = []
+    for x0 in range(X.size):
+        images = {X.act[g][x0] for g in G.elements()}
+        if min(images) != x0:
+            continue
+        stab = tuple(g for g in G.elements() if X.act[g][x0] == x0)
+        t = {x: min(g for g in G.elements() if X.act[g][x0] == x) for x in images}
+        out.append((sorted(images), stab, t))
+    return out
+
+
+@pytest.mark.parametrize("G", scan_groups(), ids=lambda G: G.label)
+def test_orbit_scan_matches_brute_force(G):
+    subs = gr.all_subgroups(G)
+    orbits = [gs.transitive_gset(G, H) for H in subs]
+    sets = orbits + [
+        gs.disjoint_union(orbits[-1], orbits[0], gs.point_gset(G), orbits[1]),
+        gs.product_gset(orbits[0], orbits[0]),
+        gs.product_gset(orbits[1], orbits[len(orbits) // 2]),
+    ]
+    for X in sets:
+        scan = list(X.orbit_scan())
+        assert [orbit for orbit, _, _ in scan] == X.orbits()
+        assert all(S.parent is G for _, S, _ in scan)
+        assert [(orbit, S.elements, t) for orbit, S, t in scan] == brute_force_scan(X)

@@ -97,17 +97,31 @@ def test_structure_maps_cover_every_map(sel):
             assert la.shape(M.map(kind, key)) == (M.dim(dst), M.dim(src))
 
 
+def reference_orbits(G):
+    """G/H for every subgroup H, with its ascending coset representatives and
+    coset map, built straight from ``left_cosets``: point i is reps[i]·H."""
+    out = {}
+    for H in gr.all_subgroups(G):
+        reps, rep_of = gr.left_cosets(G, H)
+        index = {r: i for i, r in enumerate(reps)}
+        act = tuple(tuple(index[rep_of[G.mul(g, r)]] for r in reps)
+                    for g in G.elements())
+        out[H] = (gs.FiniteGSet(G, act), reps, rep_of, index)
+    return out
+
+
 def reference_representable_conj(G, A):
     """conj[(g, H)] of Span(-, A): precompose with O_Hg -> O_H, xHg |-> xgH."""
-    cache = mk._OrbitCache(G)
-    subs = gr.all_subgroups(G)
-    basis = {H: bs.hom_basis(cache.orbit(H), A) for H in subs}
+    orbits = reference_orbits(G)
+    basis = {H: bs.hom_basis(O, A) for H, (O, *_) in orbits.items()}
     out = {}
-    for H in subs:
-        spans = [bs.component_span(G, cache.orbit(H), A, c) for c in basis[H]]
+    for H, (OH, _, rep_of, index_H) in orbits.items():
+        spans = [bs.component_span(G, OH, A, c) for c in basis[H]]
         for g in G.elements():
             Hg = gr.conjugate_subgroup(H, g)
-            iota = mk._one_leg_span(cache, Hg, H, g)
+            OHg, reps_Hg, *_ = orbits[Hg]
+            leg = tuple(index_H[rep_of[G.mul(r, g)]] for r in reps_Hg)
+            iota = bs.Span(OHg, OH, OHg, tuple(range(OHg.size)), leg)
             index = {c: i for i, c in enumerate(basis[Hg])}
             m = la.zeros(len(basis[Hg]), len(basis[H]))
             for j, s_c in enumerate(spans):
