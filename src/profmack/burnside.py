@@ -204,12 +204,7 @@ class BurnsideRing:
 
 
 def burnside_ring(G: FiniteGroup) -> BurnsideRing:
-    classes = subgroup_conjugacy_classes(G)
-    reps = [rep for rep, _ in classes]
-    rep_for = {}
-    for rep, members in classes:
-        for m in members:
-            rep_for[m] = rep
+    reps = [rep for rep, _ in subgroup_conjugacy_classes(G)]
     orbits = [transitive_gset(G, H) for H in reps]
     idx = {H: i for i, H in enumerate(reps)}
     n = len(reps)
@@ -220,7 +215,7 @@ def burnside_ring(G: FiniteGroup) -> BurnsideRing:
             for stab_rep, _orbit in orbit_decompose(prod):
                 structure[i][j][idx[stab_rep]] += 1
     marks = [[len(orbits[i].fixed_points(reps[j])) for j in range(n)] for i in range(n)]
-    unit_index = idx[rep_for[reps[-1]]]  # [G/G]: the full subgroup's class
+    unit_index = n - 1  # [G/G]: G is the largest class representative
     return BurnsideRing(G, reps, structure, marks, unit_index)
 
 

@@ -27,6 +27,7 @@ from .groups import (
     CapacityError,
     UnknownFamily,
     all_subgroups,
+    class_rep_of,
     core,
     normalizer,
     parse_group,
@@ -86,10 +87,8 @@ def cmd_group_info(args):
     G = parse_group(args.group)
     subs = all_subgroups(G)
     classes = mk.subgroup_conjugacy_classes(G)
-    class_of = {}
-    for ci, (rep, members) in enumerate(classes):
-        for H in members:
-            class_of[H] = ci
+    class_index = {rep: ci for ci, (rep, _) in enumerate(classes)}
+    rep_of = class_rep_of(G)
     rows = []
     for i, H in enumerate(subs):
         W, _ = weyl_group(G, H)
@@ -97,7 +96,7 @@ def cmd_group_info(args):
             "index": i,
             "order": H.order,
             "elements": list(H.elements),
-            "class": class_of[H],
+            "class": class_index[rep_of[H]],
             "core_order": core(G, H).order,
             "normalizer_order": normalizer(G, H).order,
             "weyl_order": W.order,

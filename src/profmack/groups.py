@@ -42,11 +42,13 @@ class FiniteGroup:
     label: str
     identity: int
     abelian = False  # known commutative: CyclicGroup and products of them
-    # built on first use: the dense table, the subgroup list, the generators
-    # and their left-multiplication rows, and the orbits G/H (gsets.coset_orbit)
+    # built on first use: the dense table, the subgroup list, the generators and
+    # their rows, G/H (gsets.coset_orbit), gHg^-1 by (H, g) and subgroup classes
     _table: tuple[tuple[int, ...], ...] | None = None
     _subgroup_cache: list[Subgroup] | None = None
     _coset_orbits: dict | None = None
+    _conjugates: dict | None = None
+    _classes: tuple[list, dict] | None = None
     _generators: list[int] | None = None
     _generator_rows: list[tuple[int, tuple[int, ...]]] | None = None
 
@@ -431,10 +433,18 @@ def left_cosets(G: FiniteGroup, H: Subgroup, elements=None):
 
 
 def conjugate_subgroup(H: Subgroup, g: int) -> Subgroup:
+    """gHg^-1: H itself in an abelian group, otherwise built once per
+    (H, g) and kept on the group."""
     G = H.parent
     if G.abelian:
         return H
-    return Subgroup(G, tuple(sorted(G.conj(g, x) for x in H.elements)))
+    if G._conjugates is None:
+        G._conjugates = {}
+    Hg = G._conjugates.get((H, g))
+    if Hg is None:
+        Hg = Subgroup(G, tuple(sorted(G.conj(g, x) for x in H.elements)))
+        G._conjugates[H, g] = Hg
+    return Hg
 
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
@@ -449,37 +459,39 @@ def intersection(H1: Subgroup, H2: Subgroup) -> Subgroup:
 def core(G: FiniteGroup, H: Subgroup) -> Subgroup:
     """Largest normal subgroup of G contained in H: the intersection of all
     conjugates of H."""
-    cur = set(H.elements)
-    for g in G.elements():
-        cur &= {G.conj(g, x) for x in H.elements}
-    return Subgroup(G, tuple(sorted(cur)))
+    conjugates = (conjugate_subgroup(H, g).elements for g in G.elements())
+    return Subgroup(G, tuple(sorted(set(H.elements).intersection(*conjugates))))
 
 
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    elems = [g for g in G.elements() if conjugate_subgroup(H, g) == H]
-    return Subgroup(G, tuple(sorted(elems)))
+    return Subgroup(G, tuple(g for g in G.elements() if conjugate_subgroup(H, g) == H))
 
 
-def subgroup_conjugacy_classes(G: FiniteGroup, limit: int = DEFAULT_SUBGROUP_LIMIT):
+def subgroup_conjugacy_classes(G: FiniteGroup):
     """Partition of all_subgroups(G) into conjugation orbits.
 
     Returns a list of (representative, sorted members); the representative is
     the canonically least member.  Classes are sorted by representative key.
+    The list is built once per group and shared: callers must not modify it
+    or its member lists.
     """
-    subs = all_subgroups(G, limit)
-    remaining = set(subs)
-    classes = []
-    for H in subs:
-        if H not in remaining:
-            continue
-        orbit = {conjugate_subgroup(H, g) for g in G.elements()}
-        members = sorted(orbit, key=Subgroup.key)
-        rep = members[0]
-        for m in members:
-            remaining.discard(m)
-        classes.append((rep, members))
-    classes.sort(key=lambda c: c[0].key())
-    return classes
+    if G._classes is None:
+        classes, rep_of = [], {}
+        for H in all_subgroups(G):  # ascending: H is the least of its class
+            if H not in rep_of:
+                members = sorted({conjugate_subgroup(H, g) for g in G.elements()},
+                                 key=Subgroup.key)
+                rep_of.update(dict.fromkeys(members, H))
+                classes.append((H, members))
+        G._classes = classes, rep_of
+    return G._classes[0]
+
+
+def class_rep_of(G: FiniteGroup) -> dict[Subgroup, Subgroup]:
+    """Map from every subgroup of G to its conjugacy class representative,
+    built with ``subgroup_conjugacy_classes`` and shared like it."""
+    subgroup_conjugacy_classes(G)
+    return G._classes[1]
 
 
 @dataclass

@@ -10,9 +10,10 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    class_rep_of,
     generator_rows,
+    generators,
     left_cosets,
-    subgroup_conjugacy_classes,
 )
 
 
@@ -62,7 +63,9 @@ class FiniteGSet:
         ]
 
     def orbits(self) -> list[list[int]]:
-        labels = _kernels.orbit_labels(self.act, self.size)
+        # components under the generators are the G-orbits
+        labels = _kernels.orbit_labels([self.act[s] for s in generators(self.group)],
+                                       self.size)
         out: dict[int, list[int]] = {}
         for x, l in enumerate(labels):
             out.setdefault(l, []).append(x)
@@ -160,12 +163,8 @@ def orbit_decompose(X: FiniteGSet):
     Returns a list of (class representative Subgroup, orbit point list),
     one entry per orbit, in ``orbits()`` order.
     """
-    classes = subgroup_conjugacy_classes(X.group)
-    rep_for = {}
-    for rep, members in classes:
-        for m in members:
-            rep_for[m] = rep
-    return [(rep_for[stab], orbit) for orbit, stab, _ in X.orbit_scan()]
+    rep_of = class_rep_of(X.group)
+    return [(rep_of[stab], orbit) for orbit, stab, _ in X.orbit_scan()]
 
 
 def inflate_gset(A: FiniteGSet, q: GroupHom) -> FiniteGSet:

@@ -34,6 +34,7 @@ from .groups import (
     TableGroup,
     UnknownFamily,
     all_subgroups,
+    class_rep_of,
     conjugate_subgroup,
     generator_rows,
     generators,
@@ -387,11 +388,11 @@ def representable(G: FiniteGroup, A: FiniteGSet, name: str | None = None) -> Mac
         """Matrix of c |-> c ∘ u^dual from Q basis[src] to Q basis[dst]."""
         u = _structure_span(G, kind, key, src, dst).dual()
         index = {c: i for i, c in enumerate(basis[dst])}
-        m = la.zeros(dims[dst], dims[src])
+        rows = [[0] * dims[src] for _ in range(dims[dst])]
         for j, s_c in enumerate(spans[src]):
             for comp, mult in decompose_span(span_compose(u, s_c)).items():
-                m[index[comp]][j] += Fraction(mult)
-        return m
+                rows[index[comp]][j] += mult
+        return la.Matrix([[Fraction(x) if x else Q0 for x in r] for r in rows], dims[src])
 
     return _build_mackey(G, dims, precompose, name or f"rep({A.label})")
 
@@ -940,17 +941,9 @@ def from_span_functor(F: SpanFunctorQ) -> MackeyFunctorQ:
     """Rebuild a Mackey functor (on all subgroups) from span-class matrices."""
     G = F.group
     subs = all_subgroups(G)
-    classes = subgroup_conjugacy_classes(G)
-    rep_for = {}
-    for rep, members in classes:
-        for m in members:
-            rep_for[m] = rep
-    transporter = {}
-    for H in subs:
-        H0 = rep_for[H]
-        transporter[H] = min(
-            g for g in G.elements() if conjugate_subgroup(H0, g) == H
-        )
+    rep_for = class_rep_of(G)
+    transporter = {H: min(g for g in G.elements() if conjugate_subgroup(rep_for[H], g) == H)
+                   for H in subs}
     dims = {H: F.dims[rep_for[H]] for H in subs}
 
     def span_between(kind, key, src, dst) -> la.Matrix:

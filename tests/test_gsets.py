@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from profmack import _kernels
 from profmack import groups as gr
 from profmack import gsets as gs
 
@@ -148,6 +149,16 @@ def scan_groups():
     return groups + [moved]
 
 
+def sample_sets(G):
+    """Every G/H, a disjoint union and two products."""
+    orbits = [gs.transitive_gset(G, H) for H in gr.all_subgroups(G)]
+    return orbits + [
+        gs.disjoint_union(orbits[-1], orbits[0], gs.point_gset(G), orbits[1]),
+        gs.product_gset(orbits[0], orbits[0]),
+        gs.product_gset(orbits[1], orbits[len(orbits) // 2]),
+    ]
+
+
 @pytest.mark.parametrize("G", scan_groups(), ids=lambda G: G.label)
 def test_transitive_gset_is_one_object_numbered_by_coset_reps(G):
     for H in gr.all_subgroups(G):
@@ -182,15 +193,63 @@ def brute_force_scan(X):
 
 @pytest.mark.parametrize("G", scan_groups(), ids=lambda G: G.label)
 def test_orbit_scan_matches_brute_force(G):
-    subs = gr.all_subgroups(G)
-    orbits = [gs.transitive_gset(G, H) for H in subs]
-    sets = orbits + [
-        gs.disjoint_union(orbits[-1], orbits[0], gs.point_gset(G), orbits[1]),
-        gs.product_gset(orbits[0], orbits[0]),
-        gs.product_gset(orbits[1], orbits[len(orbits) // 2]),
-    ]
-    for X in sets:
+    for X in sample_sets(G):
         scan = list(X.orbit_scan())
         assert [orbit for orbit, _, _ in scan] == X.orbits()
         assert all(S.parent is G for _, S, _ in scan)
         assert [(orbit, S.elements, t) for orbit, S, t in scan] == brute_force_scan(X)
+
+
+@pytest.mark.parametrize("G", scan_groups(), ids=lambda G: G.label)
+def test_orbits_under_generators_are_the_orbits_under_all_of_g(G):
+    # the trivial group has no generators
+    C1 = gr.cyclic(1)
+    trivial = [gs.point_gset(C1), gs.disjoint_union(*[gs.point_gset(C1)] * 3)]
+    for X in sample_sets(G) + [gs.empty_gset(G)] + trivial:
+        labels = _kernels.orbit_labels(X.act, X.size)
+        every_row = [[x for x in range(X.size) if labels[x] == l]
+                     for l in range(len(set(labels)))]
+        assert X.orbits() == every_row
+
+
+# ---------------------------------------------------------------------------
+# one conjugation table and one class partition per group
+
+
+def conjugation_groups():
+    groups = [gr.parse_group(sel)
+              for sel in ("sym:3", "dihedral:8", "prod:cyclic:2,sym:3")]
+    return groups + [relabelled(gr.symmetric(3), 2)]
+
+
+def conjugate(G, H, g):
+    return tuple(sorted(G.conj(g, x) for x in H.elements))
+
+
+@pytest.mark.parametrize("G", conjugation_groups(), ids=lambda G: G.label)
+def test_conjugate_subgroup_table_matches_the_formula(G):
+    assert not G.abelian
+    for H in gr.all_subgroups(G):
+        for g in G.elements():
+            Hg = gr.conjugate_subgroup(H, g)
+            assert Hg.parent is G and Hg.elements == conjugate(G, H, g)
+            assert gr.conjugate_subgroup(H, g) is Hg
+
+
+@pytest.mark.parametrize("G", conjugation_groups() + [gr.cyclic(12)],
+                         ids=lambda G: G.label)
+def test_class_map_is_built_once_and_agrees_with_the_classes(G):
+    rep_of = gr.class_rep_of(G)
+    classes = gr.subgroup_conjugacy_classes(G)
+    assert gr.subgroup_conjugacy_classes(G) is classes
+    assert gr.class_rep_of(G) is rep_of
+    subs = gr.all_subgroups(G)
+    assert sorted(rep_of, key=gr.Subgroup.key) == subs
+    assert sum(len(members) for _, members in classes) == len(subs)
+    reps = [rep for rep, _ in classes]
+    assert reps == sorted(reps, key=gr.Subgroup.key)
+    for rep, members in classes:
+        orbit = {conjugate(G, rep, g) for g in G.elements()}
+        assert [H.elements for H in members] == sorted(orbit, key=lambda t: (len(t), t))
+        assert rep == members[0]
+        assert all(rep_of[H] is rep for H in members)
