@@ -20,7 +20,7 @@ TABLE_LIMIT = 1024  # largest order for which a dense table may be built
 # up to this order, table associativity and hom multiplicativity are checked
 # exactly on a generating set; above it, on 2000 seeded random triples or pairs
 FULL_CHECK_LIMIT = 256
-DEFAULT_SUBGROUP_LIMIT = 10_000
+SUBGROUP_LIMIT = 10_000
 
 
 class CapacityError(Exception):
@@ -357,14 +357,14 @@ def _flatten_cyclic(G: FiniteGroup):
     return None
 
 
-def all_subgroups(G: FiniteGroup, limit: int = DEFAULT_SUBGROUP_LIMIT) -> list[Subgroup]:
+def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Complete duplicate-free sorted list of subgroups of G (cached on G)."""
     if G._subgroup_cache is None:
-        G._subgroup_cache = [Subgroup(G, t) for t in _all_subgroup_tuples(G, limit)]
+        G._subgroup_cache = [Subgroup(G, t) for t in _all_subgroup_tuples(G)]
     return G._subgroup_cache
 
 
-def _all_subgroup_tuples(G: FiniteGroup, limit: int) -> list[tuple[int, ...]]:
+def _all_subgroup_tuples(G: FiniteGroup) -> list[tuple[int, ...]]:
     if isinstance(G, CyclicGroup):
         n = G.order
         return sorted(
@@ -375,15 +375,15 @@ def _all_subgroup_tuples(G: FiniteGroup, limit: int) -> list[tuple[int, ...]]:
         # coprime cyclic product: every subgroup is a product of factor
         # subgroups, encoded through the mixed-radix element indexing one
         # factor at a time; ascending factor tuples give an ascending result
-        parts = [_all_subgroup_tuples(f, DEFAULT_SUBGROUP_LIMIT) for f in G.factors]
+        parts = [_all_subgroup_tuples(f) for f in G.factors]
         out = []
         for combo in itertools.product(*parts):
             elems = [0]
             for f, part in zip(G.factors, combo):
                 n = f.order
                 elems = [e * n + x for e in elems for x in part]
-            if len(out) >= limit:
-                raise CapacityError(f"subgroup count exceeds bound {limit}")
+            if len(out) >= SUBGROUP_LIMIT:
+                raise CapacityError(f"subgroup count exceeds bound {SUBGROUP_LIMIT}")
             out.append(tuple(elems))
         return sorted(out, key=lambda t: (len(t), t))
     # generic cyclic-extension enumeration over the dense table
@@ -402,8 +402,8 @@ def _all_subgroup_tuples(G: FiniteGroup, limit: int) -> list[tuple[int, ...]]:
                     continue
                 t = closure_set(G, base + (g,))
                 if t not in found:
-                    if len(found) >= limit:
-                        raise CapacityError(f"subgroup count exceeds bound {limit}")
+                    if len(found) >= SUBGROUP_LIMIT:
+                        raise CapacityError(f"subgroup count exceeds bound {SUBGROUP_LIMIT}")
                     found.add(t)
                     nxt.append(t)
         frontier = nxt

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg as la
-from .cbrank import RankCertificate, SpaceTree, cb_rank
+from .cbrank import RankCertificate, cb_rank
 from .groups import Subgroup, conjugate_subgroup
 from .gsets import FiniteGSet
 from .mackey import MackeyFunctorQ
@@ -372,13 +372,6 @@ def homdim_certificate(setup: str, depth: int = 6) -> HomDimCertificate:
             setup, cert, res.length, nonsplit_degree, witness, trace
         )
     raise ValueError(f"unknown setup {setup!r}")
-
-
-def homdim_from_tree(setup: str, tree: SpaceTree) -> HomDimCertificate:
-    """Certificate driven by a user space tree (perfect hulls flag only)."""
-    cert = cb_rank(tree)
-    return combine_certificate(setup, cert, None, 0, None,
-                               [f"user tree chain {tree.chain!r}"])
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ Everything here is tolerance-free: dimensions in this package are integers
 and stay integers.
 
 Matrices go in and come out dense.  Elimination (`rref`, and through it
-`rank`, `nullspace`, `solve`, `in_span` and `quotient_basis`) works on
-sparse rows inside the function, because the equation systems it meets are
-mostly zero.
+`rank`, `nullspace`, `solve_columns`, `solve`, `in_span`, `quotient_basis`
+and `intertwiners`) works on sparse rows inside the function, because the
+equation systems it meets are mostly zero.
 """
 
 from __future__ import annotations
@@ -168,6 +168,28 @@ def read_block(v: Vector, block: Block) -> Matrix:
     return Matrix([v[off + i * c: off + (i + 1) * c] for i in range(r)], c)
 
 
+def intertwiners(shapes: dict, equations) -> list[dict]:
+    """Basis of the solutions {key: X_key} of the equations X_dst·a − b·X_src = 0.
+
+    shapes maps each key to the (rows, cols) of its unknown matrix, and each
+    equation is (dst, a, src, b) over those keys.  The unknowns are packed
+    row-major into one vector, a block per key in shapes order; every basis
+    vector of the null space is read back as one matrix per key.  With no
+    unknowns at all the basis is empty.
+    """
+    blocks, n = {}, 0
+    for key, (r, c) in shapes.items():
+        blocks[key] = (n, r, c)
+        n += r * c
+    if n == 0:
+        return []
+    rows = Matrix([], n)
+    for dst, a, src, b in equations:
+        rows += intertwiner_rows(n, blocks[dst], a, blocks[src], b)
+    return [{key: read_block(v, blk) for key, blk in blocks.items()}
+            for v in nullspace(rows)]
+
+
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns.
 
@@ -242,18 +264,30 @@ def fixed_space(mats: list[Matrix], n: int) -> list[Vector]:
                              for m in mats for i, row in enumerate(m)], n))
 
 
+def solve_columns(a: Matrix, bs: list[Vector]) -> Matrix | None:
+    """One solution X of a X = [b_1 ... b_k], free unknowns 0, or None if
+    some column b_i is not in the column space of a.
+
+    One row reduction of [a | b_1 ... b_k]: a pivot in the right-hand block
+    marks an inconsistent column.
+    """
+    rows, cols = shape(a)
+    if any(len(b) != rows for b in bs):
+        raise ValueError("solve shape mismatch")
+    red, pivots = rref(Matrix([row + [b[r] for b in bs] for r, row in enumerate(a)],
+                              cols + len(bs)))
+    if pivots and pivots[-1] >= cols:
+        return None
+    x = zeros(cols, len(bs))
+    for p, row in zip(pivots, red):
+        x[p] = row[cols:]
+    return x
+
+
 def solve(a: Matrix, b: Vector) -> Vector | None:
     """One solution of a x = b, or None if inconsistent."""
-    rows, cols = shape(a)
-    if rows != len(b):
-        raise ValueError("solve shape mismatch")
-    red, pivots = rref(Matrix([row + [x] for row, x in zip(a, b)], cols + 1))
-    if cols in pivots:
-        return None
-    x = [Q0] * cols
-    for p, row in zip(pivots, red):
-        x[p] = row[cols]
-    return x
+    x = solve_columns(a, [b])
+    return None if x is None else [row[0] for row in x]
 
 
 def in_span(vectors: list[Vector], v: Vector) -> bool:

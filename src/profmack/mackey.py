@@ -207,25 +207,19 @@ class MackeyFunctorQ:
         return all(d == 0 for d in self.dims.values())
 
 
-def check_axioms(M: MackeyFunctorQ, collect: bool = False):
-    """Verify all Mackey axioms exactly; returns [] (or raises) when clean."""
+def check_axioms(M: MackeyFunctorQ) -> list[str]:
+    """Verify all Mackey axioms exactly; returns the violations, [] when clean."""
     G = M.group
     subs = M.subs
     bad: list[str] = []
 
-    def report(msg):
-        if collect:
-            bad.append(msg)
-        else:
-            raise AxiomViolation(msg)
-
     for H in subs:
         if not la.eq(M.res_mat(H, H), la.identity(M.dim(H))):
-            report(f"res({H.order},{H.order}) not identity")
+            bad.append(f"res({H.order},{H.order}) not identity")
         if not la.eq(M.ind_mat(H, H), la.identity(M.dim(H))):
-            report(f"ind({H.order},{H.order}) not identity")
+            bad.append(f"ind({H.order},{H.order}) not identity")
         if not la.eq(M.conj_mat(G.identity, H), la.identity(M.dim(H))):
-            report(f"conj(e,{H.order}) not identity")
+            bad.append(f"conj(e,{H.order}) not identity")
     for H in subs:
         for K in subs:
             if not (_contains(H, K)):
@@ -236,11 +230,11 @@ def check_axioms(M: MackeyFunctorQ, collect: bool = False):
                 if not la.eq(
                     la.matmul(M.res_mat(K, J), M.res_mat(H, K)), M.res_mat(H, J)
                 ):
-                    report("res not transitive")
+                    bad.append("res not transitive")
                 if not la.eq(
                     la.matmul(M.ind_mat(H, K), M.ind_mat(K, J)), M.ind_mat(H, J)
                 ):
-                    report("ind not transitive")
+                    bad.append("ind not transitive")
     for H in subs:
         for g in G.elements():
             Hg = conjugate_subgroup(H, g)
@@ -248,7 +242,7 @@ def check_axioms(M: MackeyFunctorQ, collect: bool = False):
                 lhs = la.matmul(M.conj_mat(h, Hg), M.conj_mat(g, H))
                 rhs = M.conj_mat(G.mul(h, g), H)
                 if not la.eq(lhs, rhs):
-                    report("conjugation not functorial")
+                    bad.append("conjugation not functorial")
             for K in subs:
                 if not _contains(H, K):
                     continue
@@ -257,12 +251,12 @@ def check_axioms(M: MackeyFunctorQ, collect: bool = False):
                     la.matmul(M.conj_mat(g, K), M.res_mat(H, K)),
                     la.matmul(M.res_mat(Hg, Kg), M.conj_mat(g, H)),
                 ):
-                    report("conjugation does not intertwine res")
+                    bad.append("conjugation does not intertwine res")
                 if not la.eq(
                     la.matmul(M.conj_mat(g, H), M.ind_mat(H, K)),
                     la.matmul(M.ind_mat(Hg, Kg), M.conj_mat(g, K)),
                 ):
-                    report("conjugation does not intertwine ind")
+                    bad.append("conjugation does not intertwine ind")
     # double coset formula
     for H in subs:
         for K in subs:
@@ -283,7 +277,7 @@ def check_axioms(M: MackeyFunctorQ, collect: bool = False):
                     )
                     total = la.add(total, term)
                 if not la.eq(lhs, total):
-                    report(
+                    bad.append(
                         f"Mackey formula fails at |H|={H.order},|K|={K.order},|L|={L.order}"
                     )
     return bad
@@ -437,23 +431,27 @@ class GroupRep:
                     raise ValueError("not a representation")
 
 
-def _in_basis(B: la.Matrix, vecs: list[la.Vector]) -> la.Matrix:
-    """Coordinates of each vector of `vecs` in the basis of B's columns.
+def _subfunctor(G: FiniteGroup, ambient_dims: dict, basis: dict, ambient,
+                name: str) -> tuple[MackeyFunctorQ, dict]:
+    """The sub-functor spanned by basis[H] inside A(H), for every subgroup H,
+    and its inclusion matrices A(H) <- S(H).
 
-    One augmented row reduction [B | v_1 ... v_k] instead of a solve per
-    vector; a pivot landing in the vector block means some v is outside the
-    span, which is an axiom violation for the callers.
+    ambient(kind, key) is the structure map of A; S's generating map at
+    (kind, key) holds the coordinates in basis[dst] of the images of
+    basis[src], all found by one augmented solve.  An image outside
+    span(basis[dst]) means S is not a sub-functor: AxiomViolation.
     """
-    nb = B.cols
-    aug = la.Matrix([row + [v[r] for v in vecs] for r, row in enumerate(B)],
-                    nb + len(vecs))
-    red, pivots = la.rref(aug)
-    if any(p >= nb for p in pivots):
-        raise AxiomViolation("vector not in claimed subspace")
-    out = la.zeros(nb, len(vecs))
-    for r, p in enumerate(pivots):
-        out[p] = red[r][nb:]
-    return out
+    incl = {H: la.from_columns(basis[H], ambient_dims[H]) for H in basis}
+
+    def restrict(kind, key, src, dst) -> la.Matrix:
+        T = ambient(kind, key)
+        coords = la.solve_columns(incl[dst], [la.matvec(T, v) for v in basis[src]])
+        if coords is None:
+            raise AxiomViolation("vector not in claimed subspace")
+        return coords
+
+    dims = {H: len(b) for H, b in basis.items()}
+    return _build_mackey(G, dims, restrict, name), incl
 
 
 def fixed_point_functor(rep: GroupRep, name: str | None = None) -> MackeyFunctorQ:
@@ -462,20 +460,18 @@ def fixed_point_functor(rep: GroupRep, name: str | None = None) -> MackeyFunctor
     subs = all_subgroups(G)
     basis = {H: la.fixed_space([rep.mats[h] for h in H.elements], rep.dim)
              for H in subs}
-    incl = {H: la.from_columns(basis[H], rep.dim) for H in subs}
-    dims = {H: len(basis[H]) for H in subs}
 
-    def make(kind, key, src, dst) -> la.Matrix:
+    def act(kind, key) -> la.Matrix:
         if kind == "res":
-            return _in_basis(incl[dst], basis[src])
+            return la.identity(rep.dim)
         if kind == "conj":
-            T = rep.mats[key[0]]
-        else:  # transfer: sum over coset reps of src in dst
-            reps, _ = left_cosets(G, src, elements=dst.elements)
-            T = functools.reduce(la.add, (rep.mats[h] for h in reps))
-        return _in_basis(incl[dst], [la.matvec(T, v) for v in basis[src]])
+            return rep.mats[key[0]]
+        H, K = key  # transfer: sum over coset reps of K in H
+        reps, _ = left_cosets(G, K, elements=H.elements)
+        return functools.reduce(la.add, (rep.mats[h] for h in reps))
 
-    return _build_mackey(G, dims, make, name or f"FP({rep.name})")
+    return _subfunctor(G, {H: rep.dim for H in subs}, basis, act,
+                       name or f"FP({rep.name})")[0]
 
 
 def _poly_div(num: list[int], den: list[int]) -> list[int]:
@@ -643,21 +639,11 @@ def hom_space(M: MackeyFunctorQ, N: MackeyFunctorQ) -> list[MackeyMorphism]:
     and row-reduce to the same basis.
     """
     subs = M.subs
-    blocks, total = {}, 0
-    for H in subs:  # f_H is N.dim(H) x M.dim(H)
-        blocks[H] = (total, N.dim(H), M.dim(H))
-        total += N.dim(H) * M.dim(H)
-    if total == 0:
-        return []
-
-    rows = la.Matrix([], total)
-    for kind, key, src, dst in _generating_maps(M.group, subs):
-        # f_dst @ M(map) - N(map) @ f_src = 0
-        rows += la.intertwiner_rows(total, blocks[dst], M.map(kind, key),
-                                    blocks[src], N.map(kind, key))
-    null = la.nullspace(rows)
-    return [MackeyMorphism(M, N, {H: la.read_block(v, blocks[H]) for H in subs})
-            for v in null]
+    shapes = {H: (N.dim(H), M.dim(H)) for H in subs}  # f_H: M(H) -> N(H)
+    # f_dst @ M(map) - N(map) @ f_src = 0
+    equations = ((dst, M.map(kind, key), src, N.map(kind, key))
+                 for kind, key, src, dst in _generating_maps(M.group, subs))
+    return [MackeyMorphism(M, N, mats) for mats in la.intertwiners(shapes, equations)]
 
 
 def direct_sum_mackey(Ms: list[MackeyFunctorQ], name: str | None = None) -> MackeyFunctorQ:
@@ -808,17 +794,8 @@ def _yoneda_morphism(P, N, gen_subgroups, gen_vectors, bases, tools) -> MackeyMo
 def kernel_functor(phi: MackeyMorphism) -> tuple[MackeyFunctorQ, MackeyMorphism]:
     """The kernel of phi with its inclusion into the source."""
     M = phi.src
-    G = M.group
-    subs = M.subs
-    basis = {H: la.nullspace(phi.mats[H]) for H in subs}
-    incl = {H: la.from_columns(basis[H], M.dim(H)) for H in subs}
-    dims = {H: len(basis[H]) for H in subs}
-
-    def restrict(kind, key, src, dst) -> la.Matrix:
-        T = M.map(kind, key)
-        return _in_basis(incl[dst], [la.matvec(T, v) for v in basis[src]])
-
-    Kf = _build_mackey(G, dims, restrict, f"ker({M.name})")
+    basis = {H: la.nullspace(phi.mats[H]) for H in M.subs}
+    Kf, incl = _subfunctor(M.group, M.dims, basis, M.map, f"ker({M.name})")
     return Kf, MackeyMorphism(Kf, M, incl)
 
 
@@ -923,7 +900,7 @@ class SpanFunctorQ:
 
 def to_span_functor(M: MackeyFunctorQ, tools: _RepTools | None = None) -> SpanFunctorQ:
     """Values of M on all transitive span classes between class reps."""
-    if check_axioms(M, collect=True):
+    if check_axioms(M):
         raise AxiomViolation(f"{M.name} violates the Mackey axioms")
     G = M.group
     tools = tools or _RepTools(G)

@@ -75,23 +75,12 @@ def constant_sheaf_finite(base: FiniteGSet, dim: int) -> EqSheafFinite:
 def hom_fin(E: EqSheafFinite, F: EqSheafFinite) -> list[dict[int, la.Matrix]]:
     """Basis of equivariant sheaf maps E -> F (one matrix per point)."""
     assert E.base.group is F.base.group and E.base.act == F.base.act
-    G = E.base.group
-    n = E.base.size
-    blocks, total = [], 0
-    for x in range(n):  # phi_x is F.dims[x] x E.dims[x]
-        blocks.append((total, F.dims[x], E.dims[x]))
-        total += F.dims[x] * E.dims[x]
-    if total == 0:
-        return []
-
-    rows = la.Matrix([], total)
-    for g in G.elements():
-        for x in range(n):
-            # phi_{gx} aE - aF phi_x = 0
-            rows += la.intertwiner_rows(total, blocks[E.base.act[g][x]], E.act[(g, x)],
-                                        blocks[x], F.act[(g, x)])
-    null = la.nullspace(rows)
-    return [{x: la.read_block(v, blocks[x]) for x in range(n)} for v in null]
+    act, points = E.base.act, range(E.base.size)
+    shapes = {x: (F.dims[x], E.dims[x]) for x in points}
+    # phi_{gx} aE - aF phi_x = 0
+    equations = ((act[g][x], E.act[(g, x)], x, F.act[(g, x)])
+                 for g in E.base.group.elements() for x in points)
+    return la.intertwiners(shapes, equations)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +428,7 @@ def _common_period(*sheaves: ConvSheaf) -> int:
     return P
 
 
-def hom_conv(E: ConvSheaf, F: ConvSheaf, period: int | None = None) -> list[dict]:
+def hom_conv(E: ConvSheaf, F: ConvSheaf) -> list[dict]:
     """Basis of sheaf maps E -> F within the periodic class.
 
     A map consists of exceptional matrices, pattern matrices (periodic with
@@ -457,7 +446,7 @@ def hom_conv(E: ConvSheaf, F: ConvSheaf, period: int | None = None) -> list[dict
                 )
     base = E.base
     W = base.group
-    P = period or math.lcm(_common_period(E), _common_period(F), 2)
+    P = math.lcm(_common_period(E), _common_period(F), 2)
     blocks = sum(F.pattern_dims[j % base.m] for j in range(P))  # tail coords
 
     blk = {}  # unknown matrices: key -> (offset, rows, cols)

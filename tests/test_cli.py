@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -254,3 +255,23 @@ def test_package_imports_only_the_standard_library():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def readme_cli_block() -> str:
+    """The shell block under the README's "## CLI" heading."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    section = text.split("\n## CLI\n", 1)[1]
+    return section.split("```sh\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_cli_block_is_valid_shell_and_parses():
+    block = readme_cli_block()
+    r = subprocess.run(["bash", "-n"], input=block.encode(), capture_output=True)
+    assert r.returncode == 0, r.stderr.decode()
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv for argv in lines if argv and argv[0] == "profmack"]
+    assert len(commands) >= 10
+    for argv in commands:
+        cli.build_parser().parse_args(argv[1:])  # a usage error exits 2

@@ -133,7 +133,8 @@ def test_certificate_finite_exact_zero():
 def test_certificate_perfect_hull_flag_only():
     from profmack import cbrank as cb
 
-    cert = hd.homdim_from_tree("binary", cb.binary_tree(3, certified=True))
+    tree = cb.binary_tree(3, certified=True)
+    cert = hd.combine_certificate("binary", cb.cb_rank(tree), None, 0, None, [])
     assert cert.verdict == "PerfectHull"
     assert cert.value is None and cert.upper is None
 

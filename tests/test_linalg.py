@@ -449,3 +449,40 @@ def test_intertwiner_rows_on_one_block_with_zero_heavy_maps():
                 for i in range(r) for j in range(c)]
         assert [dense_matvec([row], v)[0] for row in rows] == want
     assert met == 80 and cancelled == 20
+
+
+def test_solve_columns_matches_dense_solve_column_by_column():
+    rng = random.Random(53)
+    inconsistent = 0
+    for a in oracle_matrices():
+        rows, cols = la.shape(a)
+        k = rng.randint(2, 4)
+        bs = [dense_matvec(a, [F(rng.randint(-3, 3), rng.randint(1, 3))
+                               for _ in range(cols)]) for _ in range(k)]
+        x = la.solve_columns(a, bs)
+        assert la.shape(x) == (cols, k)
+        assert all(type(v) is Fraction for row in x for v in row)
+        assert [[row[t] for row in x] for t in range(k)] == \
+            [dense_solve(a, cols, b) for b in bs]
+        assert la.solve_columns(a, []) == la.zeros(cols, 0)
+        bad = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rows)]
+        if dense_solve(a, cols, bad) is None:  # one bad column fails them all
+            inconsistent += 1
+            assert la.solve_columns(a, bs[:1] + [bad] + bs[1:]) is None
+    assert inconsistent >= 40
+
+
+def test_solve_columns_without_rows_or_columns():
+    x = la.solve_columns(la.zeros(0, 3), [[], []])
+    assert x == la.zeros(3, 2) and la.shape(x) == (3, 2)
+    assert la.shape(la.solve_columns(la.zeros(2, 0), [[F(0), F(0)]])) == (0, 1)
+    assert la.solve_columns(la.zeros(2, 0), [[F(0), F(1)]]) is None
+    assert la.shape(la.solve_columns(la.zeros(0, 0), [])) == (0, 0)
+    with pytest.raises(ValueError):
+        la.solve_columns(la.identity(2), [[F(1)]])
+
+
+def test_intertwiners_with_no_unknowns():
+    assert la.intertwiners({}, []) == []
+    shapes = {"x": (0, 3), "y": (2, 0)}
+    assert la.intertwiners(shapes, [("x", la.zeros(3, 3), "x", la.zeros(0, 0))]) == []

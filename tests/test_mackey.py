@@ -39,7 +39,7 @@ def test_burnside_mackey_c2_dims_and_axioms():
     G = gr.cyclic(2)
     A = mk.burnside_mackey(G)
     assert [A.dim(H) for H in A.subs] == [1, 2]
-    assert mk.check_axioms(A, collect=True) == []
+    assert mk.check_axioms(A) == []
 
 
 def test_representable_dims_s3():
@@ -68,7 +68,7 @@ def test_fixed_point_dims_s3():
 def test_axioms_battery_s3():
     _, objs = s3_objects()
     for M in objs:
-        assert mk.check_axioms(M, collect=True) == [], M.name
+        assert mk.check_axioms(M) == [], M.name
 
 
 def test_axiom_violation_detected():
@@ -79,7 +79,7 @@ def test_axiom_violation_detected():
     bad_res[(C2, e)] = [[la.Q0] * 2]  # break unit-compatibility
     B = mk.MackeyFunctorQ(G, dict(A.dims), bad_res, dict(A.ind),
                           dict(A.conj), name="corrupt")
-    assert mk.check_axioms(B, collect=True) != []
+    assert mk.check_axioms(B) != []
 
 
 @pytest.mark.parametrize("sel", ["sym:3", "dihedral:8"])
@@ -223,7 +223,7 @@ def test_kernel_functor_is_kernel():
     tools = mk._RepTools(G)
     cov = mk.free_cover(A, tools)
     K, inc = mk.kernel_functor(cov.cover)
-    assert mk.check_axioms(K, collect=True) == []
+    assert mk.check_axioms(K) == []
     assert cov.cover.compose(inc).is_zero()
     for H in A.subs:
         assert K.dim(H) == cov.functor.dim(H) - la.rank(cov.cover.mats[H])
@@ -291,7 +291,40 @@ def test_kernel_of_map_through_zero_is_everything():
     assert K.dims == M.dims
     assert all(la.eq(incl.mats[H], la.identity(M.dim(H))) for H in M.subs)
     assert incl.check()
-    assert mk.check_axioms(K, collect=True) == []
+    assert mk.check_axioms(K) == []
+
+
+def test_kernel_of_a_non_natural_map_is_no_subfunctor():
+    """phi kills A(C2) but is injective on A(e): the restriction to e maps
+    the kernel at C2 out of the kernel at e, which is 0."""
+    G = gr.cyclic(2)
+    A = mk.burnside_mackey(G)
+    e, C2 = A.subs
+    assert la.matvec(A.res_mat(C2, e), [la.Q1, la.Q0]) != [la.Q0]
+    phi = mk.MackeyMorphism(A, A, {e: la.identity(1), C2: la.zeros(2, 2)})
+    assert not phi.check()
+    with pytest.raises(mk.AxiomViolation, match="not in claimed subspace"):
+        mk.kernel_functor(phi)
+
+
+def test_subfunctor_rejects_a_basis_its_ambient_map_leaves():
+    """Q^2 at both subgroups of C2, conj by the generator swapping the two
+    coordinates and every other map the identity: every map keeps the line
+    of (1, 1), the swap moves the line of (1, 0)."""
+    G = gr.cyclic(2)
+    swap = la.Matrix([[la.Q0, la.Q1], [la.Q1, la.Q0]], 2)
+
+    def ambient(kind, key):
+        return swap if kind == "conj" and key[0] != G.identity else la.identity(2)
+
+    subs = gr.all_subgroups(G)
+    dims = {H: 2 for H in subs}
+    S, incl = mk._subfunctor(G, dims, {H: [[la.Q1, la.Q1]] for H in subs}, ambient, "S")
+    assert S.dims == {H: 1 for H in subs}
+    assert all(m == [[la.Q1]] for m in S.conj.values())
+    assert all(incl[H] == [[la.Q1], [la.Q1]] for H in subs)
+    with pytest.raises(mk.AxiomViolation, match="not in claimed subspace"):
+        mk._subfunctor(G, dims, {H: [[la.Q1, la.Q0]] for H in subs}, ambient, "T")
 
 
 def assert_shapes(M):
@@ -336,9 +369,9 @@ def test_direct_sum_and_zero():
     Z = mk.zero_mackey(G)
     S = mk.direct_sum_mackey([A, A])
     assert all(S.dim(H) == 2 * A.dim(H) for H in A.subs)
-    assert mk.check_axioms(S, collect=True) == []
+    assert mk.check_axioms(S) == []
     assert Z.is_zero()
-    assert mk.check_axioms(Z, collect=True) == []
+    assert mk.check_axioms(Z) == []
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +471,8 @@ def test_one_corrupt_generator_conj_map_fails_the_axioms(sel, monkeypatch):
         m = make(kind, key, src, dst)
         return la.scale(m, la.frac(2)) if (kind, key) == target else m
 
-    assert mk.check_axioms(A, collect=True) == []
-    assert mk.check_axioms(build(G, dims, corrupt, "corrupt"), collect=True) != []
+    assert mk.check_axioms(A) == []
+    assert mk.check_axioms(build(G, dims, corrupt, "corrupt")) != []
 
 
 def test_rep_tools_build_each_representable_once(monkeypatch):

@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from profmack import homdim as hd
 from profmack import linalg as la
+from profmack import mackey as mk
 from profmack import sheaf as sh
-from profmack.groups import CyclicGroup, cyclic, symmetric, trivial_subgroup
+from profmack.groups import (CyclicGroup, cyclic, parse_group, subgroup_conjugacy_classes,
+                             symmetric, trivial_subgroup)
 from profmack.gsets import transitive_gset
 
 F = Fraction
@@ -200,3 +203,41 @@ def test_hom_fin_zero():
     Z = sh.EqSheafFinite(X, [0, 0], {(g, x): [] for g in G.elements()
                                      for x in range(2)})
     assert sh.hom_fin(E, Z) == []
+
+
+def reference_hom_fin(E, F):
+    """hom_fin with its unknowns packed by hand, one block per point."""
+    n = E.base.size
+    blocks, total = [], 0
+    for x in range(n):
+        blocks.append((total, F.dims[x], E.dims[x]))
+        total += F.dims[x] * E.dims[x]
+    if total == 0:
+        return []
+    rows = la.Matrix([], total)
+    for g in E.base.group.elements():
+        for x in range(n):
+            rows += la.intertwiner_rows(total, blocks[E.base.act[g][x]], E.act[(g, x)],
+                                        blocks[x], F.act[(g, x)])
+    return [{x: la.read_block(v, blocks[x]) for x in range(n)} for v in la.nullspace(rows)]
+
+
+@pytest.mark.parametrize("sel", ["sym:3", "prod:cyclic:2,cyclic:2"])
+def test_hom_fin_equals_the_hand_packed_solve_on_phi_sheaves(sel):
+    """Phi of the representables on the class representatives: the sheaves
+    whose Hom spaces the hom_audit benchmark compares with hom_space."""
+    G = parse_group(sel)
+    sheaves = [hd.mackey_to_weylsheaf(mk.representable(G, transitive_gset(G, H)))[0]
+               for H, _ in subgroup_conjugacy_classes(G)]
+    sheaves.append(sh.EqSheafFinite(sheaves[0].base, [0] * sheaves[0].base.size,
+                                    {key: la.zeros(0, 0) for key in sheaves[0].act}))
+    nonzero = 0
+    for E in sheaves:
+        for F_ in sheaves:
+            got = sh.hom_fin(E, F_)
+            assert got == reference_hom_fin(E, F_)
+            assert all(la.shape(f[x]) == (F_.dims[x], E.dims[x])
+                       for f in got for x in f)
+            nonzero += bool(got)
+    assert sheaves[-1].dims and sh.hom_fin(sheaves[-1], sheaves[-1]) == []
+    assert nonzero >= len(sheaves) - 1
