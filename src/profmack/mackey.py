@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -144,7 +145,8 @@ def _build_mackey(G: FiniteGroup, dims: dict, make, name: str) -> MackeyFunctorQ
     and conj along a breadth-first word in the generators, c_{s·h} on H =
     (c_s on hHh⁻¹)·(c_h on H).  When make describes a Mackey functor these
     are the maps make would give.  The res/ind/conj dicts keep the
-    `_structure_maps` order.
+    `_structure_maps` order.  Direct sums do not come through here: their
+    maps are read from the summands' blocks (`direct_sum_mackey`).
     """
     subs = all_subgroups(G)
     maximal = _maximal_subgroups(subs)
@@ -571,6 +573,13 @@ def rational_irreducibles(G: FiniteGroup) -> list[GroupRep]:
     if isinstance(G, ProductGroup) and all(
         isinstance(f, CyclicGroup) for f in G.factors
     ):
+        # Q(zeta_a) ⊗ Q(zeta_b) is a field only when Q(zeta_gcd(a, b)) = Q
+        orders = [f.order for f in G.factors]
+        if any(math.gcd(a, b) > 2 for a, b in itertools.combinations(orders, 2)):
+            raise UnknownFamily(
+                f"no irreducible list for {G.label}: two factor orders share "
+                "a divisor above 2, so tensor products of factor irreducibles "
+                "are reducible")
         out = []
         factor_irrs = [_cyclic_irreducibles(f) for f in G.factors]
         for combo in itertools.product(*factor_irrs):
@@ -647,24 +656,24 @@ def hom_space(M: MackeyFunctorQ, N: MackeyFunctorQ) -> list[MackeyMorphism]:
 
 
 def direct_sum_mackey(Ms: list[MackeyFunctorQ], name: str | None = None) -> MackeyFunctorQ:
+    """The direct sum of Ms: every structure map, in `_structure_maps` order,
+    is the block-diagonal matrix of the summands' maps at the same key, each
+    row one list concatenation of zeros, a summand's row and zeros."""
     G = Ms[0].group
     subs = all_subgroups(G)
     dims = {H: sum(M.dim(H) for M in Ms) for H in subs}
-
-    def assemble(kind, key, src, dst):
-        """Block-diagonal sum of the summands' maps."""
-        m = la.zeros(dims[dst], dims[src])
-        ro = 0
-        co = 0
+    out: dict[str, dict] = {"res": {}, "ind": {}, "conj": {}}
+    for kind, key, src, _ in _structure_maps(G, subs):
+        rows = []
+        co, rest = 0, dims[src]
         for M in Ms:
-            la.add_block(m, ro, co, M.map(kind, key))
-            ro += M.dim(dst)
-            co += M.dim(src)
-        return m
-
-    return _build_mackey(
-        G, dims, assemble, name or "(" + "+".join(M.name for M in Ms) + ")"
-    )
+            n = M.dim(src)
+            rest -= n
+            rows += [[Q0] * co + row + [Q0] * rest for row in M.map(kind, key)]
+            co += n
+        out[kind][key] = la.Matrix(rows, dims[src])
+    return MackeyFunctorQ(G, dims, **out,
+                          name=name or "(" + "+".join(M.name for M in Ms) + ")")
 
 
 def zero_mackey(G: FiniteGroup) -> MackeyFunctorQ:
@@ -731,31 +740,43 @@ def _identity_component(H: Subgroup) -> Component:
 def free_cover(T: MackeyFunctorQ, tools: _RepTools) -> FreeCover:
     """Greedy Yoneda cover of T by a sum of representables.
 
-    Generators are chosen smallest-orbit-first (largest subgroup first) and
-    only when they enlarge the image; the result is surjective because at
-    each subgroup's own turn any missing value vector is adopted.
+    Generators are unit vectors e_j of T(H), chosen smallest-orbit-first
+    (largest subgroup first) and only when they enlarge the image; the result
+    is surjective because at each subgroup's own turn any missing value
+    vector is adopted.  The image of e_j under the dual span of c is column j
+    of `dual_action(T, K, H, c)`, so `add_generator` reads each such column
+    once: it is both the candidate for image[K] and the column of
+    cover.mats[K] at (i, c).  image[K] holds independent vectors only, so
+    once it has T.dim(K) of them no further candidate at K, nor unit vector
+    at H = K, is tested with `la.in_span`: each lies in its span.
     """
     G = tools.G
     order = sorted(tools.class_reps, key=lambda H: (G.order // H.order, H.key()))
-    gens: list[tuple[Subgroup, la.Vector]] = []
+    gen_subgroups: list[Subgroup] = []
+    gen_vectors: list[la.Vector] = []
     image: dict[Subgroup, list[la.Vector]] = {K: [] for K in tools.subs}
+    cols: dict[Subgroup, list[la.Vector]] = {K: [] for K in tools.subs}  # bases[K] order
 
-    def add_generator(H, x):
-        gens.append((H, x))
+    def add_generator(H, j, e):
+        gen_subgroups.append(H)
+        gen_vectors.append(e)
         for K in tools.subs:
+            full = len(image[K]) == T.dim(K)
             for c in tools.basis(K, H):
-                v = la.matvec(tools.dual_action(T, K, H, c), x)
-                if any(v) and not la.in_span(image[K], v):
+                v = [row[j] for row in tools.dual_action(T, K, H, c)]
+                cols[K].append(v)
+                if not full and any(v) and not la.in_span(image[K], v):
                     image[K].append(v)
+                    full = len(image[K]) == T.dim(K)
 
     for H in order:
         n = T.dim(H)
         for j in range(n):
+            if len(image[H]) == n:
+                break
             e = [Q1 if t == j else Q0 for t in range(n)]
             if not la.in_span(image[H], e):
-                add_generator(H, e)
-    gen_subgroups = [H for H, _ in gens]
-    gen_vectors = [x for _, x in gens]
+                add_generator(H, j, e)
     summands = [tools.representable(H) for H in gen_subgroups]
     P = (
         direct_sum_mackey(summands)
@@ -775,20 +796,9 @@ def free_cover(T: MackeyFunctorQ, tools: _RepTools) -> FreeCover:
     for i, H in enumerate(gen_subgroups):
         block = bases[H]
         id_index[i] = block.index((i, _identity_component(H)))
-    cover = _yoneda_morphism(P, T, gen_subgroups, gen_vectors, bases, tools)
+    cover = MackeyMorphism(P, T, {K: la.from_columns(cols[K], T.dim(K))
+                                  for K in tools.subs})
     return FreeCover(T, gen_subgroups, gen_vectors, P, cover, bases, id_index)
-
-
-def _yoneda_morphism(P, N, gen_subgroups, gen_vectors, bases, tools) -> MackeyMorphism:
-    """Morphism ⊕ rep(O_Hi) -> N from elements x_i ∈ N(H_i)."""
-    mats = {}
-    for K in tools.subs:
-        cols = []
-        for (i, c) in bases[K]:
-            H = gen_subgroups[i]
-            cols.append(la.matvec(tools.dual_action(N, K, H, c), gen_vectors[i]))
-        mats[K] = la.from_columns(cols, N.dim(K))
-    return MackeyMorphism(P, N, mats)
 
 
 def kernel_functor(phi: MackeyMorphism) -> tuple[MackeyFunctorQ, MackeyMorphism]:

@@ -71,6 +71,24 @@ def test_mackey_ext_cli(capsys):
     assert json.loads(out)["dimension"] == 0
 
 
+def test_mackey_ext_cli_at_degrees_two_and_three(capsys):
+    """Resolutions of length 3 and 4: Ext^{>0} vanishes rationally."""
+    for degree in ("2", "3"):
+        code, out = run(capsys, ["mackey", "ext", "--group", "sym:3", "--M", "rep:2",
+                                 "--N", "burnside", "--degree", degree])
+        assert code == 0
+        assert out == f"Ext^{degree}(rep:2,burnside) = 0\n"
+
+
+def test_mackey_hom_cli_exits_2_without_an_irreducible_list(capsys):
+    code = cli.main(["mackey", "hom", "--group", "prod:cyclic:3,cyclic:3",
+                     "--M", "fixedpoint:3", "--N", "fixedpoint:3"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: no irreducible list for C3xC3")
+
+
 def test_sheaf_godement_cli(capsys):
     code, out = run(capsys, ["sheaf", "godement", "--base", "spzp:2",
                              "--sheaf", "const:Q", "--stages", "3", "--json"])

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -229,6 +230,19 @@ def test_kernel_functor_is_kernel():
         assert K.dim(H) == cov.functor.dim(H) - la.rank(cov.cover.mats[H])
 
 
+def yoneda_morphism(P, N, gen_subgroups, gen_vectors, bases, tools):
+    """Morphism ⊕ rep(O_Hi) -> N from elements x_i ∈ N(H_i): the column of
+    (i, c) at K is N's dual span of c applied to x_i."""
+    mats = {}
+    for K in tools.subs:
+        cols = []
+        for (i, c) in bases[K]:
+            H = gen_subgroups[i]
+            cols.append(la.matvec(tools.dual_action(N, K, H, c), gen_vectors[i]))
+        mats[K] = la.from_columns(cols, N.dim(K))
+    return mk.MackeyMorphism(P, N, mats)
+
+
 def reference_hom_complex_diff(res, N, j, tools):
     """The hom-complex differential built column by column from whole Yoneda
     morphisms: phi over every subgroup, composed with d, read at the
@@ -240,8 +254,8 @@ def reference_hom_complex_diff(res, N, j, tools):
         for t in range(N.dim(H)):
             xs = [[la.Q0] * N.dim(Hg) for Hg in cov_j.gen_subgroups]
             xs[i][t] = la.Q1
-            phi = mk._yoneda_morphism(cov_j.functor, N, cov_j.gen_subgroups, xs,
-                                      cov_j.bases, tools)
+            phi = yoneda_morphism(cov_j.functor, N, cov_j.gen_subgroups, xs,
+                                  cov_j.bases, tools)
             psi = phi.compose(d)
             col = []
             for i2, H2 in enumerate(cov_j1.gen_subgroups):
@@ -264,6 +278,47 @@ def test_hom_complex_diff_matches_yoneda_composition(sel):
             for j in (0, 1):
                 got = mk._hom_complex_diff(res, N, j, tools)
                 assert got == reference_hom_complex_diff(res, N, j, tools)
+
+
+def reference_generators(T, tools):
+    """free_cover's greedy choice with every candidate tested by la.in_span:
+    (H, e_j) for each unit vector e_j of T(H) outside the image so far, in
+    free_cover's subgroup order, the image at every K then taking each
+    dual-span image of e_j outside its span."""
+    G = tools.G
+    image = {K: [] for K in tools.subs}
+    gens = []
+    for H in sorted(tools.class_reps, key=lambda H: (G.order // H.order, H.key())):
+        n = T.dim(H)
+        for j in range(n):
+            e = [la.Q1 if t == j else la.Q0 for t in range(n)]
+            if la.in_span(image[H], e):
+                continue
+            gens.append((H, e))
+            for K in tools.subs:
+                for c in tools.basis(K, H):
+                    v = la.matvec(tools.dual_action(T, K, H, c), e)
+                    if any(v) and not la.in_span(image[K], v):
+                        image[K].append(v)
+    return gens
+
+
+@pytest.mark.parametrize("sel", ["cyclic:4", "sym:3", "prod:cyclic:2,cyclic:2"])
+def test_free_cover_is_the_yoneda_morphism_of_the_greedy_generators(sel):
+    G = gr.parse_group(sel)
+    tools = mk._RepTools(G)
+    for M in battery(G):
+        K, _ = mk.kernel_functor(mk.free_cover(M, tools).cover)
+        for T in (M, K):
+            cov = mk.free_cover(T, tools)
+            gens = reference_generators(T, tools)
+            assert cov.gen_subgroups == [H for H, _ in gens], T.name
+            assert cov.gen_vectors == [e for _, e in gens], T.name
+            phi = yoneda_morphism(cov.functor, T, cov.gen_subgroups,
+                                  cov.gen_vectors, cov.bases, tools)
+            for H in tools.subs:
+                assert la.shape(cov.cover.mats[H]) == la.shape(phi.mats[H])
+                assert cov.cover.mats[H] == phi.mats[H], (T.name, H)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +427,41 @@ def test_direct_sum_and_zero():
     assert mk.check_axioms(S) == []
     assert Z.is_zero()
     assert mk.check_axioms(Z) == []
+
+
+def block_diagonal(blocks):
+    """The block-diagonal matrix of the given blocks, entry by entry."""
+    rows = sum(la.shape(b)[0] for b in blocks)
+    cols = sum(la.shape(b)[1] for b in blocks)
+    out = la.zeros(rows, cols)
+    r0 = c0 = 0
+    for b in blocks:
+        r, c = la.shape(b)
+        for i in range(r):
+            for j in range(c):
+                out[r0 + i][c0 + j] = b[i][j]
+        r0, c0 = r0 + r, c0 + c
+    return out
+
+
+@pytest.mark.parametrize("sel", ["cyclic:4", "sym:3", "prod:cyclic:2,cyclic:2"])
+def test_direct_sum_maps_are_block_diagonals_of_the_summands(sel):
+    G = gr.parse_group(sel)
+    objs = battery(G)
+    cases = [objs, [mk.zero_mackey(G), objs[-1], objs[0]], [objs[1]]]
+    assert len({tuple(M.dims.values()) for M in objs}) > 1
+    maps = list(mk._structure_maps(G, gr.all_subgroups(G)))
+    for Ms in cases:
+        S = mk.direct_sum_mackey(Ms)
+        assert S.dims == {H: sum(M.dim(H) for M in Ms) for H in S.subs}
+        for name in ("res", "ind", "conj"):
+            assert list(getattr(S, name)) == [key for kind, key, _, _ in maps
+                                              if kind == name]
+        for kind, key, src, dst in maps:
+            m = S.map(kind, key)
+            assert type(m) is la.Matrix and la.shape(m) == (S.dim(dst), S.dim(src))
+            assert m == block_diagonal([M.map(kind, key) for M in Ms]), (kind, key)
+        assert mk.check_axioms(S) == []
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +577,42 @@ def test_rep_tools_build_each_representable_once(monkeypatch):
         mk.projective_resolution(M, 2, tools)
     covers = built[1:]  # built[0] is burnside_mackey itself
     assert covers and len(covers) == len({id(A) for A in covers})
+
+
+@pytest.mark.parametrize("sel", ["prod:cyclic:3,cyclic:3", "prod:cyclic:4,cyclic:4",
+                                 "prod:cyclic:3,cyclic:6"])
+def test_no_irreducible_list_when_factor_orders_share_a_divisor_above_two(sel):
+    """Q(zeta_d) ⊗ Q(zeta_d) splits for d > 2, so the tensor products of the
+    factors' irreducibles are not all irreducible."""
+    with pytest.raises(gr.UnknownFamily, match="no irreducible list"):
+        mk.rational_irreducibles(gr.parse_group(sel))
+
+
+def element_order(G, g):
+    n, x = 1, g
+    while x != G.identity:
+        x, n = G.mul(x, g), n + 1
+    return n
+
+
+@pytest.mark.parametrize("sel,count", [("prod:cyclic:2,cyclic:2", 4),
+                                       ("prod:cyclic:2,cyclic:4", 6),
+                                       ("prod:cyclic:4,cyclic:6", 12)])
+def test_one_irreducible_per_cyclic_subgroup_of_an_abelian_product(sel, count):
+    """An abelian group has one Q-irreducible per cyclic subgroup (Serre,
+    Linear Representations of Finite Groups, §13.1), and the Wedderburn
+    dimensions Σ dim(V)² / dim End_G(V) add up to |G|."""
+    G = gr.parse_group(sel)
+    cyclic = [H for H in gr.all_subgroups(G)
+              if any(element_order(G, h) == H.order for h in H.elements)]
+    irrs = mk.rational_irreducibles(G)
+    assert len(irrs) == len(cyclic) == count
+    total = Fraction(0)
+    for V in irrs:
+        ends = la.intertwiners({0: (V.dim, V.dim)},
+                               [(0, V.mats[s], 0, V.mats[s]) for s in gr.generators(G)])
+        total += Fraction(V.dim ** 2, len(ends))
+    assert total == G.order
 
 
 def test_group_rep_rejects_the_zero_map_and_wrong_shapes():
