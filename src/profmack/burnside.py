@@ -25,7 +25,6 @@ from .groups import (
 from .gsets import (
     FiniteGSet,
     coset_orbit,
-    disjoint_union,
     inflate_gset,
     orbit_decompose,
     product_gset,
@@ -87,32 +86,20 @@ class Span:
         return d
 
 
-def span_equivalent(s: Span, t: Span) -> bool:
-    return (
-        s.left_foot is t.left_foot
-        and s.right_foot is t.right_foot
-        and s.canonical() == t.canonical()
-    )
-
-
-def identity_span(A: FiniteGSet) -> Span:
-    ident = tuple(range(A.size))
-    return Span(A, A, A, ident, ident)
-
-
-def span_add(s: Span, t: Span) -> Span:
-    """Sum of parallel spans: disjoint-union apex."""
-    assert s.left_foot is t.left_foot and s.right_foot is t.right_foot
-    apex = disjoint_union(s.apex, t.apex)
-    left = s.left + t.left
-    right = s.right + t.right
-    return Span(s.left_foot, s.right_foot, apex, left, right)
-
-
 def span_compose(s1: Span, s2: Span) -> Span:
-    """Composite s2 o s1 (s1: A -> B, s2: B -> C) via the pullback apex."""
+    """Composite s2 o s1 (s1: A -> B, s2: B -> C) via the pullback apex.
+
+    The pullback's points are the pairs (m1, m2) of apex points over the same
+    middle point, numbered with m1 then m2 ascending.  When s2's apex is its
+    left foot B and its left leg the identity, pair m1 is (m1, s1.right[m1])
+    and has number m1: the pullback is s1's apex point for point, so it is
+    reused and only the right leg s2.right ∘ s1.right is new.
+    """
     if s1.right_foot is not s2.left_foot:
         raise MiddleMismatch("middle objects differ")
+    if s2.apex is s2.left_foot and s2.left == tuple(range(s2.apex.size)):
+        return Span(s1.left_foot, s2.right_foot, s1.apex, s1.left,
+                    tuple(map(s2.right.__getitem__, s1.right)))
     G = s1.apex.group
     # the points of s2's apex over each middle point, ascending; pair
     # (m1, m2) is numbered start[m1] + rank[m2], with m1 then m2 ascending,

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import _kernels
 from .groups import (
@@ -33,6 +32,8 @@ class FiniteGSet:
     group: FiniteGroup
     act: tuple[tuple[int, ...], ...]
     label: str = ""
+    # the orbit_scan result, built on its first call
+    _scan: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.act = act = tuple(tuple(row) for row in self.act)
@@ -71,24 +72,30 @@ class FiniteGSet:
             out.setdefault(l, []).append(x)
         return list(out.values())  # labels follow each orbit's least point
 
-    def orbit_scan(self) -> Iterator[tuple[list[int], Subgroup, dict[int, int]]]:
-        """Yield per orbit, in ``orbits()`` order: its points, the stabilizer
-        of its least point x0, and t with t[x] the least g such that g·x0 = x.
+    def orbit_scan(self) -> tuple[tuple[list[int], Subgroup, dict[int, int]], ...]:
+        """Per orbit, in ``orbits()`` order: its points, the stabilizer of its
+        least point x0, and t with t[x] the least g such that g·x0 = x.
 
         G is scanned once per orbit; the stabilizer of x is t[x]·Stab(x0)·t[x]⁻¹.
+        The scan is made on the first call and kept on the G-set, so every
+        caller shares its lists and dicts, and none may modify them.
         """
-        G = self.group
-        for orbit in self.orbits():
-            x0 = orbit[0]
-            stab = []
-            t: dict[int, int] = {}
-            for g, row in zip(G.elements(), self.act):
-                y = row[x0]
-                if y == x0:
-                    stab.append(g)
-                if y not in t:
-                    t[y] = g
-            yield orbit, Subgroup(G, tuple(stab)), t
+        if self._scan is None:
+            G = self.group
+            scan = []
+            for orbit in self.orbits():
+                x0 = orbit[0]
+                stab = []
+                t: dict[int, int] = {}
+                for g, row in zip(G.elements(), self.act):
+                    y = row[x0]
+                    if y == x0:
+                        stab.append(g)
+                    if y not in t:
+                        t[y] = g
+                scan.append((orbit, Subgroup(G, tuple(stab)), t))
+            self._scan = tuple(scan)
+        return self._scan
 
 
 def empty_gset(G: FiniteGroup) -> FiniteGSet:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -77,7 +78,7 @@ def _structure_maps(G: FiniteGroup, subs: list[Subgroup]):
     """(kind, key, src, dst) for every structure map M(src) -> M(dst).
 
     For each H: res and ind at (H, K) for every K ⊆ H, then conj at (g, H)
-    for every g.  This order fixes the dict order of res/ind/conj and,
+    for every g.  This order fixes the key order of res/ind/conj and,
     restricted to `_generating_maps`, the row order of the hom_space
     equations.
     """
@@ -134,52 +135,94 @@ def _generator_words(G: FiniteGroup) -> list[tuple[int, int, int]]:
     return words
 
 
+class _StructureMaps(Mapping):
+    """The structure maps of one kind, read-only, keyed in `_structure_maps`
+    order: the map at key is make(kind, key, src, dst), computed on its
+    first read and kept.  Iteration, len, == and dict(...) behave as they
+    do on a dict of every map; a key that names no structure map raises
+    KeyError."""
+
+    def __init__(self, kind: str, ends: dict, make):
+        self._kind = kind
+        self._ends = ends  # key -> (src, dst)
+        self._make = make
+        self._built: dict = {}
+
+    def __getitem__(self, key) -> la.Matrix:
+        m = self._built.get(key)
+        if m is None:
+            src, dst = self._ends[key]
+            m = self._built[key] = self._make(self._kind, key, src, dst)
+        return m
+
+    def __contains__(self, key) -> bool:
+        return key in self._ends
+
+    def __iter__(self):
+        return iter(self._ends)
+
+    def __len__(self) -> int:
+        return len(self._ends)
+
+
+def _maps_on_demand(G: FiniteGroup, subs: list[Subgroup], make) -> dict[str, _StructureMaps]:
+    """The res, ind and conj `_StructureMaps` of make, by kind."""
+    ends: dict[str, dict] = {"res": {}, "ind": {}, "conj": {}}
+    for kind, key, src, dst in _structure_maps(G, subs):
+        ends[kind][key] = (src, dst)
+    return {kind: _StructureMaps(kind, e, make) for kind, e in ends.items()}
+
+
 def _build_mackey(G: FiniteGroup, dims: dict, make, name: str) -> MackeyFunctorQ:
     """The functor whose generating maps (kind, key): M(src) -> M(dst) are
     make(kind, key, src, dst).
 
-    make is called only on `_generating_maps`.  res, ind and conj by the
-    identity are `la.identity`.  Every other map is one matmul of maps
-    already built: res(H, K) = res(J, K)·res(H, J) and ind(H, K) =
-    ind(H, J)·ind(J, K) through the first J maximal in H that contains K,
-    and conj along a breadth-first word in the generators, c_{s·h} on H =
-    (c_s on hHh⁻¹)·(c_h on H).  When make describes a Mackey functor these
-    are the maps make would give.  The res/ind/conj dicts keep the
-    `_structure_maps` order.  Direct sums do not come through here: their
-    maps are read from the summands' blocks (`direct_sum_mackey`).
+    make is called here, only on `_generating_maps`.  Every other map is
+    computed on its first read (`_StructureMaps`): res, ind and conj by the
+    identity are `la.identity`, and the rest one matmul of maps of smaller
+    subgroups or shorter words: res(H, K) = res(J, K)·res(H, J) and
+    ind(H, K) = ind(H, J)·ind(J, K) through the first J maximal in H that
+    contains K, and conj along a breadth-first word in the generators,
+    c_{s·h} on H = (c_s on hHh⁻¹)·(c_h on H).  When make describes a Mackey
+    functor these are the maps make would give.  Direct sums do not come
+    through here: their maps are read from the summands' blocks
+    (`direct_sum_mackey`).
     """
     subs = all_subgroups(G)
     maximal = _maximal_subgroups(subs)
-    maps = {(kind, key): make(kind, key, src, dst)
-            for kind, key, src, dst in _generating_maps(G, subs)}
-    words = _generator_words(G)
-    for H in subs:  # subs ascend by order: every map below H is built
-        maps["res", (H, H)] = la.identity(dims[H])
-        maps["ind", (H, H)] = la.identity(dims[H])
-        maps["conj", (G.identity, H)] = la.identity(dims[H])
-        for K in subs:
-            if ("res", (H, K)) in maps or not _contains(H, K):
-                continue
-            J = next(J for J in maximal[H] if _contains(J, K))
-            maps["res", (H, K)] = la.matmul(maps["res", (J, K)], maps["res", (H, J)])
-            maps["ind", (H, K)] = la.matmul(maps["ind", (H, J)], maps["ind", (J, K)])
-        for g, s, h in words:
-            if ("conj", (g, H)) not in maps:
-                maps["conj", (g, H)] = la.matmul(
-                    maps["conj", (s, conjugate_subgroup(H, h))], maps["conj", (h, H)])
-    out: dict[str, dict] = {"res": {}, "ind": {}, "conj": {}}
-    for kind, key, _, _ in _structure_maps(G, subs):
-        out[kind][key] = maps[kind, key]
-    return MackeyFunctorQ(G, dims, **out, name=name)
+    generating = {(kind, key): make(kind, key, src, dst)
+                  for kind, key, src, dst in _generating_maps(G, subs)}
+    word = {g: (s, h) for g, s, h in _generator_words(G)}
+
+    def derive(kind, key, src, dst) -> la.Matrix:
+        if (kind, key) in generating:
+            return generating[kind, key]
+        if kind == "conj":
+            g, H = key
+            if g == G.identity:
+                return la.identity(dims[H])
+            s, h = word[g]
+            return la.matmul(maps["conj"][s, conjugate_subgroup(H, h)],
+                             maps["conj"][h, H])
+        H, K = key
+        if H == K:
+            return la.identity(dims[H])
+        J = next(J for J in maximal[H] if _contains(J, K))
+        if kind == "res":
+            return la.matmul(maps["res"][J, K], maps["res"][H, J])
+        return la.matmul(maps["ind"][H, J], maps["ind"][J, K])
+
+    maps = _maps_on_demand(G, subs, derive)
+    return MackeyFunctorQ(G, dims, **maps, name=name)
 
 
 @dataclass
 class MackeyFunctorQ:
     group: FiniteGroup
     dims: dict[Subgroup, int]
-    res: dict[tuple[Subgroup, Subgroup], la.Matrix]  # (H, K ⊆ H): M(H) -> M(K)
-    ind: dict[tuple[Subgroup, Subgroup], la.Matrix]  # (H, K ⊆ H): M(K) -> M(H)
-    conj: dict[tuple[int, Subgroup], la.Matrix]  # (g, H): M(H) -> M(gHg^-1)
+    res: Mapping[tuple[Subgroup, Subgroup], la.Matrix]  # (H, K ⊆ H): M(H) -> M(K)
+    ind: Mapping[tuple[Subgroup, Subgroup], la.Matrix]  # (H, K ⊆ H): M(K) -> M(H)
+    conj: Mapping[tuple[int, Subgroup], la.Matrix]  # (g, H): M(H) -> M(gHg^-1)
     name: str = "M"
     # span actions T(H) -> T(K) of dual components, filled by _RepTools
     _dual_action_cache: dict = field(default_factory=dict, init=False,
@@ -381,12 +424,17 @@ def representable(G: FiniteGroup, A: FiniteGSet, name: str | None = None) -> Mac
     dims = {H: len(basis[H]) for H in subs}
 
     def precompose(kind, key, src, dst) -> la.Matrix:
-        """Matrix of c |-> c ∘ u^dual from Q basis[src] to Q basis[dst]."""
-        u = _structure_span(G, kind, key, src, dst).dual()
+        """Matrix of c |-> c ∘ u^dual from Q basis[src] to Q basis[dst].
+
+        c ∘ u^dual is built as (u ∘ c^dual)^dual: for ind and conj, u's apex
+        is its left foot with the identity leg, so `span_compose` reuses the
+        apex of c instead of building a pullback.
+        """
+        u = _structure_span(G, kind, key, src, dst)
         index = {c: i for i, c in enumerate(basis[dst])}
         rows = [[0] * dims[src] for _ in range(dims[dst])]
         for j, s_c in enumerate(spans[src]):
-            for comp, mult in decompose_span(span_compose(u, s_c)).items():
+            for comp, mult in decompose_span(span_compose(s_c.dual(), u).dual()).items():
                 rows[index[comp]][j] += mult
         return la.Matrix([[Fraction(x) if x else Q0 for x in r] for r in rows], dims[src])
 
@@ -656,14 +704,15 @@ def hom_space(M: MackeyFunctorQ, N: MackeyFunctorQ) -> list[MackeyMorphism]:
 
 
 def direct_sum_mackey(Ms: list[MackeyFunctorQ], name: str | None = None) -> MackeyFunctorQ:
-    """The direct sum of Ms: every structure map, in `_structure_maps` order,
-    is the block-diagonal matrix of the summands' maps at the same key, each
-    row one list concatenation of zeros, a summand's row and zeros."""
+    """The direct sum of Ms: every structure map is the block-diagonal matrix
+    of the summands' maps at the same key, computed on its first read
+    (`_StructureMaps`), each row one list concatenation of zeros, a
+    summand's row and zeros."""
     G = Ms[0].group
     subs = all_subgroups(G)
     dims = {H: sum(M.dim(H) for M in Ms) for H in subs}
-    out: dict[str, dict] = {"res": {}, "ind": {}, "conj": {}}
-    for kind, key, src, _ in _structure_maps(G, subs):
+
+    def block_diagonal(kind, key, src, dst) -> la.Matrix:
         rows = []
         co, rest = 0, dims[src]
         for M in Ms:
@@ -671,8 +720,9 @@ def direct_sum_mackey(Ms: list[MackeyFunctorQ], name: str | None = None) -> Mack
             rest -= n
             rows += [[Q0] * co + row + [Q0] * rest for row in M.map(kind, key)]
             co += n
-        out[kind][key] = la.Matrix(rows, dims[src])
-    return MackeyFunctorQ(G, dims, **out,
+        return la.Matrix(rows, dims[src])
+
+    return MackeyFunctorQ(G, dims, **_maps_on_demand(G, subs, block_diagonal),
                           name=name or "(" + "+".join(M.name for M in Ms) + ")")
 
 

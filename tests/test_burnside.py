@@ -5,7 +5,9 @@ import pytest
 from profmack import burnside as bs
 from profmack import groups as gr
 from profmack import gsets as gs
+from profmack import mackey as mk
 from profmack import tower as tw
+from span_helpers import identity_span, span_add, span_equivalent
 
 SEED = 20260823
 
@@ -21,11 +23,11 @@ def regular(G):
 def test_identity_span_laws_c2():
     G = gr.cyclic(2)
     X = regular(G)
-    ids = bs.identity_span(X)
+    ids = identity_span(X)
     for comp in bs.hom_basis(X, X):
         s = bs.component_span(G, X, X, comp)
-        assert bs.span_equivalent(bs.span_compose(s, ids), s)
-        assert bs.span_equivalent(bs.span_compose(ids, s), s)
+        assert span_equivalent(bs.span_compose(s, ids), s)
+        assert span_equivalent(bs.span_compose(ids, s), s)
 
 
 def test_hom_basis_counts_c2():
@@ -38,8 +40,8 @@ def test_hom_basis_counts_c2():
 def test_middle_mismatch():
     G = gr.cyclic(2)
     X, P = regular(G), gs.point_gset(G)
-    s = bs.identity_span(X)
-    t = bs.identity_span(P)
+    s = identity_span(X)
+    t = identity_span(P)
     with pytest.raises(bs.MiddleMismatch):
         bs.span_compose(s, t)
 
@@ -55,8 +57,8 @@ def test_spans_on_feet_from_separate_calls_compose():
     t = bs.component_span(G, B2, C, bs.hom_basis(B2, C)[0])
     u = bs.span_compose(s, t)
     assert u.left_foot is A and u.right_foot is C
-    ids = bs.identity_span(gs.transitive_gset(G, H))
-    assert bs.span_equivalent(bs.span_compose(s, ids), s)
+    ids = identity_span(gs.transitive_gset(G, H))
+    assert span_equivalent(bs.span_compose(s, ids), s)
 
 
 def test_pullback_size_identity():
@@ -85,10 +87,10 @@ def test_pullback_size_identity():
 def test_span_add_and_dual():
     G = gr.cyclic(3)
     X = regular(G)
-    s = bs.identity_span(X)
-    two = bs.span_add(s, s)
+    s = identity_span(X)
+    two = span_add(s, s)
     assert two.apex.size == 2 * s.apex.size
-    assert bs.span_equivalent(s.dual().dual(), s)
+    assert span_equivalent(s.dual().dual(), s)
 
 
 def test_dual_swaps_the_checked_legs():
@@ -230,7 +232,7 @@ def test_canonical_matches_per_orbit_minimum():
                 continue
             s1 = bs.component_span(G, A, B, rng.choice(h1))
             s2 = bs.component_span(G, B, C, rng.choice(h2))
-            for s in (s1, bs.span_compose(s1, s2), bs.span_add(s1, s1)):
+            for s in (s1, bs.span_compose(s1, s2), span_add(s1, s1)):
                 assert s.canonical() == _per_orbit_minimum(s)
             done += 1
 
@@ -323,10 +325,12 @@ def test_hom_basis_matches_the_per_pair_reference(sel):
 
 def test_span_compose_matches_the_all_pairs_reference():
     rng = random.Random(SEED)
+    extra = random.Random(SEED + 1)
     done = 0
     while done < 30:
         G = gr.parse_group(rng.choice(REFERENCE_GROUPS))
-        sets = [gs.transitive_gset(G, H) for H in gr.all_subgroups(G)]
+        subs = gr.all_subgroups(G)
+        sets = [gs.transitive_gset(G, H) for H in subs]
         A, B, C = (rng.choice(sets) for _ in range(3))
         h1, h2 = bs.hom_basis(A, B), bs.hom_basis(B, C)
         if not (h1 and h2):
@@ -335,9 +339,20 @@ def test_span_compose_matches_the_all_pairs_reference():
         s2 = bs.component_span(G, B, C, rng.choice(h2))
         # a sum and a composite give apexes with several orbits
         if rng.random() < 0.5:
-            s1 = bs.span_add(s1, bs.component_span(G, A, B, rng.choice(h1)))
+            s1 = span_add(s1, bs.component_span(G, A, B, rng.choice(h1)))
         if rng.random() < 0.5:
-            s2 = bs.span_compose(bs.identity_span(B), s2)
+            s2 = bs.span_compose(identity_span(B), s2)
         comp = bs.span_compose(s1, s2)
         assert (comp.apex.act, comp.left, comp.right) == _span_compose_all_pairs(s1, s2)
+        # second spans whose apex is B with the identity left leg: the
+        # identity, and the one-leg spans of ind and conj in representables
+        K = next(H for H in subs if gs.transitive_gset(G, H) is B)
+        above = [H for H in subs if set(K.elements) <= set(H.elements)]
+        g = extra.choice(G.elements())
+        for t in (identity_span(B),
+                  mk._one_leg_span(G, K, extra.choice(above), G.identity),
+                  mk._one_leg_span(G, K, gr.conjugate_subgroup(K, g), G.inv(g))):
+            comp = bs.span_compose(s1, t)
+            assert comp.apex is s1.apex
+            assert (comp.apex.act, comp.left, comp.right) == _span_compose_all_pairs(s1, t)
         done += 1

@@ -1,14 +1,20 @@
+import hashlib
 import json
 import os
 import shlex
 import subprocess
 import sys
 
+import pytest
+
 import profmack
 from profmack import cli
+from profmack import groups as gr
+from profmack import gsets as gs
 from profmack.groups import CyclicGroup, group_to_json, trivial_subgroup
 from profmack.gsets import transitive_gset
 from profmack import burnside as bs
+from span_helpers import identity_span
 
 
 def run(capsys, argv):
@@ -159,7 +165,7 @@ def test_verify_rejects_tampered_certificate(tmp_path, capsys):
 def test_span_compose_cli(tmp_path, capsys):
     G = CyclicGroup(2)
     O = transitive_gset(G, trivial_subgroup(G))
-    sp = bs.identity_span(O)
+    sp = identity_span(O)
     data = {
         "schema": 1,
         "group": group_to_json(G),
@@ -241,6 +247,53 @@ def test_span_compose_rejects_a_file_that_is_not_json_or_lacks_its_group(
     _assert_usage_error(f, capsys)
     f = _span_file(tmp_path, REGULAR, [0, 1])
     _assert_usage_error(_edited(f, lambda d: d.pop("group")), capsys)
+
+
+def _write_d8_span_file(path):
+    """Two composable spans G/1 -> G/H -> G/K over D8, as a span file."""
+    G = gr.dihedral(8)
+    subs = gr.all_subgroups(G)
+    A, B, C = (gs.transitive_gset(G, H) for H in (subs[0], subs[2], subs[-2]))
+    s1 = bs.component_span(G, A, B, bs.hom_basis(A, B)[0])
+    s2 = bs.component_span(G, B, C, bs.hom_basis(B, C)[-1])
+
+    def gset(X):
+        return {"act": [list(r) for r in X.act]}
+
+    def span(s, left, right):
+        return {"left_foot": left, "right_foot": right, "apex": gset(s.apex),
+                "left": list(s.left), "right": list(s.right)}
+
+    path.write_text(json.dumps({
+        "schema": 1, "group": group_to_json(G),
+        "gsets": {"A": gset(A), "B": gset(B), "C": gset(C)},
+        "spans": [span(s1, "A", "B"), span(s2, "B", "C")]}))
+
+
+# md5 of the stdout of each command, fixed when they were first recorded;
+# {spans} is the file _write_d8_span_file writes
+GOLDEN_STDOUT_MD5 = {
+    "mackey ext --group sym:3 --M rep:2 --N burnside --degree 2":
+        "a9312b5fcdd0fece6df1a9164170b8c8",
+    "mackey hom --group sym:3 --M rep:0 --N burnside --json":
+        "9c2a1026cfdec09b08ede0952281c582",
+    "burnside ring --group dihedral:8 --json":
+        "74b83e9459bb2755e4c5f1ee4c028347",
+    "mackey ext --group prod:cyclic:2,cyclic:2 --M rep:1 --N fixedpoint:0 --json":
+        "543e7385d3be6b39f08a084871ab5f6e",
+    "span compose --file {spans}": "def11d9293a836cb7145b04197849b39",
+    "span compose --file {spans} --json": "9a17334c945d30100299c22f1db7574f",
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_STDOUT_MD5))
+def test_stdout_matches_its_golden_md5(command, tmp_path, capsys):
+    spans = tmp_path / "d8_spans.json"
+    _write_d8_span_file(spans)
+    code = cli.main(command.format(spans=spans).split())
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert hashlib.md5(captured.out.encode()).hexdigest() == GOLDEN_STDOUT_MD5[command]
 
 
 def test_determinism_across_threads(capsys):

@@ -192,9 +192,17 @@ def brute_force_scan(X):
 
 
 @pytest.mark.parametrize("G", scan_groups(), ids=lambda G: G.label)
-def test_orbit_scan_matches_brute_force(G):
-    for X in sample_sets(G):
-        scan = list(X.orbit_scan())
+def test_orbit_scan_matches_brute_force(G, monkeypatch):
+    labelled = []
+    orbit_labels = _kernels.orbit_labels
+    monkeypatch.setattr(_kernels, "orbit_labels",
+                        lambda perms, n: labelled.append(n) or orbit_labels(perms, n))
+    # copies, so that no scan made before this test is reused
+    for X in [gs.FiniteGSet(G, X.act, X.label) for X in sample_sets(G)]:
+        before = len(labelled)
+        scan = X.orbit_scan()
+        assert X.orbit_scan() is scan  # the second pass reads the kept scan
+        assert len(labelled) == before + 1  # one orbit partition per G-set
         assert [orbit for orbit, _, _ in scan] == X.orbits()
         assert all(S.parent is G for _, S, _ in scan)
         assert [(orbit, S.elements, t) for orbit, S, t in scan] == brute_force_scan(X)

@@ -465,6 +465,67 @@ def test_direct_sum_maps_are_block_diagonals_of_the_summands(sel):
 
 
 # ---------------------------------------------------------------------------
+# structure maps computed on their first read
+
+
+def composed_keys(M):
+    """(kind, key) of every structure map of M that is neither a generating
+    map nor an identity, in `_structure_maps` order."""
+    G = M.group
+    generating = {(kind, key) for kind, key, _, _ in mk._generating_maps(G, M.subs)}
+    return [(kind, key) for kind, key, _, _ in mk._structure_maps(G, M.subs)
+            if (kind, key) not in generating
+            and key[0] != (G.identity if kind == "conj" else key[1])]
+
+
+@pytest.mark.parametrize("sel", ["cyclic:4", "sym:3"])
+def test_composed_maps_are_built_on_their_first_read(sel, monkeypatch):
+    G = gr.parse_group(sel)
+    tools = mk._RepTools(G)
+    cover = mk.free_cover(mk.burnside_mackey(G), tools)
+    calls = []
+    matmul = la.matmul
+    monkeypatch.setattr(la, "matmul", lambda a, b: calls.append(1) or matmul(a, b))
+    reps = [mk.representable(G, gs.transitive_gset(G, H)) for H in class_reps(G)]
+    built = reps + [mk.kernel_functor(cover.cover)[0], mk.direct_sum_mackey(reps)]
+    assert calls == []  # no composed map is built with its functor
+    for M in built:
+        keys = composed_keys(M)
+        assert keys
+        for kind, key in keys:
+            first = M.map(kind, key)
+            n = len(calls)
+            assert M.map(kind, key) is first and len(calls) == n
+    assert calls
+
+
+@pytest.mark.parametrize("sel", ["cyclic:4", "sym:3"])
+def test_maps_on_demand_behave_as_a_dict_of_every_map(sel):
+    G = gr.parse_group(sel)
+    tools = mk._RepTools(G)
+    A = mk.burnside_mackey(G)
+    built = [A, mk.kernel_functor(mk.free_cover(A, tools).cover)[0],
+             mk.fixed_point_functor(mk.rational_irreducibles(G)[-1]),
+             mk.direct_sum_mackey([A, A])]
+    maps = list(mk._structure_maps(G, A.subs))
+    for M in built:
+        for name in ("res", "ind", "conj"):
+            keys = [key for kind, key, _, _ in maps if kind == name]
+            on_demand = getattr(M, name)
+            assert list(on_demand) == keys and len(on_demand) == len(keys)
+            every = dict(on_demand)
+            assert list(every) == keys
+            assert all(every[key] is M.map(name, key) for key in keys)
+            assert on_demand == every and every == on_demand
+    e, top = A.subs[0], A.subs[-1]
+    assert (top, e) in A.res and (e, top) not in A.res
+    for kind, key in (("res", (e, top)), ("ind", (e, top)), ("conj", (G.order, top)),
+                      ("conj", (top, e))):
+        with pytest.raises(KeyError):
+            A.map(kind, key)
+
+
+# ---------------------------------------------------------------------------
 # functors built from generating maps, against every map computed directly
 
 
