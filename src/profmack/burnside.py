@@ -220,13 +220,6 @@ def inflate_span(s: Span, q: GroupHom) -> Span:
     )
 
 
-def inflate(A: FiniteGSet, tower, level: int, to_level: int) -> FiniteGSet:
-    """Inflate a level-`level` set along the composite bond to `to_level`."""
-    if to_level < level:
-        raise ValueError("can only inflate upward in the tower")
-    return inflate_gset(A, tower.bond_to(to_level, level))
-
-
 def _acts_trivially(N: Subgroup, X: FiniteGSet) -> bool:
     return all(
         X.act[n][x] == x for n in N.elements for x in range(X.size)

@@ -20,7 +20,7 @@ chain has stabilised at the empty set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ._kernels import orbit_labels
 
@@ -85,106 +85,8 @@ class SpaceTree:
         return [y for y, img in enumerate(self.bonds[k]) if img == x]
 
 
-def discrete_tree(labels: list[str], chain: str = "discrete") -> SpaceTree:
-    """A constant tree of bijective bonds: a finite discrete space."""
-    n = len(labels)
-    return SpaceTree(
-        levels=[list(labels), list(labels)],
-        bonds=[list(range(n))],
-        certs=[ThreadCert("scattered", 0, "constant finite tree")] * n,
-        chain=chain,
-    )
-
-
-def empty_tree(chain: str = "empty") -> SpaceTree:
-    return SpaceTree(levels=[[]], bonds=[], certs=[], chain=chain)
-
-
-def binary_tree(depth: int, certified: bool = False) -> SpaceTree:
-    """Full binary tree; the limit is a Cantor set (perfect).
-
-    With certified=False every thread is unknown (no lemma supplied); with
-    certified=True the threads carry perfect certificates.
-    """
-    levels = [[format(x, f"0{k}b") if k else "*" for x in range(2**k)] for k in range(depth + 1)]
-    bonds = [[x >> 1 for x in range(2 ** (k + 1))] for k in range(depth)]
-    cert = ThreadCert("perfect", reason="full binary tree") if certified else ThreadCert("unknown")
-    return SpaceTree(levels, bonds, [cert] * 2**depth, chain="binary")
-
-
-def tree_union(a: SpaceTree, b: SpaceTree) -> SpaceTree:
-    """Disjoint union of trees of equal depth."""
-    assert a.depth == b.depth
-    levels = [la + lb for la, lb in zip(a.levels, b.levels)]
-    bonds = [
-        ba + [x + len(a.levels[k]) for x in bb]
-        for k, (ba, bb) in enumerate(zip(a.bonds, b.bonds))
-    ]
-    return SpaceTree(levels, bonds, a.certs + b.certs, chain=f"{a.chain}+{b.chain}")
-
-
 # ---------------------------------------------------------------------------
 # the derivative process
-
-
-@dataclass
-class IsolatedReport:
-    certified: list[str]  # threads certified isolated in the limit
-    undecided: list[str]  # unknown certificates
-
-
-def isolated_points(X: SpaceTree) -> IsolatedReport:
-    certified, undecided = [], []
-    for t, c in enumerate(X.certs):
-        label = X.levels[-1][t]
-        if c.kind == "scattered" and c.m == 0:
-            certified.append(label)
-        elif c.kind == "unknown":
-            undecided.append(label)
-    return IsolatedReport(certified, undecided)
-
-
-def subtree(X: SpaceTree, keep_threads: list[int]) -> SpaceTree:
-    """Subtree spanned by the given threads (levelwise images)."""
-    keep: list[list[int]] = [None] * (X.depth + 1)
-    keep[X.depth] = sorted(keep_threads)
-    for k in range(X.depth - 1, -1, -1):
-        keep[k] = sorted({X.bonds[k][y] for y in keep[k + 1]})
-    index = [{x: i for i, x in enumerate(kp)} for kp in keep]
-    levels = [[X.levels[k][x] for x in keep[k]] for k in range(X.depth + 1)]
-    bonds = [
-        [index[k][X.bonds[k][x]] for x in keep[k + 1]] for k in range(X.depth)
-    ]
-    certs = [X.certs[t] for t in keep[X.depth]]
-    actions = None
-    if X.actions is not None:
-        actions = []
-        for k, perms in enumerate(X.actions):
-            rows = []
-            for p in perms:
-                if any(p[x] not in index[k] for x in keep[k]):
-                    raise ValueError("action does not preserve the subtree")
-                rows.append(tuple(index[k][p[x]] for x in keep[k]))
-            actions.append(rows)
-    return SpaceTree(levels, bonds, certs, actions, chain=X.chain)
-
-
-def derivative(X: SpaceTree) -> SpaceTree:
-    """Remove the certified-isolated threads; keep unknowns pessimistically."""
-    keep = [
-        t
-        for t, c in enumerate(X.certs)
-        if not (c.kind == "scattered" and c.m == 0)
-    ]
-    if not keep:
-        return SpaceTree([[] for _ in X.levels], [[] for _ in X.bonds], [],
-                         None if X.actions is None else [[] for _ in X.actions],
-                         chain=X.chain)
-    Y = subtree(X, keep)
-    Y.certs = [
-        replace(c, m=c.m - 1) if c.kind == "scattered" else c for c in Y.certs
-    ]
-    return Y
 
 
 @dataclass
@@ -272,22 +174,6 @@ def heights(X: SpaceTree) -> HeightReport:
         else:
             lbs[label] = ">= 0"
     return HeightReport(hts, lbs, hull)
-
-
-@dataclass
-class ScatteredSplit:
-    scattered: list[str]
-    hull: list[str]
-    undecided: list[str]
-    hull_nonempty: bool
-
-
-def scattered_split(X: SpaceTree) -> ScatteredSplit:
-    sc, hull, und = [], [], []
-    for t, c in enumerate(X.certs):
-        label = X.levels[-1][t]
-        {"scattered": sc, "perfect": hull, "unknown": und}[c.kind].append(label)
-    return ScatteredSplit(sc, hull, und, bool(hull))
 
 
 # ---------------------------------------------------------------------------

@@ -288,9 +288,9 @@ def _parse_mackey(G, sel: str) -> mk.MackeyFunctorQ:
         arg = sel.split(":", 1)[1]
         reps = mk.subgroup_conjugacy_classes(G)
         classes = [rep for rep, _ in reps]
-        idx = int(arg)
-        if not 0 <= idx < len(classes):
+        if not arg.isdecimal() or int(arg) >= len(classes):
             raise UsageError(f"rep index out of range 0..{len(classes) - 1}")
+        idx = int(arg)
         H = classes[idx]
         return mk.representable(G, transitive_gset(G, H), name=f"rep:{idx}")
     if sel.startswith("fixedpoint:"):
@@ -299,7 +299,7 @@ def _parse_mackey(G, sel: str) -> mk.MackeyFunctorQ:
         for V in irrs:
             if V.name == arg:
                 return mk.fixed_point_functor(V)
-        if arg.isdigit() and int(arg) < len(irrs):
+        if arg.isdecimal() and int(arg) < len(irrs):
             return mk.fixed_point_functor(irrs[int(arg)])
         raise UsageError(
             f"unknown irreducible {arg!r}; have {[V.name for V in irrs]}"
@@ -338,21 +338,21 @@ def cmd_mackey_hom(args):
 
 
 def _parse_base(sel: str) -> sh.ConvergingBase:
-    if sel.startswith("spzp"):
-        p = 2
-        if ":" in sel:
-            p = int(sel.split(":", 1)[1])
-        return sh.spzp_base(p)
+    family, sep, arg = sel.partition(":")
+    if family == "spzp":
+        return sh.spzp_base(tw.parse_prime(arg) if sep else 2)
     raise UsageError(f"unknown base selector {sel!r}")
 
 
 def _parse_sheaf(base, sel: str) -> sh.ConvSheaf:
-    if sel in ("const:Q", "const:1"):
+    if sel == "const:Q":
         return sh.constant_sheaf(base, 1)
-    if sel.startswith("const:"):
-        return sh.constant_sheaf(base, int(sel.split(":", 1)[1]))
-    if sel.startswith("sky:omega:"):
-        return sh.skyscraper_omega(base, int(sel.rsplit(":", 1)[1]))
+    for prefix, make in (("const:", sh.constant_sheaf), ("sky:omega:", sh.skyscraper_omega)):
+        if sel.startswith(prefix):
+            dim = sel[len(prefix):]
+            if not dim.isdecimal():
+                raise UsageError(f"bad dimension {dim!r} in sheaf selector {sel!r}")
+            return make(base, int(dim))
     raise UsageError(f"unknown sheaf selector {sel!r}")
 
 
@@ -518,6 +518,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
+        for count in ("depth", "degree", "stages"):
+            if getattr(args, count, 0) < 0:
+                raise UsageError(f"--{count} must be non-negative")
         args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -651,10 +651,17 @@ def parse_group(selector: str) -> FiniteGroup:
     except ValueError:
         raise UnknownFamily(f"bad group selector {selector!r}") from None
     if head == "cyclic":
+        if n < 1:
+            raise UnknownFamily(f"bad group selector {selector!r}: order must be >= 1")
         return cyclic(n)
     if head == "dihedral":
+        if n < 2 or n % 2:
+            raise UnknownFamily(
+                f"bad group selector {selector!r}: order must be even and >= 2")
         return dihedral(n)
     if head == "sym":
+        if n < 0:
+            raise UnknownFamily(f"bad group selector {selector!r}: degree must be >= 0")
         return symmetric(n)
     raise UnknownFamily(f"unknown group family {head!r}")
 

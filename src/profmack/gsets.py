@@ -98,10 +98,6 @@ class FiniteGSet:
         return self._scan
 
 
-def empty_gset(G: FiniteGroup) -> FiniteGSet:
-    return FiniteGSet(G, tuple(() for _ in range(G.order)), label="empty")
-
-
 def point_gset(G: FiniteGroup) -> FiniteGSet:
     return FiniteGSet(G, tuple((0,) for _ in range(G.order)), label="*")
 
@@ -129,20 +125,6 @@ def coset_orbit(G: FiniteGroup, H: Subgroup):
 def transitive_gset(G: FiniteGroup, H: Subgroup) -> FiniteGSet:
     """G/H, the same object on every call (see ``coset_orbit``)."""
     return coset_orbit(G, H)[2]
-
-
-def disjoint_union(*sets: FiniteGSet) -> FiniteGSet:
-    G = sets[0].group
-    assert all(s.group is G for s in sets)
-    act = []
-    for g in G.elements():
-        row: list[int] = []
-        offset = 0
-        for s in sets:
-            row.extend(s.act[g][x] + offset for x in range(s.size))
-            offset += s.size
-        act.append(tuple(row))
-    return FiniteGSet(G, tuple(act), label="+".join(s.label for s in sets))
 
 
 def product_gset(a: FiniteGSet, b: FiniteGSet) -> FiniteGSet:

@@ -2,10 +2,12 @@
 comparison.
 
 Ext is computed as the cohomology of Hom(E, I*(F)) for the Godement stages of
-F.  Degree-1 lower bounds are certified by explicit non-split extensions built
-from the parity (alternating) section rather than by ambient dimension counts:
-Ext^1 at the limit point is infinite-dimensional as a Q-space, so certificates
-report LowerBoundPositive with a re-verifiable witness there.
+F.  Degree-1 lower bounds are certified by explicit non-split extensions
+rather than by ambient dimension counts: Ext^1 at the limit point is
+infinite-dimensional as a Q-space, so certificates report LowerBoundPositive
+with a re-verifiable witness there.  The witness is the first tail outside the
+reachable span that _tail_outside finds; its parity candidates come first, so
+over S(Z_p) it is the alternating section (1, 0, 1, 0, ...).
 
 The finite-group comparison functor Phi kills images of proper inductions:
 stalk of Phi(M) at a subgroup K is coker(⊕_{L<K} ind^K_L), with conjugation
@@ -20,7 +22,7 @@ from fractions import Fraction
 
 from . import linalg as la
 from .cbrank import RankCertificate, cb_rank
-from .groups import Subgroup, conjugate_subgroup
+from .groups import Subgroup, UnknownFamily, conjugate_subgroup
 from .gsets import FiniteGSet
 from .mackey import MackeyFunctorQ
 from .sheaf import (
@@ -36,16 +38,12 @@ from .sheaf import (
     spzp_base,
     tail_coords,
 )
-from .tower import builtin_tower, subgroup_space_tower
+from .tower import builtin_tower, parse_prime, subgroup_space_tower
 
 Q0, Q1 = la.Q0, la.Q1
 
 
 class ResolutionUnavailable(Exception):
-    pass
-
-
-class HeightTooLow(Exception):
     pass
 
 
@@ -88,39 +86,6 @@ def _reachable_span(E: ConvSheaf, F: ConvSheaf, P: int) -> list[list[Fraction]]:
                         coords.extend(vals)
                     span.append(coords)
     return [v for v in span if any(v)]
-
-
-def _fixed_pattern_vector(F: ConvSheaf, j: int) -> list[Fraction] | None:
-    """A W-fixed nonzero vector in the pattern stalk at position j."""
-    W = F.base.group
-    null = la.fixed_space([F.act_pattern[(g, j)] for g in W.elements()],
-                          F.pattern_dims[j])
-    return null[0] if null else None
-
-
-def parity_witness(x: str, E: ConvSheaf, i: int = 0) -> Tail:
-    """Alternating stab-fixed section of coker(delta_i), nonzero at x.
-
-    Heights on a converging base: isolated points 0, the limit point 1, so a
-    witness exists only for x = "omega", i = 0.  The section is the class of
-    the period-2 sequence (v, 0, v, 0, ...) in PerTail(pattern of E).
-    """
-    ht = 1 if x == "omega" else 0
-    if i >= ht:
-        raise HeightTooLow(f"ht({x}) = {ht} <= stage {i}")
-    v = _fixed_pattern_vector(E, 0)
-    if v is None:
-        raise HeightTooLow("pattern stalk has no fixed vector to alternate")
-    m = E.base.m
-    P = 2 * m
-    vals = []
-    for pos in range(P):
-        d = E.pattern_dims[pos % m]
-        if pos % (2 * m) == 0:
-            vals.append(tuple(v))
-        else:
-            vals.append(tuple([Q0] * d))
-    return Tail(P, tuple(vals))
 
 
 def _tail_outside(span: list[list[Fraction]], F: ConvSheaf, P: int) -> Tail | None:
@@ -338,21 +303,19 @@ def combine_certificate(setup: str, rank_cert: RankCertificate,
 
 
 def homdim_certificate(setup: str, depth: int = 6) -> HomDimCertificate:
-    """Built-in setups: "finite:<selector>", "spzp[:p]", "spzp-weyl"."""
+    """Built-in setups: "finite[:<selector>]", "spzp[:p]", "spzp-weyl[:p]",
+    with p prime (default 2)."""
     trace: list[str] = []
-    if setup.startswith("finite"):
-        sel = setup.split(":", 1)[1] if ":" in setup else "cyclic:2"
+    family, sep, arg = setup.partition(":")
+    if family == "finite":
+        sel = arg if sep else "cyclic:2"
         T = builtin_tower(f"finite:{sel}", max(depth, 1))
         cert = cb_rank(subgroup_space_tower(T))
         trace.append(f"finite group {sel}: discrete subgroup space")
         trace.append("finite discrete base: sheaves injective, length-0 resolutions")
         return combine_certificate(setup, cert, 0, 0, None, trace)
-    if setup.startswith("spzp"):
-        p = 2
-        if ":" in setup:
-            tail = setup.rsplit(":", 1)[1]
-            if tail.isdigit():
-                p = int(tail)
+    if family in ("spzp", "spzp-weyl"):
+        p = parse_prime(arg) if sep else 2
         T = builtin_tower(f"pro_p:{p}", depth)
         cert = cb_rank(subgroup_space_tower(T))
         base = spzp_base(p)
@@ -371,7 +334,7 @@ def homdim_certificate(setup: str, depth: int = 6) -> HomDimCertificate:
         return combine_certificate(
             setup, cert, res.length, nonsplit_degree, witness, trace
         )
-    raise ValueError(f"unknown setup {setup!r}")
+    raise UnknownFamily(f"unknown setup {setup!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import linalg as la
-from .groups import CyclicGroup, FiniteGroup, Subgroup, trivial_subgroup
+from .groups import CyclicGroup, FiniteGroup, Subgroup, generator_rows, trivial_subgroup
 from .gsets import FiniteGSet
 
 Q0, Q1 = la.Q0, la.Q1
@@ -52,24 +52,22 @@ class EqSheafFinite:
     name: str = "E"
 
     def check_equivariance(self) -> bool:
-        G = self.base.group
-        for g in G.elements():
-            for h in G.elements():
-                for x in range(self.base.size):
+        """act[(e, x)] = I and act[(s·h, x)] = act[(s, h·x)]·act[(h, x)] for
+        every generator s, every h and every x: |gens|·|G|·n products, and
+        exact for every pair g, h by induction on the length of g as a word
+        in the generators, as in ``FiniteGSet``."""
+        G, points = self.base.group, range(self.base.size)
+        if any(not la.eq(self.act[(G.identity, x)], la.identity(self.dims[x]))
+               for x in points):
+            return False
+        for s, s_row in generator_rows(G):
+            for h, sh in zip(G.elements(), s_row):
+                for x in points:
                     hx = self.base.act[h][x]
-                    lhs = la.matmul(self.act[(g, hx)], self.act[(h, x)])
-                    rhs = self.act[(G.mul(g, h), x)]
-                    if not la.eq(lhs, rhs):
+                    lhs = la.matmul(self.act[(s, hx)], self.act[(h, x)])
+                    if not la.eq(lhs, self.act[(sh, x)]):
                         return False
         return True
-
-
-def constant_sheaf_finite(base: FiniteGSet, dim: int) -> EqSheafFinite:
-    G = base.group
-    act = {
-        (g, x): la.identity(dim) for g in G.elements() for x in range(base.size)
-    }
-    return EqSheafFinite(base, [dim] * base.size, act, name=f"const{dim}")
 
 
 def hom_fin(E: EqSheafFinite, F: EqSheafFinite) -> list[dict[int, la.Matrix]]:
@@ -237,50 +235,8 @@ def skyscraper_omega(base: ConvergingBase, dim: int) -> ConvSheaf:
     )
 
 
-def skyscraper_isolated(base: ConvergingBase, n: int, dim: int) -> ConvSheaf:
-    """Skyscraper at an exceptional isolated point x_n (n <= r)."""
-    if n > base.r:
-        raise NonPeriodicTail(
-            "skyscrapers inside the periodic family break the period; "
-            "model the point as exceptional instead"
-        )
-    exc = [dim if i == n - 1 else 0 for i in range(base.r)]
-    return ConvSheaf(base, exc, [0] * base.m, 0, [], name=f"sky(x{n},{dim})")
-
-
 def zero_conv_sheaf(base: ConvergingBase) -> ConvSheaf:
     return ConvSheaf(base, [0] * base.r, [0] * base.m, 0, [], name="0")
-
-
-def restrict_extend(E: ConvSheaf, A) -> ConvSheaf:
-    """Extension by zero of the restriction to an orbit (or "all").
-
-    A is "all", "omega", or ("exc", i) for the single isolated orbit x_{i+1};
-    a single point of the periodic family is not an invariant-period orbit
-    shape this class can hold.
-    """
-    if A == "all":
-        return E
-    if A == "omega":
-        out = replace(
-            E,
-            exc_dims=[0] * E.base.r,
-            pattern_dims=[0] * E.base.m,
-            lam=[zero_tail([0] * E.base.m)] * E.fin_dim,
-            lam_tail=(Q0,) * E.tail_mult,
-            act_exc={}, act_pattern={},
-            name=f"{E.name}|omega",
-        )
-        return out
-    if isinstance(A, tuple) and A[0] == "exc":
-        i = A[1]
-        exc = [E.exc_dims[i] if t == i else 0 for t in range(E.base.r)]
-        return ConvSheaf(
-            E.base, exc, [0] * E.base.m, 0, [],
-            act_exc={(g, i): E.act_exc[(g, i)] for g in E.base.group.elements()},
-            name=f"{E.name}|x{i + 1}",
-        )
-    raise NonPeriodicTail(f"unsupported orbit selector {A!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ Built-in families:
     trivial level (the tower of a finite group).
 
 Stability certificates for threads of the subgroup-space tower are only
-emitted where a family lemma applies; see stability_oracle.
+emitted where a family lemma applies (`_thread_cert`).
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ from .groups import (
     parse_group,
     subgroup,
 )
-
-STABLE = "StableSingleton"
-UNSTABLE = "Unstable"
-UNKNOWN = "Unknown"
 
 
 @dataclass
@@ -81,13 +77,21 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _prime_of(tag: str) -> int:
-    if not tag.startswith("pro_p:"):
-        raise UnknownFamily(f"expected pro_p:<prime>, got {tag!r}")
-    p = int(tag.split(":", 1)[1])
+def parse_prime(text: str) -> int:
+    """The prime that a selector writes as text; UnknownFamily otherwise."""
+    try:
+        p = int(text)
+    except ValueError:
+        raise UnknownFamily(f"expected a prime, got {text!r}") from None
     if not _is_prime(p):
         raise UnknownFamily(f"{p} is not prime")
     return p
+
+
+def _prime_of(tag: str) -> int:
+    if not tag.startswith("pro_p:"):
+        raise UnknownFamily(f"expected pro_p:<prime>, got {tag!r}")
+    return parse_prime(tag.split(":", 1)[1])
 
 
 def _family_primes(fam: str) -> list[int]:
@@ -173,12 +177,6 @@ def tower_from_json(data: dict) -> GroupTower:
     return GroupTower(levels, bonds, data.get("family"))
 
 
-@dataclass(frozen=True)
-class SubgroupPoint:
-    level: int
-    subgroup: Subgroup
-
-
 # ---------------------------------------------------------------------------
 # the subgroup space S(G) through the tower
 
@@ -241,23 +239,3 @@ def subgroup_space_tower(T: GroupTower) -> SpaceTree:
 
 def _dup(subs: list[Subgroup], H: Subgroup) -> bool:
     return sum(1 for K in subs if K.order == H.order) > 1
-
-
-def stability_oracle(T: GroupTower, x: SubgroupPoint) -> str:
-    """Sound isolation verdict for a subgroup point observed at its level."""
-    k, H = x.level, x.subgroup
-    if not (0 <= k <= T.depth):
-        raise ValueError("point beyond tower depth")
-    fam = T.family
-    if fam == "trivial":
-        return STABLE
-    if fam is not None and fam.startswith("finite:"):
-        return STABLE if k >= 1 else UNKNOWN
-    if fam is not None and (fam.startswith("pro_p:") or fam.startswith("prod:")):
-        if k == 0:
-            return UNKNOWN
-        index = T.levels[k].order // H.order
-        if any(_valuation(index, p) == k for p in _family_primes(fam)):
-            return UNSTABLE
-        return STABLE
-    return UNKNOWN

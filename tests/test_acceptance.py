@@ -19,6 +19,7 @@ from profmack import linalg as la
 from profmack import mackey as mk
 from profmack import sheaf as sh
 from profmack import tower as tw
+from tree_helpers import empty_tree
 
 SEED = 20260823
 
@@ -53,7 +54,7 @@ def test_acceptance_1_cb_rank_reproduction(capsys):
         ok &= cert.verdict == "Exact" and cert.rank == 2 and dt < 5.0
     triv = cb.cb_rank(tw.subgroup_space_tower(tw.builtin_tower("trivial", 6)))
     ok &= triv.verdict == "Exact" and triv.rank == 1
-    emp = cb.cb_rank(cb.empty_tree())
+    emp = cb.cb_rank(empty_tree())
     ok &= emp.verdict == "Exact" and emp.rank == 0
     report(capsys, 1, ok, f"cb rank: pro-p Exact(2) p=2,3,5; trivial Exact(1); "
                   f"empty Exact(0); max {max(times):.2f}s")

@@ -7,7 +7,7 @@ from profmack import groups as gr
 from profmack import gsets as gs
 from profmack import mackey as mk
 from profmack import tower as tw
-from span_helpers import identity_span, span_add, span_equivalent
+from span_helpers import empty_gset, identity_span, span_add, span_equivalent
 
 SEED = 20260823
 
@@ -179,8 +179,8 @@ def test_inflate_functorial():
     T = tw.builtin_tower("pro_p:2", 3)
     G1 = T.levels[1]
     A = gs.transitive_gset(G1, gr.trivial_subgroup(G1))
-    one_step = bs.inflate(bs.inflate(A, T, 1, 2), T, 2, 3)
-    direct = bs.inflate(A, T, 1, 3)
+    one_step = gs.inflate_gset(gs.inflate_gset(A, T.bond_to(2, 1)), T.bond_to(3, 2))
+    direct = gs.inflate_gset(A, T.bond_to(3, 1))
     assert one_step.act == direct.act
 
 
@@ -249,7 +249,7 @@ def test_span_rejects_a_leg_outside_its_foot():
     with pytest.raises(ValueError, match="leaves its foot"):
         bs.Span(T, P, T, (0, 1), (0, -1))
     with pytest.raises(ValueError, match="leaves its foot"):
-        bs.Span(T, gs.empty_gset(G), T, (0, 1), (0, 0))
+        bs.Span(T, empty_gset(G), T, (0, 1), (0, 0))
 
 
 def test_span_rejects_a_leg_equivariant_for_the_first_generator_only():

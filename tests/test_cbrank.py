@@ -2,6 +2,7 @@ import pytest
 
 from profmack import cbrank as cb
 from profmack import tower as tw
+from tree_helpers import binary_tree, discrete_tree, empty_tree
 
 
 def pro_p_tree(p, depth):
@@ -9,12 +10,12 @@ def pro_p_tree(p, depth):
 
 
 def test_empty_tree_rank_zero():
-    cert = cb.cb_rank(cb.empty_tree())
+    cert = cb.cb_rank(empty_tree())
     assert cert.verdict == "Exact" and cert.rank == 0
 
 
 def test_discrete_tree_rank_one():
-    cert = cb.cb_rank(cb.discrete_tree(["a", "b", "c"]))
+    cert = cb.cb_rank(discrete_tree(["a", "b", "c"]))
     assert cert.verdict == "Exact" and cert.rank == 1
 
 
@@ -34,14 +35,14 @@ def test_prod_rank_three():
 
 
 def test_unknown_certs_give_interval():
-    X = cb.binary_tree(3, certified=False)
+    X = binary_tree(3, certified=False)
     cert = cb.cb_rank(X)
     assert cert.verdict == "Interval"
     assert cert.lo >= 1 and cert.hi is None
 
 
 def test_perfect_hull_detected():
-    X = cb.binary_tree(3, certified=True)
+    X = binary_tree(3, certified=True)
     cert = cb.cb_rank(X)
     assert cert.verdict == "PerfectHullDetected"
 
@@ -57,19 +58,12 @@ def test_thread_cert_validation():
 
 def test_derivative_removes_stage_zero():
     X = pro_p_tree(2, 4)
-    Y = cb.derivative(X)
-    # only the zero-subgroup thread survives the first derivative
-    assert Y.top_size == 1
-    assert Y.certs[0].m == 0
-
-
-def test_isolated_and_split():
-    X = pro_p_tree(2, 4)
-    rep = cb.isolated_points(X)
-    assert len(rep.certified) == 4 and not rep.undecided
-    split = cb.scattered_split(X)
-    assert not split.hull_nonempty
-    assert len(split.scattered) == 5
+    cert = cb.cb_rank(X)
+    # the first derivative removes the four proper-subgroup threads; only
+    # the zero-subgroup thread survives it, and goes at stage 1
+    proper = sorted(label for label in X.levels[-1] if label != "ord1")
+    assert [sorted(stage["removed"]) for stage in cert.trace] == [proper, ["ord1"]]
+    assert len(proper) == 4
 
 
 def test_heights_pro_p():
@@ -78,13 +72,6 @@ def test_heights_pro_p():
     assert rep.heights["ord1"] == 1  # the zero subgroup accumulates
     assert all(h == 0 for lbl, h in rep.heights.items() if lbl != "ord1")
     assert not rep.hull and not rep.lower_bounds
-
-
-def test_tree_union_rank_max():
-    a = cb.discrete_tree(["a", "b"])
-    b = cb.discrete_tree(["c"])
-    cert = cb.cb_rank(cb.tree_union(a, b))
-    assert cert.verdict == "Exact" and cert.rank == 1
 
 
 def test_depth_exhausted():

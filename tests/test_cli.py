@@ -69,6 +69,30 @@ def test_group_info_bad_selector(capsys):
     assert code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    "homdim certify --setup foo",
+    "homdim certify --setup spzp:abc",
+    "sheaf godement --base spzp:x",
+    "sheaf godement --base spzp:0",
+    "sheaf godement --sheaf const:x",
+    "sheaf godement --sheaf const:-1",
+    "mackey hom --group sym:3 --M rep:x --N burnside",
+    "group info --group cyclic:0",
+    "group info --group dihedral:3",
+    "cb rank --tower pro_p:2 --depth -1",
+    "mackey ext --group cyclic:2 --M burnside --N burnside --degree -1",
+    "sheaf godement --stages -1",
+    "cb rank --tower pro_p:x",
+    "sheaf godement --sheaf sky:omega:x",
+])
+def test_malformed_input_is_a_usage_error(argv, capsys):
+    code = cli.main(argv.split())
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_mackey_ext_cli(capsys):
     code, out = run(capsys, ["mackey", "ext", "--group", "cyclic:2",
                              "--M", "burnside", "--N", "fixedpoint:Q(zeta_2)",

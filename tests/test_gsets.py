@@ -5,6 +5,7 @@ import pytest
 from profmack import _kernels
 from profmack import groups as gr
 from profmack import gsets as gs
+from span_helpers import disjoint_union, empty_gset
 
 
 def test_transitive_gset_sizes():
@@ -18,7 +19,7 @@ def test_transitive_gset_sizes():
 def test_point_and_empty():
     G = gr.cyclic(3)
     assert gs.point_gset(G).size == 1
-    assert gs.empty_gset(G).size == 0
+    assert empty_gset(G).size == 0
 
 
 def test_fixed_points_regular_orbit():
@@ -47,7 +48,7 @@ def test_disjoint_union():
     G = gr.cyclic(2)
     X = gs.transitive_gset(G, gr.trivial_subgroup(G))
     Y = gs.point_gset(G)
-    U = gs.disjoint_union(X, Y)
+    U = disjoint_union(X, Y)
     assert U.size == 3
     assert len(U.orbits()) == 2
 
@@ -153,7 +154,7 @@ def sample_sets(G):
     """Every G/H, a disjoint union and two products."""
     orbits = [gs.transitive_gset(G, H) for H in gr.all_subgroups(G)]
     return orbits + [
-        gs.disjoint_union(orbits[-1], orbits[0], gs.point_gset(G), orbits[1]),
+        disjoint_union(orbits[-1], orbits[0], gs.point_gset(G), orbits[1]),
         gs.product_gset(orbits[0], orbits[0]),
         gs.product_gset(orbits[1], orbits[len(orbits) // 2]),
     ]
@@ -212,8 +213,8 @@ def test_orbit_scan_matches_brute_force(G, monkeypatch):
 def test_orbits_under_generators_are_the_orbits_under_all_of_g(G):
     # the trivial group has no generators
     C1 = gr.cyclic(1)
-    trivial = [gs.point_gset(C1), gs.disjoint_union(*[gs.point_gset(C1)] * 3)]
-    for X in sample_sets(G) + [gs.empty_gset(G)] + trivial:
+    trivial = [gs.point_gset(C1), disjoint_union(*[gs.point_gset(C1)] * 3)]
+    for X in sample_sets(G) + [empty_gset(G)] + trivial:
         labels = _kernels.orbit_labels(X.act, X.size)
         every_row = [[x for x in range(X.size) if labels[x] == l]
                      for l in range(len(set(labels)))]

@@ -7,7 +7,8 @@ from profmack import homdim as hd
 from profmack import linalg as la
 from profmack import mackey as mk
 from profmack import sheaf as sh
-from profmack.groups import cyclic, symmetric, subgroup_conjugacy_classes, trivial_subgroup
+from profmack.groups import (UnknownFamily, cyclic, symmetric, subgroup_conjugacy_classes,
+                             trivial_subgroup)
 from profmack.gsets import transitive_gset
 
 F = Fraction
@@ -68,33 +69,21 @@ def test_skyscraper_reduction_cross_check():
 
 
 # ---------------------------------------------------------------------------
-# parity witness and non-split extensions
-
-
-def test_parity_witness_alternates():
-    cQ = sh.constant_sheaf(sh.spzp_base(2), 1)
-    w = hd.parity_witness("omega", cQ, 0)
-    assert w.period == 2
-    assert w.values == ((F(1),), (F(0),))
-
-
-def test_parity_witness_height_too_low():
-    cQ = sh.constant_sheaf(sh.spzp_base(2), 1)
-    with pytest.raises(hd.HeightTooLow):
-        hd.parity_witness("omega", cQ, 1)
-    with pytest.raises(hd.HeightTooLow):
-        hd.parity_witness("x1", cQ, 0)
+# non-split extensions
 
 
 def test_nonsplit_extension_sky_constQ():
-    B = sh.spzp_base(2)
-    sky = sh.skyscraper_omega(B, 1)
-    cQ = sh.constant_sheaf(B, 1)
-    d = hd.nonsplit_extension(sky, cQ)
-    assert d is not None and d.verified_nonsplit and d.degree == 1
-    M = d.middle
-    assert M.fin_dim == 2
-    assert M.lam[1].eq(d.witness)
+    for p in (2, 3):
+        B = sh.spzp_base(p)
+        sky = sh.skyscraper_omega(B, 1)
+        cQ = sh.constant_sheaf(B, 1)
+        d = hd.nonsplit_extension(sky, cQ)
+        assert d is not None and d.verified_nonsplit and d.degree == 1
+        # the witness is the alternating section (1, 0, 1, 0, ...)
+        assert d.witness == sh.Tail(2, ((F(1),), (F(0),)))
+        M = d.middle
+        assert M.fin_dim == 2
+        assert M.lam[1].eq(d.witness)
 
 
 def test_nonsplit_extension_none_cases():
@@ -132,15 +121,16 @@ def test_certificate_finite_exact_zero():
 
 def test_certificate_perfect_hull_flag_only():
     from profmack import cbrank as cb
+    from tree_helpers import binary_tree
 
-    tree = cb.binary_tree(3, certified=True)
+    tree = binary_tree(3, certified=True)
     cert = hd.combine_certificate("binary", cb.cb_rank(tree), None, 0, None, [])
     assert cert.verdict == "PerfectHull"
     assert cert.value is None and cert.upper is None
 
 
 def test_certificate_unknown_setup():
-    with pytest.raises(ValueError):
+    with pytest.raises(UnknownFamily):
         hd.homdim_certificate("rhombus")
 
 

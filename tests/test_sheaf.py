@@ -7,9 +7,10 @@ from profmack import homdim as hd
 from profmack import linalg as la
 from profmack import mackey as mk
 from profmack import sheaf as sh
-from profmack.groups import (CyclicGroup, cyclic, parse_group, subgroup_conjugacy_classes,
-                             symmetric, trivial_subgroup)
+from profmack.groups import (CyclicGroup, cyclic, generators, parse_group,
+                             subgroup_conjugacy_classes, symmetric, trivial_subgroup)
 from profmack.gsets import transitive_gset
+from sheaf_helpers import constant_sheaf_finite, skyscraper_isolated
 
 F = Fraction
 SEED = 20260823
@@ -91,7 +92,7 @@ def test_hom_sky_omega_is_kernel_of_lambda():
 def test_hom_sky_isolated_adjunction():
     # hom(sky(x, Q), E) = E_x^{stab(x)}
     base = sh.ConvergingBase(r=1, m=1)
-    skyx = sh.skyscraper_isolated(base, 1, 1)
+    skyx = skyscraper_isolated(base, 1, 1)
     E = sh.ConvSheaf(base, [3], [1], 1, [sh.constant_tail([1], [F(1)])])
     assert sh.hom_conv_dim(skyx, E) == 3
 
@@ -100,7 +101,7 @@ def test_hom_with_group_action():
     # W = C2 acting by sign on an exceptional stalk: fixed part is 0
     W = cyclic(2)
     base = sh.ConvergingBase(r=1, m=1, group=W)
-    skyx = sh.skyscraper_isolated(base, 1, 1)
+    skyx = skyscraper_isolated(base, 1, 1)
     E = sh.ConvSheaf(
         base, [1], [0], 0, [],
         act_exc={(0, 0): la.identity(1), (1, 0): [[F(-1)]]},
@@ -111,21 +112,7 @@ def test_hom_with_group_action():
 def test_skyscraper_in_tail_rejected():
     base = sh.ConvergingBase(r=1, m=1)
     with pytest.raises(sh.NonPeriodicTail):
-        sh.skyscraper_isolated(base, 5, 1)
-
-
-def test_restrict_extend():
-    B = sh.spzp_base(2)
-    cQ = sh.constant_sheaf(B, 2)
-    Eo = sh.restrict_extend(cQ, "omega")
-    assert Eo.pattern_dims == [0] and Eo.fin_dim == 2
-    assert sh.restrict_extend(cQ, "all") is cQ
-    base = sh.ConvergingBase(r=2, m=1)
-    E = sh.ConvSheaf(base, [1, 2], [1], 1, [sh.constant_tail([1], [F(1)])])
-    E1 = sh.restrict_extend(E, ("exc", 1))
-    assert E1.exc_dims == [0, 2] and E1.fin_dim == 0
-    with pytest.raises(sh.NonPeriodicTail):
-        sh.restrict_extend(E, ("tail", 0))
+        skyscraper_isolated(base, 5, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -190,16 +177,39 @@ def test_random_battery_stalk_vanishing():
 def test_hom_fin_regular_orbit():
     G = symmetric(3)
     X = transitive_gset(G, trivial_subgroup(G))
-    E = sh.constant_sheaf_finite(X, 1)
+    E = constant_sheaf_finite(X, 1)
     assert E.check_equivariance()
     # equivariant endomorphisms of the constant sheaf on a transitive set
     assert len(sh.hom_fin(E, E)) == 1
 
 
+def regular_constant_sheaf(G):
+    return constant_sheaf_finite(transitive_gset(G, trivial_subgroup(G)), 1)
+
+
+def test_check_equivariance_rejects_a_corrupted_non_generator_matrix():
+    G = symmetric(3)
+    E = regular_constant_sheaf(G)
+    g = next(g for g in G.elements() if g != G.identity and g not in generators(G))
+    E.act[(g, 0)] = la.scale(E.act[(g, 0)], F(2))
+    assert not E.check_equivariance()
+
+
+def test_check_equivariance_rejects_a_corrupted_identity_matrix():
+    G = symmetric(3)
+    E = regular_constant_sheaf(G)
+    E.act[(G.identity, 0)] = la.scale(E.act[(G.identity, 0)], F(2))
+    assert not E.check_equivariance()
+    # zero matrices satisfy act[(s·h, x)] = act[(s, h·x)]·act[(h, x)]
+    # everywhere; only the identity clause rejects them
+    E.act = {key: la.zeros(1, 1) for key in E.act}
+    assert not E.check_equivariance()
+
+
 def test_hom_fin_zero():
     G = cyclic(2)
     X = transitive_gset(G, trivial_subgroup(G))
-    E = sh.constant_sheaf_finite(X, 1)
+    E = constant_sheaf_finite(X, 1)
     Z = sh.EqSheafFinite(X, [0, 0], {(g, x): [] for g in G.elements()
                                      for x in range(2)})
     assert sh.hom_fin(E, Z) == []

@@ -65,27 +65,6 @@ def test_thread_certs_pro_p():
     assert ms == [0, 0, 0, 0, 1]
 
 
-def test_stability_oracle():
-    T = tw.builtin_tower("pro_p:2", 4)
-    subs2 = all_subgroups(T.levels[2])
-    verdicts = {
-        H.order: tw.stability_oracle(T, tw.SubgroupPoint(2, H)) for H in subs2
-    }
-    # index 4 = p^2 at level 2: the maximal-index thread is unstable
-    assert verdicts[1] == tw.UNSTABLE
-    assert verdicts[2] == tw.STABLE
-    assert verdicts[4] == tw.STABLE
-    triv = tw.builtin_tower("trivial", 2)
-    H = all_subgroups(triv.levels[1])[0]
-    assert tw.stability_oracle(triv, tw.SubgroupPoint(1, H)) == tw.STABLE
-
-
-def test_stability_oracle_level_zero_unknown():
-    T = tw.builtin_tower("pro_p:2", 3)
-    H = all_subgroups(T.levels[0])[0]
-    assert tw.stability_oracle(T, tw.SubgroupPoint(0, H)) == tw.UNKNOWN
-
-
 PRODUCT_FAMILIES = ("prod:pro_p:2,pro_p:3", "prod:pro_p:2,pro_p:5",
                     "prod:pro_p:2,pro_p:3,pro_p:5")
 
