@@ -39,9 +39,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
-DEFAULT_DEPTH = int(os.environ.get("PROFMACK_DEPTH", "6"))
-
-
 class UsageError(Exception):
     pass
 
@@ -437,7 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tsv", action="store_true")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--threads", type=int, default=1)
-    common.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    # argparse converts a string default with `type`, so a malformed
+    # PROFMACK_DEPTH is a usage error like a malformed --depth
+    common.add_argument("--depth", type=int,
+                        default=os.environ.get("PROFMACK_DEPTH", "6"))
 
     p = argparse.ArgumentParser(prog="profmack", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -31,6 +31,7 @@ from .sheaf import (
     GodementResolution,
     Tail,
     WeylFlag,
+    common_period,
     constant_sheaf,
     godement_resolution,
     hom_conv_dim,
@@ -58,13 +59,6 @@ class ExtResult:
     lower_bound_positive: bool = False
     witness: Tail | None = None
     trace: list[str] = field(default_factory=list)
-
-
-def _witness_period(E: ConvSheaf, F: ConvSheaf) -> int:
-    P = math.lcm(2, E.base.m)
-    for t in list(E.lam) + list(F.lam):
-        P = math.lcm(P, t.period)
-    return P
 
 
 def _reachable_span(E: ConvSheaf, F: ConvSheaf, P: int) -> list[list[Fraction]]:
@@ -120,21 +114,11 @@ def _tail_outside(span: list[list[Fraction]], F: ConvSheaf, P: int) -> Tail | No
         return outs
 
     for period in (P, 2 * P):
-        span_P = [tail_coords(Tail(P, _unflatten(v, F, P)), period)
-                  for v in span] if span else []
+        span_P = [v * (period // P) for v in span]
         for cand in candidates(period):
             if not la.in_span(span_P, tail_coords(cand, period)):
                 return cand
     return None
-
-
-def _unflatten(coords: list[Fraction], F: ConvSheaf, P: int):
-    vals, i = [], 0
-    for pos in range(P):
-        d = F.pattern_dims[pos % F.base.m]
-        vals.append(tuple(coords[i: i + d]))
-        i += d
-    return tuple(vals)
 
 
 def ext_sheaf(E: ConvSheaf, F: ConvSheaf, i: int,
@@ -165,7 +149,7 @@ def ext_sheaf(E: ConvSheaf, F: ConvSheaf, i: int,
         raise ResolutionUnavailable(
             "Ext^1 witness search requires a source with finite omega stalk"
         )
-    P = _witness_period(E, F)
+    P = common_period(E, F)
     span = _reachable_span(E, F, P)
     w = _tail_outside(span, F, P)
     if w is None:
@@ -203,7 +187,7 @@ def nonsplit_extension(E: ConvSheaf, F: ConvSheaf) -> ExtensionDatum | None:
         return None
     if F.pattern_zero() or any(F.lam_tail):
         return None  # injective target within the class
-    P = _witness_period(E, F)
+    P = common_period(E, F)
     span = _reachable_span(E, F, P)  # lambda_E = 0 here, so this is im lambda_F
     w = _tail_outside(span, F, P)
     if w is None:

@@ -4,9 +4,15 @@ Matrices are lists of rows that also record their column count (`Matrix`),
 so a matrix with no rows keeps its shape: a map into or out of the zero
 space is a true 0 x n or n x 0 matrix, and every operation here that returns
 a matrix returns one of the right shape.  Rows are lists of Fraction.  A
-plain list of rows is accepted as input when it has at least one row.
+plain list of rows is accepted as input, and one without rows is 0 x 0.
 Everything here is tolerance-free: dimensions in this package are integers
 and stay integers.
+
+Every Hom solve of the package is one `intertwiners(shapes, equations)`
+call: the unknowns are matrices X_key of the given shapes, and an equation
+is a pair (lhs, rhs) of term lists read as Σ left·X_key·right over lhs =
+the same sum over rhs, None standing for an identity factor.
+`equation_rows` writes its rows, one per entry of the product.
 
 Matrices go in and come out dense.  Elimination (`rref`, and through it
 `rank`, `nullspace`, `solve_columns`, `solve`, `in_span`, `quotient_basis`
@@ -59,8 +65,8 @@ def from_columns(vectors: list[Vector], rows: int) -> Matrix:
 
 
 def shape(a: Matrix) -> tuple[int, int]:
-    """(rows, columns) of a Matrix, or of a plain list with at least one row."""
-    return len(a), a.cols if type(a) is Matrix else len(a[0])
+    """(rows, columns) of a Matrix, or of a plain list of rows (0 x 0 if empty)."""
+    return len(a), a.cols if type(a) is Matrix else len(a[0]) if a else 0
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -134,30 +140,55 @@ def vstack(blocks: list[Matrix]) -> Matrix:
 Block = tuple[int, int, int]  # (offset, rows, cols) of an unknown matrix
 
 
-def intertwiner_rows(n: int, dst: Block, a: Matrix, src: Block,
-                     b: Matrix) -> Matrix:
-    """Rows over Q^n of the equation X_dst·a − b·X_src = 0.
-
-    X_dst and X_src are unknown matrices packed row-major into Q^n at their
-    blocks (they may be the same block); a maps into X_dst's source space and
-    b out of X_src's target space.  One row per entry (i, j) of the product.
-    """
-    od, _, cd = dst
-    os_, _, cs = src
-    # only nonzero terms are written; a terms never meet each other, nor do
-    # b terms, so a cell still holding the Q0 object takes a term as it is
-    a_cols = [[(od + t, frac(at[j])) for t, at in enumerate(a) if at[j]]
-              for j in range(cs)]
+def equation_rows(n: int, blocks: dict, lhs, rhs) -> Matrix:
+    """Rows over Q^n of Σ lhs = Σ rhs, one per product entry: a term
+    (left, key, right) is left·X_key·right, X_key packed row-major at
+    blocks[key] and None standing for an identity factor.  Factors that do
+    not fit X_key, or terms of different product shapes, raise ValueError."""
+    shape_, terms = None, []
+    for neg, side in ((False, lhs), (True, rhs)):
+        for left, key, right in side:
+            off, r, c = blocks[key]
+            if left is not None and shape(left)[1] != r or right is not None and len(right) != c:
+                raise ValueError(f"factors of {key!r} do not fit its {r} x {c} shape")
+            p, q = r if left is None else len(left), c if right is None else shape(right)[1]
+            if shape_ != (p, q):
+                if shape_ is not None:
+                    raise ValueError(f"equation terms of shapes {shape_} and {(p, q)}")
+                shape_ = p, q
+            # X[s][t] is unknown off + s·c + t; a term writes (column,
+            # coefficient) cells over the nonzero factor entries only, with
+            # no product where a factor is an identity
+            if left is None:
+                right = identity(c) if right is None else right
+                cols = [[(off + t, -frac(rt[j]) if neg else frac(rt[j]))
+                         for t, rt in enumerate(right) if rt[j]] for j in range(q)]
+                terms.append(("col", cols, c))
+                continue
+            lrows = [[(off + s * c, -frac(x) if neg else frac(x)) for s, x in enumerate(li) if x]
+                     for li in left]
+            if right is None:
+                terms.append(("row", lrows, None))
+                continue
+            cols = [[(t, frac(rt[j])) for t, rt in enumerate(right) if rt[j]] for j in range(q)]
+            terms.append(("cell", [[[(k + t, x * y) for k, x in lrow for t, y in col]
+                                    for col in cols] for lrow in lrows], None))
+    if shape_ is None:
+        raise ValueError("an equation needs at least one term")
     rows = Matrix([], n)
-    for i, bi in enumerate(b):  # one per row of X_dst
-        b_neg = [(os_ + t * cs, -frac(x)) for t, x in enumerate(bi) if x]
-        for j, a_col in enumerate(a_cols):
+    for i in range(shape_[0]):
+        for j in range(shape_[1]):
             row = [Q0] * n
-            for k, x in a_col:  # one per column of X_dst
-                row[k + i * cd] = x
-            for k, x in b_neg:  # one per row of X_src
-                k += j
-                row[k] = x if row[k] is Q0 else row[k] + x
+            for by, table, c in terms:
+                if by == "col":  # left = I: column j of right, at row i of X
+                    cells, shift = table[j], i * c
+                elif by == "row":  # right = I: row i of left, at column j of X
+                    cells, shift = table[i], j
+                else:
+                    cells, shift = table[i][j], 0
+                for k, x in cells:
+                    k += shift
+                    row[k] = x if row[k] is Q0 else row[k] + x
             rows.append(row)
     return rows
 
@@ -169,13 +200,13 @@ def read_block(v: Vector, block: Block) -> Matrix:
 
 
 def intertwiners(shapes: dict, equations) -> list[dict]:
-    """Basis of the solutions {key: X_key} of the equations X_dst·a − b·X_src = 0.
+    """Basis of the solutions {key: X_key} of the equations (lhs, rhs), each
+    read as Σ lhs = Σ rhs over terms left·X_key·right (`equation_rows`).
 
-    shapes maps each key to the (rows, cols) of its unknown matrix, and each
-    equation is (dst, a, src, b) over those keys.  The unknowns are packed
-    row-major into one vector, a block per key in shapes order; every basis
-    vector of the null space is read back as one matrix per key.  With no
-    unknowns at all the basis is empty.
+    shapes maps each key to the (rows, cols) of X_key.  The unknowns are
+    packed row-major into one vector, a block per key in shapes order; every
+    null vector is read back as one matrix per key.  With no unknowns at all
+    the basis is empty.
     """
     blocks, n = {}, 0
     for key, (r, c) in shapes.items():
@@ -184,8 +215,8 @@ def intertwiners(shapes: dict, equations) -> list[dict]:
     if n == 0:
         return []
     rows = Matrix([], n)
-    for dst, a, src, b in equations:
-        rows += intertwiner_rows(n, blocks[dst], a, blocks[src], b)
+    for lhs, rhs in equations:
+        rows += equation_rows(n, blocks, lhs, rhs)
     return [{key: read_block(v, blk) for key, blk in blocks.items()}
             for v in nullspace(rows)]
 

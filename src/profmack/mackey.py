@@ -697,8 +697,8 @@ def hom_space(M: MackeyFunctorQ, N: MackeyFunctorQ) -> list[MackeyMorphism]:
     """
     subs = M.subs
     shapes = {H: (N.dim(H), M.dim(H)) for H in subs}  # f_H: M(H) -> N(H)
-    # f_dst @ M(map) - N(map) @ f_src = 0
-    equations = ((dst, M.map(kind, key), src, N.map(kind, key))
+    # f_dst @ M(map) = N(map) @ f_src
+    equations = (([(None, dst, M.map(kind, key))], [(N.map(kind, key), src, None)])
                  for kind, key, src, dst in _generating_maps(M.group, subs))
     return [MackeyMorphism(M, N, mats) for mats in la.intertwiners(shapes, equations)]
 
@@ -923,6 +923,8 @@ def ext_mackey(M: MackeyFunctorQ, N: MackeyFunctorQ, i: int,
                res: Resolution | None = None,
                tools: _RepTools | None = None) -> int:
     """dim_Q Ext^i(M, N), via a projective resolution by representables."""
+    if i < 0:
+        raise ValueError("degree must be non-negative")
     tools = tools or _RepTools(M.group)
     if res is None:
         res = projective_resolution(M, i + 1, tools)

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import linalg as la
-from .groups import CyclicGroup, FiniteGroup, Subgroup, generator_rows, trivial_subgroup
+from .groups import (CyclicGroup, FiniteGroup, Subgroup, generator_rows, generators,
+                     trivial_subgroup)
 from .gsets import FiniteGSet
 
 Q0, Q1 = la.Q0, la.Q1
@@ -71,13 +72,16 @@ class EqSheafFinite:
 
 
 def hom_fin(E: EqSheafFinite, F: EqSheafFinite) -> list[dict[int, la.Matrix]]:
-    """Basis of equivariant sheaf maps E -> F (one matrix per point)."""
-    assert E.base.group is F.base.group and E.base.act == F.base.act
+    """Basis of equivariant sheaf maps E -> F (one matrix per point), with
+    equivariance written for the generators of G only: for sheaves it then
+    holds for every g by induction on word length (`check_equivariance`)."""
+    if E.base.group is not F.base.group or E.base.act != F.base.act:
+        raise ValueError("hom_fin needs sheaves over the same G-space")
     act, points = E.base.act, range(E.base.size)
     shapes = {x: (F.dims[x], E.dims[x]) for x in points}
-    # phi_{gx} aE - aF phi_x = 0
-    equations = ((act[g][x], E.act[(g, x)], x, F.act[(g, x)])
-                 for g in E.base.group.elements() for x in points)
+    # phi_{gx} aE = aF phi_x
+    equations = (([(None, act[g][x], E.act[(g, x)])], [(F.act[(g, x)], x, None)])
+                 for g in generators(E.base.group) for x in points)
     return la.intertwiners(shapes, equations)
 
 
@@ -95,7 +99,8 @@ class ConvergingBase:
     label: str = "conv"
 
     def __post_init__(self):
-        assert self.m >= 1 and self.r >= 0
+        if self.m < 1 or self.r < 0:
+            raise ValueError(f"a converging base needs m >= 1, r >= 0: m={self.m}, r={self.r}")
 
 
 def spzp_base(p: int = 2) -> ConvergingBase:
@@ -118,10 +123,12 @@ class Tail:
     values: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        assert len(self.values) == self.period
+        if len(self.values) != self.period:
+            raise ValueError(f"a tail of period {self.period} has {len(self.values)} values")
 
     def expand(self, period: int) -> "Tail":
-        assert period % self.period == 0
+        if period % self.period:
+            raise ValueError(f"period {period} is not a multiple of {self.period}")
         vals = tuple(self.values[j % self.period] for j in range(period))
         return Tail(period, vals)
 
@@ -151,7 +158,8 @@ def zero_tail(pattern_dims: list[int]) -> Tail:
 def constant_tail(pattern_dims: list[int], vec: list[Fraction]) -> Tail:
     """The tail repeating vec at every position (all pattern dims equal)."""
     m = len(pattern_dims)
-    assert all(d == len(vec) for d in pattern_dims)
+    if any(d != len(vec) for d in pattern_dims):
+        raise ValueError("a constant tail needs every pattern dim equal to its length")
     return Tail(m, tuple(tuple(vec) for _ in range(m)))
 
 
@@ -193,13 +201,14 @@ class ConvSheaf:
     name: str = "E"
 
     def __post_init__(self):
-        assert len(self.exc_dims) == self.base.r
-        assert len(self.pattern_dims) == self.base.m
-        assert len(self.lam) == self.fin_dim
-        assert len(self.lam_tail) == self.tail_mult
         if self.tail_patterns is None:
             self.tail_patterns = [list(self.pattern_dims)] * self.tail_mult
-        assert len(self.tail_patterns) == self.tail_mult
+        lengths = tuple(map(len, (self.exc_dims, self.pattern_dims, self.lam,
+                                  self.lam_tail, self.tail_patterns)))
+        want = (self.base.r, self.base.m, self.fin_dim, self.tail_mult, self.tail_mult)
+        if lengths != want:
+            raise ValueError(f"{self.name}: exc_dims, pattern_dims, lam, lam_tail and "
+                             f"tail_patterns have lengths {lengths}, not {want}")
         W = self.base.group
         for g in W.elements():
             for i in range(self.base.r):
@@ -375,141 +384,76 @@ def stalk_vanishing_check(res: GodementResolution, heights: dict) -> list[str]:
 # sheaf homs in the converging class
 
 
-def _common_period(*sheaves: ConvSheaf) -> int:
-    P = 1
-    for E in sheaves:
-        P = math.lcm(P, E.base.m)
-        for t in E.lam:
-            P = math.lcm(P, t.period)
-    return P
+def common_period(E: ConvSheaf, F: ConvSheaf) -> int:
+    """The period of the tails that compare E with F: the lcm of 2 (for the
+    alternating witness), both base periods and every lambda period."""
+    periods = [S.base.m for S in (E, F)] + [t.period for S in (E, F) for t in S.lam]
+    return math.lcm(2, *periods)
+
+
+def _matrix(rows: int, cols: int, entries: dict) -> la.Matrix:
+    """The rows x cols matrix with the given {(i, j): x}, 0 elsewhere."""
+    m = la.zeros(rows, cols)
+    for (i, j), x in entries.items():
+        m[i][j] = x
+    return m
 
 
 def hom_conv(E: ConvSheaf, F: ConvSheaf) -> list[dict]:
-    """Basis of sheaf maps E -> F within the periodic class.
-
-    A map consists of exceptional matrices, pattern matrices (periodic with
-    the base period), a fin-to-fin matrix, one tail of period P per E-fin
-    basis vector, and scalars between tail summands; the germ square
-    lambda_F ∘ phi_omega = phi_tail ∘ lambda_E and W-equivariance are the
-    constraints.  P is the lcm of the base period and all lambda periods.
+    """Basis of sheaf maps E -> F within the periodic class: one matrix per
+    key, ("exc", i) and ("pat", j) on the isolated stalks, "fin" between the
+    fin parts at omega, ("fintail", j) from E's fin vectors to F's tail
+    coordinates at position j of P = common_period(E, F), and "tailscal"
+    between tail summands, solving W-equivariance and the germ square
+    lambda_F ∘ phi_omega = phi_tail ∘ lambda_E in one `la.intertwiners` call.
     """
-    assert E.base.r == F.base.r and E.base.m == F.base.m
-    for S in (E, F):
-        for pat in S.tail_patterns or []:
-            if list(pat) != list(S.pattern_dims):
-                raise NonPeriodicTail(
-                    "hom_conv needs tail summands over the sheaf's own pattern"
-                )
-    base = E.base
-    W = base.group
-    P = math.lcm(_common_period(E), _common_period(F), 2)
-    blocks = sum(F.pattern_dims[j % base.m] for j in range(P))  # tail coords
+    if E.base.r != F.base.r or E.base.m != F.base.m:
+        raise ValueError("hom_conv needs sheaves over bases of the same r and m")
+    if any(list(pat) != list(S.pattern_dims) for S in (E, F) for pat in S.tail_patterns):
+        raise NonPeriodicTail("hom_conv needs tail summands over the sheaf's own pattern")
+    r, m, P = E.base.r, E.base.m, common_period(E, F)
+    tail_dims = [F.pattern_dims[j % m] for j in range(P)]  # per position of P
+    shapes = {("exc", i): (F.exc_dims[i], E.exc_dims[i]) for i in range(r)}
+    shapes.update({("pat", j): (F.pattern_dims[j], E.pattern_dims[j]) for j in range(m)})
+    shapes["fin"] = (F.fin_dim, E.fin_dim)
+    # the tail component of phi_omega on fin vectors exists only when F has one
+    shapes.update({("fintail", j): (d if F.tail_mult else 0, E.fin_dim)
+                   for j, d in enumerate(tail_dims)})
+    shapes["tailscal"] = (F.tail_mult, E.tail_mult)
 
-    blk = {}  # unknown matrices: key -> (offset, rows, cols)
-    total = 0
+    equations = []  # W-equivariance: phi·a_E = a_F·phi on every stalk
+    for g in E.base.group.elements():
+        acts = [(("exc", i), E.act_exc[(g, i)], F.act_exc[(g, i)]) for i in range(r)]
+        acts += [(("pat", j), E.act_pattern[(g, j)], F.act_pattern[(g, j)])
+                 for j in range(m)]
+        acts.append(("fin", E.act_fin[g], F.act_fin[g]))
+        equations += [([(None, key, aE)], [(aF, key, None)]) for key, aE, aF in acts]
 
-    def alloc(key, rows, cols):
-        nonlocal total
-        blk[key] = (total, rows, cols)
-        total += rows * cols
+    # germ square on E's fin vectors at each position j of P:
+    # phi_pat·lambda_E = lambda_F·phi_fin + (Σ lam_tail_F)·phi_fintail
+    lamE = [t.expand(P).values for t in E.lam]
+    lamF = [t.expand(P).values for t in F.lam]
+    scalar = sum(F.lam_tail, Q0)
+    for j, d in enumerate(tail_dims):
+        lhs = [(None, ("pat", j % m),
+                la.from_columns([v[j] for v in lamE], E.pattern_dims[j % m]))]
+        rhs = [(la.from_columns([v[j] for v in lamF], d), "fin", None)]
+        if F.tail_mult:
+            rhs.append((la.scale(la.identity(d), scalar), ("fintail", j), None))
+        equations.append((lhs, rhs))
 
-    for i in range(base.r):
-        alloc(("exc", i), F.exc_dims[i], E.exc_dims[i])
-    for j in range(base.m):
-        alloc(("pat", j), F.pattern_dims[j], E.pattern_dims[j])
-    alloc("fin", F.fin_dim, E.fin_dim)
-    # tail component of phi_omega on fin vectors exists only when F has one
-    alloc("fintail", E.fin_dim if F.tail_mult else 0, blocks)
-    alloc("tailscal", F.tail_mult, E.tail_mult)
-    if total == 0:
-        return []
-    offs = {key: b[0] for key, b in blk.items()}
-
-    rows = la.Matrix([], total)
-
-    def zrow():
-        return [Q0] * total
-
-    def equivariant(key, aE, aF):
-        """phi aE - aF phi = 0 for the unknown block at key."""
-        return la.intertwiner_rows(total, blk[key], aE, blk[key], aF)
-
-    # equivariance
-    for g in W.elements():
-        for i in range(base.r):
-            rows += equivariant(("exc", i), E.act_exc[(g, i)], F.act_exc[(g, i)])
-        for j in range(base.m):
-            rows += equivariant(("pat", j), E.act_pattern[(g, j)],
-                                F.act_pattern[(g, j)])
-        rows += equivariant("fin", E.act_fin[g], F.act_fin[g])
-
-    # germ square on fin basis vectors of E:
-    # lambda_F(phi_fin e_b) (+ scalars·0) = phi_tail(lambda_E e_b) + fintail_b?
-    # The germ of phi at omega sends e_b to lambda-image of its fin image; the
-    # pattern maps push lambda_E(e_b) forward.  Constraint rows over the
-    # common period P:
-    lamF = [tail_coords(t, P) for t in F.lam]
-    for b in range(E.fin_dim):
-        lamE_b = E.lam[b].expand(P)
-        # coordinates of pushforward: position j (0..P-1): pattern map at
-        # j % m applied to lamE_b.values[j]
-        pos_off = 0
-        for j in range(P):
-            jm = j % base.m
-            for a in range(F.pattern_dims[jm]):
-                row = zrow()
-                # phi_tail(lam_E e_b) coordinate a at position j:
-                for t in range(E.pattern_dims[jm]):
-                    row[offs[("pat", jm)] + a * E.pattern_dims[jm] + t] += lamE_b.values[j][t]
-                # minus lambda_F(phi_fin(e_b)) coordinate:
-                for t in range(F.fin_dim):
-                    row[offs["fin"] + t * E.fin_dim + b] -= lamF[t][pos_off + a]
-                # minus the free tail attached to e_b when F has tail summands
-                for s in range(F.tail_mult):
-                    if F.lam_tail[s]:
-                        row[offs["fintail"] + b * blocks + pos_off + a] -= F.lam_tail[s]
-                rows.append(row)
-            pos_off += F.pattern_dims[jm]
-    # tail summands of E map to tail summands of F by scalars; germ square:
-    # lam_F_tail(scalar) must equal pushforward scalar lam_E_tail; pattern
-    # pushforward on tails is positionwise by the pattern matrices, which for
-    # scalar bookkeeping requires the pattern maps to intertwine; enforced by
-    # requiring: for each E tail summand u and F tail summand v:
-    #   lamF_v * c_{vu} = lamE_u * (pattern maps act as the scalar on tails)
-    # Within this class tails map by (pattern map applied positionwise), so
-    # the germ square for tail summands reads: for each u:
-    #   sum_v lamF_v c_{vu} = lamE_u  (as operators PerTail -> PerTail given
-    # by the pattern matrices); we conservatively require pattern maps to be
-    # scalar multiples mu of a fixed map when E.tail_mult > 0.
-    if E.tail_mult:
-        for u in range(E.tail_mult):
-            if not E.lam_tail[u]:
-                continue
-            # lamE_u nonzero: need sum_v lamF_v c_{vu} = lamE_u * pattern-push.
-            # We encode only the scalar part: pattern maps must be identity
-            # multiples for this constraint; otherwise leave unconstrained
-            # solutions out by requiring equality coordinatewise on a basis
-            # tail (delta at position 0).
-            for j in range(base.m):
-                dE, dF = E.pattern_dims[j], F.pattern_dims[j]
-                for a in range(dF):
-                    for t in range(dE):
-                        row = zrow()
-                        row[offs[("pat", j)] + a * dE + t] += E.lam_tail[u]
-                        for v in range(F.tail_mult):
-                            if F.lam_tail[v] and a < dF and t < dE and dE == dF and a == t:
-                                row[offs["tailscal"] + v * E.tail_mult + u] -= F.lam_tail[v]
-                        rows.append(row)
-    null = la.nullspace(rows)
-    return [{
-        "exc": [la.read_block(vec, blk[("exc", i)]) for i in range(base.r)],
-        "pat": [la.read_block(vec, blk[("pat", j)]) for j in range(base.m)],
-        "fin": la.read_block(vec, blk["fin"]),
-        "fintail": (la.read_block(vec, blk["fintail"]) if F.tail_mult
-                    else la.zeros(E.fin_dim, blocks)),
-        "tailscal": la.read_block(vec, blk["tailscal"]),
-        "period": P,
-    } for vec in null]
+    # each row a of phi_pat_j against tail summand u of E with lam_E_u != 0:
+    # lam_E_u·phi_pat_j = (Σ_v lam_F_v·c_vu)·I if E and F have the same
+    # pattern dim at j, else 0
+    lam_F = la.Matrix([list(F.lam_tail)], F.tail_mult)
+    for u, lu in enumerate(E.lam_tail):
+        for j, (dF, dE) in enumerate(zip(F.pattern_dims, E.pattern_dims)):
+            for a in range(dF if lu else 0):
+                row_a = (_matrix(1, dF, {(0, a): lu}), ("pat", j), None)
+                diag = [] if dE != dF else [
+                    (lam_F, "tailscal", _matrix(E.tail_mult, dE, {(u, a): Q1}))]
+                equations.append(([row_a], diag))
+    return la.intertwiners(shapes, equations)
 
 
 def hom_conv_dim(E: ConvSheaf, F: ConvSheaf) -> int:

@@ -93,6 +93,24 @@ def test_malformed_input_is_a_usage_error(argv, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_malformed_profmack_depth_is_a_usage_error():
+    """PROFMACK_DEPTH is the --depth default, converted by argparse when the
+    command runs; a malformed value is an argparse error, not a traceback
+    at import."""
+    src = os.path.dirname(os.path.dirname(profmack.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PROFMACK_DEPTH="x")
+    argv = [sys.executable, "-m", "profmack.cli", "cb", "rank", "--tower", "pro_p:2"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_USAGE and proc.stdout == ""
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert errors == ["profmack cb rank: error: argument --depth: invalid int value: 'x'"]
+    assert "Traceback" not in proc.stderr
+    # --depth on the command line wins over the variable
+    proc = subprocess.run(argv + ["--depth", "3"], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0 and "depth3" in proc.stdout
+
+
 def test_mackey_ext_cli(capsys):
     code, out = run(capsys, ["mackey", "ext", "--group", "cyclic:2",
                              "--M", "burnside", "--N", "fixedpoint:Q(zeta_2)",

@@ -125,7 +125,8 @@ def test_operations_keep_shape_without_rows_or_columns():
     assert la.shape(la.from_columns([], 3)) == (3, 0)
     assert la.shape(la.from_columns([[], []], 0)) == (0, 2)
     assert la.shape(la.read_block([F(1)] * 4, (2, 0, 5))) == (0, 5)
-    assert la.shape(la.intertwiner_rows(4, (0, 0, 2), [], (0, 0, 2), [])) == (0, 4)
+    assert la.shape(la.equation_rows(4, {"x": (0, 0, 2)}, [(None, "x", la.zeros(2, 2))],
+                                     [(la.zeros(0, 0), "x", None)])) == (0, 4)
     red, piv = la.rref(la.zeros(0, 3))
     assert la.shape(red) == (0, 3) and piv == []
     assert la.rank(la.zeros(0, 3)) == 0 and la.rank(la.zeros(3, 0)) == 0
@@ -257,9 +258,10 @@ def test_intertwiner_rows_match_dense_product():
         d = rng.randrange(len(blocks))
         s = d if trial % 3 == 0 else rng.randrange(len(blocks))  # src = dst too
         (_, rd, cd), (_, rs, cs) = blocks[d], blocks[s]
-        a = rand_matrix(rng, cd, cs)
-        b = rand_matrix(rng, rd, rs)
-        rows = la.intertwiner_rows(n, blocks[d], a, blocks[s], b)
+        a = la.Matrix(rand_matrix(rng, cd, cs), cs)
+        b = la.Matrix(rand_matrix(rng, rd, rs), rs)
+        # X_dst·a = b·X_src, the equation of every Hom solve
+        rows = la.equation_rows(n, dict(enumerate(blocks)), [(None, d, a)], [(b, s, None)])
         assert len(rows) == rd * cs
         assert all(len(row) == n for row in rows)
         Xd, Xs = mats[d], mats[s]
@@ -270,10 +272,12 @@ def test_intertwiner_rows_match_dense_product():
 
 
 def test_intertwiner_rows_zero_size():
-    assert la.intertwiner_rows(4, (0, 0, 2), [], (0, 0, 2), []) == []
-    assert la.intertwiner_rows(4, (0, 2, 2), la.zeros(2, 0), (4, 0, 0), la.zeros(2, 0)) == []
-    # X·a - b·X with a = b = 1 on a 1x1 block is the zero equation
-    assert la.intertwiner_rows(1, (0, 1, 1), [[F(1)]], (0, 1, 1), [[F(1)]]) == [[F(0)]]
+    def rows(n, dst, a, src, b):
+        return la.equation_rows(n, {"d": dst, "s": src}, [(None, "d", a)], [(b, "s", None)])
+    assert rows(4, (0, 0, 2), la.zeros(2, 2), (0, 0, 2), la.zeros(0, 0)) == []
+    assert rows(4, (0, 2, 2), la.zeros(2, 0), (4, 0, 0), la.zeros(2, 0)) == []
+    # X·a = b·X with a = b = 1 on a 1x1 block is the zero equation
+    assert rows(1, (0, 1, 1), [[F(1)]], (0, 1, 1), [[F(1)]]) == [[F(0)]]
 
 
 def test_matvec_checks_the_column_count_without_rows():
@@ -410,7 +414,7 @@ def test_nullspace_solve_and_in_span_agree_with_dense_reference():
 
 
 def test_intertwiner_rows_on_one_block_with_zero_heavy_maps():
-    """dst == src, as in sheaf.hom_fin and hom_conv: X·a − b·X = 0 on one
+    """dst == src, as in sheaf.hom_fin and hom_conv: X·a = b·X on one
     block, where an a term and a b term can land on the same unknown."""
     rng = random.Random(29)
     met = cancelled = 0
@@ -426,7 +430,8 @@ def test_intertwiner_rows_on_one_block_with_zero_heavy_maps():
         # every fourth trial they cancel there
         a[j0][j0] = F(rng.randint(1, 4), rng.randint(1, 3))
         b[i0][i0] = a[j0][j0] if trial % 4 == 0 else F(-rng.randint(1, 4), 3)
-        rows = la.intertwiner_rows(n, blk, la.Matrix(a, c), blk, la.Matrix(b, r))
+        rows = la.equation_rows(n, {"x": blk}, [(None, "x", la.Matrix(a, c))],
+                                [(la.Matrix(b, r), "x", None)])
         assert la.shape(rows) == (r * c, n)
         assert all(type(x) is Fraction for row in rows for x in row)
         for i in range(r):
@@ -485,4 +490,75 @@ def test_solve_columns_without_rows_or_columns():
 def test_intertwiners_with_no_unknowns():
     assert la.intertwiners({}, []) == []
     shapes = {"x": (0, 3), "y": (2, 0)}
-    assert la.intertwiners(shapes, [("x", la.zeros(3, 3), "x", la.zeros(0, 0))]) == []
+    assert la.intertwiners(shapes, [([(None, "x", la.zeros(3, 3))],
+                                     [(la.zeros(0, 0), "x", None)])]) == []
+
+
+def random_term(rng, blocks, p, q):
+    """A term (left, key, right) of product shape p x q, None where it fits."""
+    key = rng.randrange(len(blocks))
+    _, r, c = blocks[key]
+    left = None if r == p and rng.random() < 0.5 else la.Matrix(
+        [[rng.randint(-2, 2) for _ in range(r)] for _ in range(p)], r)
+    right = None if c == q and rng.random() < 0.5 else la.Matrix(
+        [[rng.randint(-2, 2) for _ in range(q)] for _ in range(c)], q)
+    return left, key, right
+
+
+def term_value(term, mats, q):
+    left, key, right = term
+    X = mats[key]
+    if left is not None:
+        X = dense_matmul(left, X, la.shape(X)[1])
+    if right is not None:
+        X = dense_matmul(X, right, q)
+    return X
+
+
+def dense_matmul(a, b, cols):
+    return la.Matrix([[sum((x * b[t][j] for t, x in enumerate(row)), F(0))
+                       for j in range(cols)] for row in a], cols)
+
+
+def test_equation_rows_match_dense_sums_of_terms():
+    """Σ left·X·right over lhs = the same over rhs, with one to three terms a
+    side, identities and integer entries: each row evaluates its product entry
+    of Σ lhs − Σ rhs on a packed X, in Fraction."""
+    rng = random.Random(31)
+    kinds = set()
+    for _ in range(150):
+        blocks, n = random_blocks(rng, rng.randint(1, 4))
+        mats = [la.Matrix(rand_matrix(rng, r, c), c) for _, r, c in blocks]
+        p, q = rng.randint(0, 3), rng.randint(0, 3)
+        lhs = [random_term(rng, blocks, p, q) for _ in range(rng.randint(1, 3))]
+        rhs = [random_term(rng, blocks, p, q) for _ in range(rng.randint(0, 3))]
+        kinds |= {(left is None, right is None) for left, _, right in lhs + rhs}
+        rows = la.equation_rows(n, dict(enumerate(blocks)), lhs, rhs)
+        assert la.shape(rows) == (p * q, n)
+        assert all(type(x) is Fraction for row in rows for x in row)
+        want = [[F(0)] * q for _ in range(p)]
+        for sign, side in ((1, lhs), (-1, rhs)):
+            for term in side:
+                val = term_value(term, mats, q)
+                for i in range(p):
+                    for j in range(q):
+                        want[i][j] += sign * val[i][j]
+        v = pack(mats, n)
+        assert [dense_matvec([row], v)[0] for row in rows] == [x for row in want for x in row]
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_equation_terms_must_agree_on_the_product_shape():
+    blocks = {"x": (0, 2, 3), "y": (6, 3, 3)}
+    with pytest.raises(ValueError, match="shapes"):  # 2 x 3 against 3 x 3
+        la.equation_rows(9, blocks, [(None, "x", None)], [(None, "y", None)])
+    with pytest.raises(ValueError, match="shapes"):  # 2 x 3 against 2 x 2
+        la.equation_rows(9, blocks, [(None, "x", None)],
+                         [(la.zeros(2, 3), "y", la.zeros(3, 2))])
+    with pytest.raises(ValueError, match="fit"):  # a 2 x 2 right factor of a 2 x 3
+        la.equation_rows(9, blocks, [(None, "x", la.identity(2))], [])
+    with pytest.raises(ValueError, match="fit"):  # a 2 x 2 left factor of a 3 x 3
+        la.intertwiners({"x": (2, 3), "y": (3, 3)},
+                        [([(None, "x", None)], [(la.identity(2), "y", None)])])
+    with pytest.raises(ValueError, match="term"):
+        la.equation_rows(9, blocks, [], [])

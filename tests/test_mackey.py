@@ -207,6 +207,12 @@ def test_ext_resolution_too_short():
             mk.ext_mackey(A, A, 5, res=res, tools=tools)
 
 
+def test_ext_rejects_a_negative_degree():
+    A = mk.burnside_mackey(gr.cyclic(2))
+    with pytest.raises(ValueError, match="degree must be non-negative"):
+        mk.ext_mackey(A, A, -1)
+
+
 def test_free_cover_surjective():
     G = gr.symmetric(3)
     A = mk.burnside_mackey(G)
@@ -592,8 +598,8 @@ def reference_hom_space(M, N):
         total += N.dim(H) * M.dim(H)
     rows = la.Matrix([], total)
     for kind, key, src, dst in mk._structure_maps(M.group, subs):
-        rows += la.intertwiner_rows(total, blocks[dst], M.map(kind, key),
-                                    blocks[src], N.map(kind, key))
+        rows += la.equation_rows(total, blocks, [(None, dst, M.map(kind, key))],
+                                 [(N.map(kind, key), src, None)])
     return [{H: la.read_block(v, blocks[H]) for H in subs} for v in la.nullspace(rows)]
 
 
@@ -671,7 +677,8 @@ def test_one_irreducible_per_cyclic_subgroup_of_an_abelian_product(sel, count):
     total = Fraction(0)
     for V in irrs:
         ends = la.intertwiners({0: (V.dim, V.dim)},
-                               [(0, V.mats[s], 0, V.mats[s]) for s in gr.generators(G)])
+                               [([(None, 0, V.mats[s])], [(V.mats[s], 0, None)])
+                                for s in gr.generators(G)])
         total += Fraction(V.dim ** 2, len(ends))
     assert total == G.order
 

@@ -10,7 +10,7 @@ from profmack import sheaf as sh
 from profmack.groups import (CyclicGroup, cyclic, generators, parse_group,
                              subgroup_conjugacy_classes, symmetric, trivial_subgroup)
 from profmack.gsets import transitive_gset
-from sheaf_helpers import constant_sheaf_finite, skyscraper_isolated
+from sheaf_helpers import constant_sheaf_finite, reference_hom_conv, skyscraper_isolated
 
 F = Fraction
 SEED = 20260823
@@ -218,17 +218,17 @@ def test_hom_fin_zero():
 def reference_hom_fin(E, F):
     """hom_fin with its unknowns packed by hand, one block per point."""
     n = E.base.size
-    blocks, total = [], 0
+    blocks, total = {}, 0
     for x in range(n):
-        blocks.append((total, F.dims[x], E.dims[x]))
+        blocks[x] = (total, F.dims[x], E.dims[x])
         total += F.dims[x] * E.dims[x]
     if total == 0:
         return []
     rows = la.Matrix([], total)
     for g in E.base.group.elements():
         for x in range(n):
-            rows += la.intertwiner_rows(total, blocks[E.base.act[g][x]], E.act[(g, x)],
-                                        blocks[x], F.act[(g, x)])
+            rows += la.equation_rows(total, blocks, [(None, E.base.act[g][x], E.act[(g, x)])],
+                                     [(F.act[(g, x)], x, None)])
     return [{x: la.read_block(v, blocks[x]) for x in range(n)} for v in la.nullspace(rows)]
 
 
@@ -251,3 +251,97 @@ def test_hom_fin_equals_the_hand_packed_solve_on_phi_sheaves(sel):
             nonzero += bool(got)
     assert sheaves[-1].dims and sh.hom_fin(sheaves[-1], sheaves[-1]) == []
     assert nonzero >= len(sheaves) - 1
+
+
+# ---------------------------------------------------------------------------
+# hom_conv against the hand-packed solve
+
+
+def random_stage_sheaf(rng, base):
+    """A sheaf over base with W acting by diagonal ±1 matrices, lambda periods
+    m, 2m or 3m and up to two tail summands, or its I0 or coker(delta)."""
+    m, W = base.m, base.group
+    exc = [rng.randint(0, 2) for _ in range(base.r)]
+    pattern = [rng.randint(0, 2) for _ in range(m)]
+    fin, tail_mult = rng.randint(0, 2), rng.randint(0, 2)
+    lam = []
+    for _ in range(fin):
+        period = m * rng.randint(1, 3)
+        lam.append(sh.Tail(period, tuple(
+            tuple(F(rng.randint(-1, 1)) for _ in range(pattern[j % m]))
+            for j in range(period))))
+
+    def sign(d):
+        return la.Matrix([[F(rng.choice([-1, 1])) if i == j else F(0) for j in range(d)]
+                          for i in range(d)], d)
+
+    g = [h for h in W.elements() if h != W.identity]
+    E = sh.ConvSheaf(base, exc, pattern, fin, lam, tail_mult=tail_mult,
+                     lam_tail=tuple(F(rng.randint(-1, 1)) for _ in range(tail_mult)),
+                     act_exc={(h, i): sign(d) for h in g for i, d in enumerate(exc)},
+                     act_pattern={(h, j): sign(d) for h in g for j, d in enumerate(pattern)},
+                     act_fin={h: sign(fin) for h in g})
+    return rng.choice([E, E, sh.godement_I0(E), sh.coker_delta(E)])
+
+
+def test_hom_conv_equals_the_hand_packed_solve_on_a_seeded_battery():
+    rng = random.Random(SEED)
+    dims, raised = [], 0
+    for _ in range(3200):
+        base = sh.ConvergingBase(r=rng.randint(0, 2), m=rng.randint(1, 3),
+                                 group=CyclicGroup(rng.randint(1, 2)))
+        E, F_ = random_stage_sheaf(rng, base), random_stage_sheaf(rng, base)
+        try:
+            want = len(reference_hom_conv(E, F_))
+        except sh.NonPeriodicTail:
+            with pytest.raises(sh.NonPeriodicTail):
+                sh.hom_conv(E, F_)
+            raised += 1
+            continue
+        got = sh.hom_conv(E, F_)
+        assert len(got) == want
+        dims.append(want)
+    assert len(dims) >= 2000 and raised >= 500 and 0 in dims and max(dims) >= 20
+
+
+# ---------------------------------------------------------------------------
+# malformed input: ValueError, also under python -O (pytest.raises only)
+
+
+def _conv(r=0, m=1, **kw):
+    base = sh.ConvergingBase(r=r, m=m)
+    args = dict(exc_dims=[0] * r, pattern_dims=[1] * m, fin_dim=0, lam=[])
+    args.update(kw)
+    return lambda: sh.ConvSheaf(base, **args)
+
+
+def _regular(G):
+    return constant_sheaf_finite(transitive_gset(G, trivial_subgroup(G)), 1)
+
+
+MALFORMED = {
+    "hom_conv-m": lambda: sh.hom_conv_dim(sh.constant_sheaf(sh.ConvergingBase(r=0, m=1), 1),
+                                          sh.constant_sheaf(sh.ConvergingBase(r=0, m=2), 1)),
+    "hom_conv-r": lambda: sh.hom_conv(sh.constant_sheaf(sh.ConvergingBase(r=1, m=1), 1),
+                                      sh.constant_sheaf(sh.ConvergingBase(r=2, m=1), 1)),
+    "hom_fin-group": lambda: sh.hom_fin(_regular(cyclic(2)), _regular(cyclic(3))),
+    "hom_fin-action": lambda: sh.hom_fin(
+        _regular(cyclic(2)), constant_sheaf_finite(
+            transitive_gset(cyclic(2), sh.Subgroup(cyclic(2), (0, 1))), 1)),
+    "base-m": lambda: sh.ConvergingBase(r=0, m=0),
+    "base-r": lambda: sh.ConvergingBase(r=-1, m=1),
+    "tail-values": lambda: sh.Tail(2, ((F(1),),)),
+    "tail-expand": lambda: sh.Tail(2, ((F(1),), (F(0),))).expand(3),
+    "constant_tail": lambda: sh.constant_tail([1, 2], [F(1)]),
+    "conv-exc": _conv(r=1, exc_dims=[]),
+    "conv-pattern": _conv(m=2, pattern_dims=[1]),
+    "conv-lam": _conv(fin_dim=1),
+    "conv-lam_tail": _conv(tail_mult=1),
+    "conv-tail_patterns": _conv(tail_mult=1, lam_tail=(F(0),), tail_patterns=[]),
+}
+
+
+@pytest.mark.parametrize("make", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_sheaf_input_raises_value_error(make):
+    with pytest.raises(ValueError):
+        make()
