@@ -327,36 +327,6 @@ def _cyclic_subgroup_of_index(n: int, d: int) -> tuple[int, ...]:
     return tuple(range(0, n, 1) if d == 1 else range(0, n, d))
 
 
-def _is_coprime_cyclic_product(G: FiniteGroup) -> bool:
-    if not isinstance(G, ProductGroup):
-        return False
-    if not all(isinstance(f, (CyclicGroup, ProductGroup)) for f in G.factors):
-        return False
-    flat = _flatten_cyclic(G)
-    if flat is None:
-        return False
-    orders = [f.order for f in flat]
-    for i in range(len(orders)):
-        for j in range(i + 1, len(orders)):
-            if math.gcd(orders[i], orders[j]) != 1:
-                return False
-    return True
-
-
-def _flatten_cyclic(G: FiniteGroup):
-    if isinstance(G, CyclicGroup):
-        return [G]
-    if isinstance(G, ProductGroup):
-        out = []
-        for f in G.factors:
-            sub = _flatten_cyclic(f)
-            if sub is None:
-                return None
-            out.extend(sub)
-        return out
-    return None
-
-
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Complete duplicate-free sorted list of subgroups of G (cached on G)."""
     if G._subgroup_cache is None:
@@ -371,10 +341,11 @@ def _all_subgroup_tuples(G: FiniteGroup) -> list[tuple[int, ...]]:
             (_cyclic_subgroup_of_index(n, d) for d in _divisors(n)),
             key=lambda t: (len(t), t),
         )
-    if _is_coprime_cyclic_product(G):
-        # coprime cyclic product: every subgroup is a product of factor
-        # subgroups, encoded through the mixed-radix element indexing one
-        # factor at a time; ascending factor tuples give an ascending result
+    if isinstance(G, ProductGroup) and all(
+            math.gcd(a.order, b.order) == 1 for a, b in itertools.combinations(G.factors, 2)):
+        # Goursat: with coprime factor orders every subgroup is a product of
+        # factor subgroups, encoded through the mixed-radix element indexing
+        # one factor at a time; ascending factor tuples give an ascending tuple
         parts = [_all_subgroup_tuples(f) for f in G.factors]
         out = []
         for combo in itertools.product(*parts):
@@ -452,7 +423,8 @@ def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
 
 
 def intersection(H1: Subgroup, H2: Subgroup) -> Subgroup:
-    assert H1.parent is H2.parent
+    if H1.parent is not H2.parent:
+        raise ValueError("subgroups of different groups")
     return Subgroup(H1.parent, tuple(sorted(set(H1.elements) & set(H2.elements))))
 
 
@@ -537,7 +509,8 @@ class GroupHom:
 
     def compose(self, inner: "GroupHom") -> "GroupHom":
         """self o inner."""
-        assert inner.codomain is self.domain
+        if inner.codomain is not self.domain:
+            raise ValueError("inner hom's codomain is not this hom's domain")
         return GroupHom(
             inner.domain,
             self.codomain,
@@ -555,9 +528,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     if isinstance(G, CyclicGroup) and N.order == 1:
         return G, identity_hom(G)
     if isinstance(G, CyclicGroup) and N.order > 1:
-        d = N.elements[1]  # generator of the subgroup: smallest nonzero member
-        if G.order % d != 0 or N.order != G.order // d:
-            d = G.order // N.order  # fall through for non-standard listing
+        d = G.order // N.order
         Q = CyclicGroup(d, label=f"{G.label}/{N.order}")
         return Q, GroupHom(G, Q, tuple(x % d for x in G.elements()))
     if not is_normal(G, N):

@@ -129,7 +129,8 @@ def transitive_gset(G: FiniteGroup, H: Subgroup) -> FiniteGSet:
 
 def product_gset(a: FiniteGSet, b: FiniteGSet) -> FiniteGSet:
     G = a.group
-    assert b.group is G
+    if b.group is not G:
+        raise ValueError("G-sets over different groups")
     nb = b.size
 
     def enc(x, y):
@@ -158,7 +159,8 @@ def orbit_decompose(X: FiniteGSet):
 
 def inflate_gset(A: FiniteGSet, q: GroupHom) -> FiniteGSet:
     """A G_k-set pulled back to a G_m-set along the surjection q: G_m -> G_k."""
-    assert q.codomain is A.group
+    if q.codomain is not A.group:
+        raise ValueError("G-set is not over the codomain of the hom")
     Gm = q.domain
     act = tuple(tuple(A.act[q(g)][x] for x in range(A.size)) for g in Gm.elements())
     return FiniteGSet(Gm, act, label=A.label)

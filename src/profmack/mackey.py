@@ -329,59 +329,29 @@ def check_axioms(M: MackeyFunctorQ) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# values on G-sets and span actions
+# span actions
 
 
-@dataclass
-class GSetValue:
-    """M evaluated on a G-set: one summand M(stab basepoint) per orbit, the
-    basepoint being the orbit's least point."""
+def _class_action(M: MackeyFunctorQ, src: Subgroup, dst: Subgroup,
+                  c: Component) -> la.Matrix:
+    """The matrix M(src) -> M(dst) of the transitive span G/src <- G/S -> G/dst
+    whose basepoint has stabilizer S = c[0] and images c[1] in G/src and c[2]
+    in G/dst.
 
-    orbit_of: list[int]
-    stabs: list[Subgroup]
-    transporter: list[int]  # least g with point = g . basepoint(orbit)
-    offsets: list[int]
-    dim: int
-
-
-def value_on_gset(M: MackeyFunctorQ, A: FiniteGSet) -> GSetValue:
-    orbit_of = [0] * A.size
-    transporter = [M.group.identity] * A.size
-    stabs, offsets = [], []
-    off = 0
-    for i, (orbit, stab, t) in enumerate(A.orbit_scan()):
-        stabs.append(stab)
-        offsets.append(off)
-        off += M.dim(stab)
-        for x in orbit:
-            orbit_of[x] = i
-            transporter[x] = t[x]
-    return GSetValue(orbit_of, stabs, transporter, offsets, off)
-
-
-def span_action_matrix(M: MackeyFunctorQ, s: Span) -> la.Matrix:
-    """The linear map M(left foot) -> M(right foot) induced by the span."""
+    Point i of G/H is reps[i]·H (`coset_orbit`), and M(G/H) is read in the
+    coordinates of M(H) at the point H.  With g and h the representatives of
+    the two images, g⁻¹Sg ⊆ src and h⁻¹Sh ⊆ dst, and the span acts as
+    ind(dst, h⁻¹Sh)·conj(h⁻¹, S)·conj(g, g⁻¹Sg)·res(src, g⁻¹Sg)
+    (Thévenaz–Webb, Trans. AMS 347, 1995).
+    """
     G = M.group
-    VA = value_on_gset(M, s.left_foot)
-    VB = value_on_gset(M, s.right_foot)
-    out = la.zeros(VB.dim, VA.dim)
-    for orbit, L, _ in s.apex.orbit_scan():
-        w = orbit[0]
-        a, b = s.left[w], s.right[w]
-        ia, ib = VA.orbit_of[a], VB.orbit_of[b]
-        Sa, Sb = VA.stabs[ia], VB.stabs[ib]
-        g, h = VA.transporter[a], VB.transporter[b]
-        Sag = conjugate_subgroup(Sa, g)  # = Stab(a) ⊇ L
-        Lh = conjugate_subgroup(L, G.inv(h))  # ⊆ Sb
-        block = la.matmul(
-            M.ind_mat(Sb, Lh),
-            la.matmul(
-                M.conj_mat(G.inv(h), L),
-                la.matmul(M.res_mat(Sag, L), M.conj_mat(g, Sa)),
-            ),
-        )
-        la.add_block(out, VB.offsets[ib], VA.offsets[ia], block)
-    return out
+    S = Subgroup(G, c[0])
+    g = coset_orbit(G, src)[0][c[1]]
+    h = coset_orbit(G, dst)[0][c[2]]
+    Sg = conjugate_subgroup(S, G.inv(g))
+    Sh = conjugate_subgroup(S, G.inv(h))
+    return la.matmul(M.ind_mat(dst, Sh), la.matmul(
+        M.conj_mat(G.inv(h), S), la.matmul(M.conj_mat(g, Sg), M.res_mat(src, Sg))))
 
 
 # ---------------------------------------------------------------------------
@@ -777,14 +747,15 @@ class _RepTools:
         store = T._dual_action_cache
         key = (K, H, c)
         if key not in store:
-            s = component_span(self.G, transitive_gset(self.G, K),
-                               transitive_gset(self.G, H), c)
-            store[key] = span_action_matrix(T, s.dual())
+            store[key] = _class_action(T, H, K, (c[0], c[2], c[1]))
         return store[key]
 
 
 def _identity_component(H: Subgroup) -> Component:
-    return (tuple(H.elements), 0, 0)
+    """The class of the identity span on G/H, keyed as `decompose_span` keys
+    it: the least (stabilizer of x, x, x) over the points x of G/H."""
+    reps = coset_orbit(H.parent, H)[0]
+    return min((conjugate_subgroup(H, r).elements, x, x) for x, r in enumerate(reps))
 
 
 def free_cover(T: MackeyFunctorQ, tools: _RepTools) -> FreeCover:
@@ -971,8 +942,7 @@ def to_span_functor(M: MackeyFunctorQ, tools: _RepTools | None = None) -> SpanFu
     for H in reps:
         for K in reps:
             for c in tools.basis(H, K):
-                s = component_span(G, transitive_gset(G, H), transitive_gset(G, K), c)
-                mats[(H, K, c)] = span_action_matrix(M, s)
+                mats[(H, K, c)] = _class_action(M, H, K, c)
     return SpanFunctorQ(G, {H: M.dim(H) for H in reps}, mats)
 
 

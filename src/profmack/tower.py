@@ -59,7 +59,8 @@ class GroupTower:
 
     def bond_to(self, m: int, k: int) -> GroupHom:
         """Composite bond levels[m] -> levels[k] for k <= m."""
-        assert 0 <= k <= m <= self.depth
+        if not 0 <= k <= m <= self.depth:
+            raise ValueError(f"no bond from level {m} to level {k} in depth {self.depth}")
         q = identity_hom(self.levels[m])
         for j in range(m - 1, k - 1, -1):
             q = self.bonds[j].compose(q)

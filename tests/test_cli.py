@@ -14,7 +14,7 @@ from profmack import gsets as gs
 from profmack.groups import CyclicGroup, group_to_json, trivial_subgroup
 from profmack.gsets import transitive_gset
 from profmack import burnside as bs
-from span_helpers import identity_span
+from span_helpers import identity_span, relabelled
 
 
 def run(capsys, argv):
@@ -126,6 +126,18 @@ def test_mackey_ext_cli_at_degrees_two_and_three(capsys):
                                  "--N", "burnside", "--degree", degree])
         assert code == 0
         assert out == f"Ext^{degree}(rep:2,burnside) = 0\n"
+
+
+def test_mackey_ext_cli_over_a_group_whose_identity_is_not_element_0(tmp_path, capsys):
+    moved = tmp_path / "s3_moved.json"
+    G = relabelled(gr.symmetric(3), 3)
+    assert G.identity == 3
+    moved.write_text(json.dumps(group_to_json(G)))
+    for degree in ("0", "1"):
+        args = ["--M", "rep:0", "--N", "rep:0", "--degree", degree]
+        code, out = run(capsys, ["mackey", "ext", "--group", f"json:{moved}"] + args)
+        assert code == 0
+        assert out == run(capsys, ["mackey", "ext", "--group", "sym:3"] + args)[1]
 
 
 def test_mackey_hom_cli_exits_2_without_an_irreducible_list(capsys):

@@ -381,3 +381,27 @@ def test_product_digit_arithmetic_matches_the_tuple_formula(sel):
         for j, u in enumerate(codes):
             assert G.mul(i, j) == _tuple_encode(
                 G, [f.mul(x, y) for f, x, y in zip(fs, t, u)])
+
+
+def _mismatched_inputs():
+    """One call per input check, each given parts from different groups or
+    levels: run under ``python -O`` too, where an ``assert`` would pass them."""
+    from profmack import gsets as gs
+    from profmack import tower as tw
+
+    C4, C2 = gr.cyclic(4), gr.cyclic(2)
+    q = gr.GroupHom(C4, C2, tuple(x % 2 for x in C4.elements()))
+    return {
+        "bond_to": lambda: tw.builtin_tower("pro_p:2", 3).bond_to(1, 2),
+        "intersection": lambda: gr.intersection(gr.all_subgroups(C4)[1],
+                                                gr.all_subgroups(C2)[1]),
+        "compose": lambda: q.compose(q),
+        "product_gset": lambda: gs.product_gset(gs.point_gset(C4), gs.point_gset(C2)),
+        "inflate_gset": lambda: gs.inflate_gset(gs.point_gset(C4), q),
+    }
+
+
+@pytest.mark.parametrize("check", list(_mismatched_inputs()))
+def test_mismatched_input_raises_value_error(check):
+    with pytest.raises(ValueError):
+        _mismatched_inputs()[check]()

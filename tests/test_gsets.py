@@ -5,7 +5,7 @@ import pytest
 from profmack import _kernels
 from profmack import groups as gr
 from profmack import gsets as gs
-from span_helpers import disjoint_union, empty_gset
+from span_helpers import disjoint_union, empty_gset, relabelled
 
 
 def test_transitive_gset_sizes():
@@ -130,16 +130,6 @@ def test_gset_rejects_seeded_single_row_corruptions():
 
 # ---------------------------------------------------------------------------
 # one G/H per group and one orbit scan
-
-
-def relabelled(G, shift):
-    """G as a TableGroup with element a renamed (a + shift) % |G|."""
-    n = G.order
-    mult = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            mult[(a + shift) % n][(b + shift) % n] = (G.mul(a, b) + shift) % n
-    return gr.TableGroup(mult, label=f"{G.label}+{shift}")
 
 
 def scan_groups():

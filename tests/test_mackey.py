@@ -8,6 +8,7 @@ from profmack import groups as gr
 from profmack import gsets as gs
 from profmack import linalg as la
 from profmack import mackey as mk
+from span_helpers import identity_span, relabelled, span_action_matrix
 
 SEED = 20260823
 
@@ -341,6 +342,61 @@ def test_span_functor_round_trip():
             assert getattr(B, name).keys() == getattr(A, name).keys()
             for key, m in getattr(A, name).items():
                 assert la.eq(getattr(B, name)[key], m), (name, key)
+
+
+def class_action_functors():
+    """The sym:3 and C2×C2 batteries, the representables of D8 (which has no
+    irreducible list) and the first kernel of S3's standard fixed points."""
+    objs = battery(gr.symmetric(3)) + battery(gr.parse_group("prod:cyclic:2,cyclic:2"))
+    D8 = gr.dihedral(8)
+    objs += [mk.representable(D8, gs.transitive_gset(D8, H)) for H in class_reps(D8)]
+    std = objs[6]
+    assert std.name == "FP(std)"
+    kernel, _ = mk.kernel_functor(mk.free_cover(std, mk._RepTools(std.group)).cover)
+    assert not kernel.is_zero()
+    return objs + [kernel]
+
+
+def test_class_action_equals_the_general_span_action():
+    count = 0
+    for M in class_action_functors():
+        G = M.group
+        orbit = {H: gs.transitive_gset(G, H) for H in M.subs}
+        for src in M.subs:
+            for dst in M.subs:
+                for c in bs.hom_basis(orbit[src], orbit[dst]):
+                    s = bs.component_span(G, orbit[src], orbit[dst], c)
+                    assert la.eq(mk._class_action(M, src, dst, c),
+                                 span_action_matrix(M, s)), (M.name, src, dst, c)
+                    count += 1
+    assert count == 4 * 87 + 3 * 87 + 9 * 53 + 8 * 306 + 87
+
+
+def test_identity_component_is_the_class_of_the_identity_span():
+    for G in (gr.symmetric(3), relabelled(gr.symmetric(3), 3), gr.dihedral(8)):
+        for H in gr.all_subgroups(G):
+            O = gs.transitive_gset(G, H)
+            assert bs.decompose_span(identity_span(O)) == {mk._identity_component(H): 1}
+
+
+def test_ext_over_a_relabelled_group_equals_ext_over_the_original():
+    """S3 with its identity at element 3: Ext^0..2 over the representables and
+    the Burnside functor equal those over sym:3."""
+    def ext_table(G):
+        tools = mk._RepTools(G)
+        objs = [tools.representable(H) for H in class_reps(G)] + [mk.burnside_mackey(G)]
+        table = []
+        for M in objs:
+            res = mk.projective_resolution(M, 3, tools)
+            table += [mk.ext_mackey(M, N, i, res=res, tools=tools)
+                      for N in objs for i in range(3)]
+        return table
+
+    moved = relabelled(gr.symmetric(3), 3)
+    assert moved.identity == 3
+    expected = ext_table(gr.symmetric(3))
+    assert len(expected) == 75 and any(expected)
+    assert ext_table(moved) == expected
 
 
 def test_kernel_of_map_through_zero_is_everything():

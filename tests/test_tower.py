@@ -1,7 +1,8 @@
 import pytest
 
 from profmack import tower as tw
-from profmack.groups import TableGroup, UnknownFamily, all_subgroups
+from profmack.groups import (TableGroup, UnknownFamily, all_subgroups, cyclic,
+                             dihedral, direct_product, symmetric)
 
 
 def test_pro_p_levels_and_bonds():
@@ -71,17 +72,19 @@ PRODUCT_FAMILIES = ("prod:pro_p:2,pro_p:3", "prod:pro_p:2,pro_p:5",
 
 def test_product_level_subgroups_match_the_generic_enumeration():
     # Sub(A x B) = Sub(A) x Sub(B) for coprime orders: the digit-built
-    # subgroups of each level of order <= 100 (C6, C36, C10, C100, C30) equal
-    # the closure enumeration over the level's multiplication table
-    seen = set()
-    for fam in PRODUCT_FAMILIES:
-        for G in tw.builtin_tower(fam, 2).levels:
-            if G.order > 100:
-                continue
-            seen.add(G.order)
-            generic = all_subgroups(TableGroup(G.table()))
-            assert [H.elements for H in all_subgroups(G)] == [H.elements for H in generic]
-    assert seen == {1, 6, 36, 10, 100, 30}
+    # subgroups of each level of order <= 100 (C6, C36, C10, C100, C30) and
+    # of coprime products of non-cyclic groups equal the closure enumeration
+    # over the group's multiplication table
+    levels = [G for fam in PRODUCT_FAMILIES for G in tw.builtin_tower(fam, 2).levels
+              if G.order <= 100]
+    assert {G.order for G in levels} == {1, 6, 36, 10, 100, 30}
+    products = [direct_product(cyclic(5), symmetric(3)),
+                direct_product(cyclic(4), direct_product(cyclic(3), cyclic(3))),
+                direct_product(dihedral(8), cyclic(3)),
+                direct_product(cyclic(7), dihedral(6), cyclic(5))]
+    for G in levels + products:
+        generic = all_subgroups(TableGroup(G.table()))
+        assert [H.elements for H in all_subgroups(G)] == [H.elements for H in generic]
 
 
 @pytest.mark.parametrize("fam,depth", [
