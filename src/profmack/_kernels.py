@@ -6,27 +6,25 @@ HAVE_NUMBA = False
 
 
 def closure(mult, seed) -> list[int]:
-    """Smallest subset of {0..n-1} containing ``seed`` closed under the table.
+    """Subgroup generated by ``seed`` in the group with the full
+    multiplication table ``mult`` (indexed ``mult[a][b]``), as a sorted list.
 
-    ``mult`` must be the full multiplication table of a group, indexed
-    ``mult[a][b]``, so closure under products alone also yields closure under
-    inverses.  Returns a sorted list.
+    A walk x -> x·s over the seed elements s, starting at seed[0]: in a
+    finite group the products of seed elements are all of <seed>, so the walk
+    reaches it at |<seed>|·|seed| products.
     """
-    seed = [int(s) for s in seed]
+    seed = list(dict.fromkeys(int(s) for s in seed))
     if not seed:
         raise ValueError("closure needs a non-empty seed")
-    members = set(seed)
-    stack = list(members)
-    # worklist: close under multiplication against all current members
-    elems: list[int] = []
+    members = {seed[0]}
+    stack = [seed[0]]
     while stack:
-        a = stack.pop()
-        elems.append(a)
-        for b in elems:
-            for c in (mult[a][b], mult[b][a]):
-                if c not in members:
-                    members.add(c)
-                    stack.append(c)
+        row = mult[stack.pop()]
+        for s in seed:
+            y = row[s]
+            if y not in members:
+                members.add(y)
+                stack.append(y)
     return sorted(members)
 
 

@@ -357,26 +357,31 @@ def _all_subgroup_tuples(G: FiniteGroup) -> list[tuple[int, ...]]:
                 raise CapacityError(f"subgroup count exceeds bound {SUBGROUP_LIMIT}")
             out.append(tuple(elems))
         return sorted(out, key=lambda t: (len(t), t))
-    # generic cyclic-extension enumeration over the dense table
+    # generic enumeration over the dense table by cyclic extension: every
+    # subgroup is <H, g> for a smaller subgroup H and one generator g per
+    # cyclic subgroup, and each subgroup keeps the generators it was reached with
     if G.order > TABLE_LIMIT:
         raise CapacityError(
             f"generic subgroup enumeration needs order <= {TABLE_LIMIT}"
         )
+    cyclic = {}  # <g> -> its least generator
+    for g in G.elements():
+        cyclic.setdefault(closure_set(G, [g]), g)
     found = {(G.identity,)}
-    frontier = [(G.identity,)]
+    frontier = [((G.identity,), ())]  # (subgroup, the generators it was reached with)
     while frontier:
         nxt = []
-        for base in frontier:
+        for base, gens in frontier:
             bset = set(base)
-            for g in range(G.order):
+            for g in cyclic.values():
                 if g in bset:
                     continue
-                t = closure_set(G, base + (g,))
+                t = closure_set(G, gens + (g,))
                 if t not in found:
                     if len(found) >= SUBGROUP_LIMIT:
                         raise CapacityError(f"subgroup count exceeds bound {SUBGROUP_LIMIT}")
                     found.add(t)
-                    nxt.append(t)
+                    nxt.append((t, gens + (g,)))
         frontier = nxt
     return sorted(found, key=lambda t: (len(t), t))
 

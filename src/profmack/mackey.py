@@ -33,7 +33,6 @@ from .groups import (
     FiniteGroup,
     ProductGroup,
     Subgroup,
-    TableGroup,
     UnknownFamily,
     all_subgroups,
     class_rep_of,
@@ -494,128 +493,103 @@ def fixed_point_functor(rep: GroupRep, name: str | None = None) -> MackeyFunctor
                        name or f"FP({rep.name})")[0]
 
 
-def _poly_div(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (ascending coefficients)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1] // den[-1]
-        out[i] = c
-        for j, d in enumerate(den):
-            num[i + j] -= c * d
-    assert all(x == 0 for x in num)
-    return out
+def _new_part(G: FiniteGroup, K: Subgroup, overs: list[Subgroup]) -> GroupRep | None:
+    """G on the vectors of Q[G/K] that every projection Q[G/K] -> Q[G/L],
+    L in overs, sends to 0; None if there are none.
+
+    The vectors are one nullspace: a row per coset of each L, 1 on the points
+    of G/K inside it.  Point i of G/K is e_i and g sends it to e_act[g][i],
+    so (g·v)[j] = v[act[g⁻¹][j]]; the |G| matrices are one solve of all the
+    moved basis vectors.
+    """
+    reps, _, orbit = coset_orbit(G, K)
+    n = len(reps)
+    rows = la.Matrix([], n)
+    for L in overs:
+        rep_of = coset_orbit(G, L)[1]
+        labels = [rep_of[r] for r in reps]
+        rows += [[Q1 if x == c else Q0 for x in labels] for c in set(labels)]
+    basis = la.nullspace(rows)
+    if not basis:
+        return None
+    moved = [[b[i] for i in orbit.act[G.inv(g)]] for g in G.elements() for b in basis]
+    coords = la.solve_columns(la.from_columns(basis, n), moved)
+    d = len(basis)
+    return GroupRep(G, d, [la.Matrix([r[g * d:(g + 1) * d] for r in coords], d)
+                           for g in G.elements()])
 
 
-def cyclotomic(d: int) -> list[int]:
-    """Coefficients of the d-th cyclotomic polynomial, ascending."""
-    poly = [-1] + [0] * (d - 1) + [1]  # x^d - 1
-    for e in range(1, d):
-        if d % e == 0:
-            poly = _poly_div(poly, cyclotomic(e))
-    return poly
+def _hom_dim(V: GroupRep, W: GroupRep) -> int:
+    """dim Hom_G(V, W): X with W(s)·X = X·V(s) for every generator s."""
+    return len(la.intertwiners({0: (W.dim, V.dim)},
+                               [([(W.mats[s], 0, None)], [(None, 0, V.mats[s])])
+                                for s in generators(V.group)]))
 
 
-def _companion(poly: list[int]) -> la.Matrix:
-    n = len(poly) - 1
-    m = la.zeros(n, n)
-    for i in range(n - 1):
-        m[i + 1][i] = Q1
-    for i in range(n):
-        m[i][n - 1] = Fraction(-poly[i], poly[n])
-    return m
+def _order(x, mul, one) -> int:
+    """The least k >= 1 with x^k == one, powers formed by mul."""
+    k, y = 1, x
+    while y != one:
+        y, k = mul(y, x), k + 1
+    return k
 
 
-def _cyclic_irreducibles(G: CyclicGroup) -> list[GroupRep]:
-    reps = []
-    for d in sorted(k for k in range(1, G.order + 1) if G.order % k == 0):
-        C = _companion(cyclotomic(d))
-        mats = [la.identity(len(C))]
-        for _ in range(G.order - 1):
-            mats.append(la.matmul(C, mats[-1]))
-        reps.append(GroupRep(G, len(C), mats, name=f"Q(zeta_{d})"))
-    return reps
-
-
-def _kron(a: la.Matrix, b: la.Matrix) -> la.Matrix:
-    ra, ca = la.shape(a)
-    rb, cb = la.shape(b)
-    out = la.zeros(ra * rb, ca * cb)
-    for i in range(ra):
-        for j in range(ca):
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k][j * cb + l] = a[i][j] * b[k][l]
-    return out
-
-
-def _s3_irreducibles(G: TableGroup) -> list[GroupRep]:
-    perms = sorted(itertools.permutations(range(3)))
-    # sanity: the element indexing must match symmetric(3)
-    idx = {p: i for i, p in enumerate(perms)}
-    for a in range(6):
-        for b in range(6):
-            comp = tuple(perms[a][perms[b][x]] for x in range(3))
-            if G.mul(a, b) != idx[comp]:
-                raise UnknownFamily("group is not symmetric(3)")
-
-    def sign(p):
-        s = 1
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if p[i] > p[j]:
-                    s = -s
-        return s
-
-    triv = GroupRep(G, 1, [[[Q1]] for _ in perms], name="triv")
-    sgn = GroupRep(G, 1, [[[Fraction(sign(p))]] for p in perms], name="sign")
-    # standard rep on basis f1 = e_p(0)... use action on coordinates mod diagonal
-    std_mats = []
-    for p in perms:
-        # permutation matrix P: e_i -> e_{p(i)}; express on f1=e0-e1, f2=e1-e2
-        cols = []
-        for f in ([1, -1, 0], [0, 1, -1]):
-            img = [Q0] * 3
-            for i, c in enumerate(f):
-                img[p[i]] += Fraction(c)
-            # write img (sum zero) as x*f1 + y*f2: x = img[0], y = -img[2]
-            cols.append([Fraction(img[0]), -Fraction(img[2])])
-        std_mats.append(la.from_columns(cols, 2))
-    std = GroupRep(G, 2, std_mats, name="std")
-    return [triv, sgn, std]
+def _irreducible_names(G: FiniteGroup, found: list) -> list[str]:
+    """Q(zeta_d) per factor of a cyclic group or a product of cyclic groups,
+    d the order of the factor's generator on G/K (1 for a trivial factor);
+    triv, sign or std otherwise.  A repeated name gets #2, #3, ..."""
+    factors = ([G] if isinstance(G, CyclicGroup)
+               else G.factors if isinstance(G, ProductGroup) else [])
+    by_factor = factors and all(isinstance(f, CyclicGroup) for f in factors)
+    names, seen = [], {}
+    for orders, V, _ in found:
+        if by_factor:
+            it = iter(orders)
+            name = "x".join(f"Q(zeta_{next(it) if f.order > 1 else 1})" for f in factors)
+        elif V.dim > 1:
+            name = "std"
+        else:
+            name = "sign" if any(V.mats[s] != la.identity(1) for s in generators(G)) else "triv"
+        seen[name] = seen.get(name, 0) + 1
+        names.append(name if seen[name] == 1 else f"{name}#{seen[name]}")
+    return names
 
 
 def rational_irreducibles(G: FiniteGroup) -> list[GroupRep]:
-    if isinstance(G, CyclicGroup):
-        return _cyclic_irreducibles(G)
-    if isinstance(G, ProductGroup) and all(
-        isinstance(f, CyclicGroup) for f in G.factors
-    ):
-        # Q(zeta_a) ⊗ Q(zeta_b) is a field only when Q(zeta_gcd(a, b)) = Q
-        orders = [f.order for f in G.factors]
-        if any(math.gcd(a, b) > 2 for a, b in itertools.combinations(orders, 2)):
-            raise UnknownFamily(
-                f"no irreducible list for {G.label}: two factor orders share "
-                "a divisor above 2, so tensor products of factor irreducibles "
-                "are reducible")
-        out = []
-        factor_irrs = [_cyclic_irreducibles(f) for f in G.factors]
-        for combo in itertools.product(*factor_irrs):
-            mats = []
-            for g in range(G.order):
-                coords = G.decode(g)
-                m = combo[0].mats[coords[0]]
-                for r, c in zip(combo[1:], coords[1:]):
-                    m = _kron(m, r.mats[c])
-                mats.append(m)
-            out.append(
-                GroupRep(G, la.shape(mats[0])[0], mats,
-                         name="x".join(r.name for r in combo))
-            )
-        return out
-    if isinstance(G, TableGroup) and G.order == 6 and G.label.startswith("S"):
-        return _s3_irreducibles(G)
-    raise UnknownFamily(f"no irreducible list for {G.label}")
+    """The irreducible rational representations of G, one per conjugacy class
+    of cyclic subgroups (Serre, Linear Representations of Finite Groups,
+    §13.1).
+
+    For each class representative K, V_K (`_new_part`) is the part of Q[G/K]
+    that no Q[G/L] with K maximal in L reaches.  V_K is kept unless it is 0
+    or has a nonzero Hom to one kept before.  The list is sorted by the
+    orders of ``generators(G)`` on G/K, then dim V_K, then K.key(), and
+    named by `_irreducible_names`.  Raises UnknownFamily unless it has one
+    module per class of cyclic subgroups and Σ dim(V)² / dim End_G(V) = |G|.
+    """
+    maximal = _maximal_subgroups(all_subgroups(G))
+    classes = subgroup_conjugacy_classes(G)
+    found = []
+    for K, _ in classes:
+        V = _new_part(G, K, [L for L, below in maximal.items() if K in below])
+        if V is not None and not any(_hom_dim(W, V) for _, W, _ in found):
+            act = coset_orbit(G, K)[2].act
+            orders = tuple(_order(act[s], lambda p, q: tuple(p[i] for i in q), act[G.identity])
+                           for s in generators(G))
+            found.append((orders, V, K.key()))
+    found.sort(key=lambda f: (f[0], f[1].dim, f[2]))
+    irrs = [V for _, V, _ in found]
+    cyclic = sum(any(_order(h, G.mul, G.identity) == K.order for h in K.elements)
+                 for K, _ in classes)
+    if len(irrs) != cyclic:
+        raise UnknownFamily(f"no irreducible list for {G.label}: found {len(irrs)} "
+                            f"irreducibles, but it has {cyclic} classes of cyclic subgroups")
+    if sum(Fraction(V.dim ** 2, _hom_dim(V, V)) for V in irrs) != G.order:
+        raise UnknownFamily(f"no irreducible list for {G.label}: the Wedderburn "
+                            f"dimensions of the irreducibles found do not add up to {G.order}")
+    for V, name in zip(irrs, _irreducible_names(G, found)):
+        V.name = name
+    return irrs
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from profmack import gsets as gs
 from profmack.groups import CyclicGroup, group_to_json, trivial_subgroup
 from profmack.gsets import transitive_gset
 from profmack import burnside as bs
+from profmack import mackey as mk
 from span_helpers import identity_span, relabelled
 
 
@@ -140,13 +141,30 @@ def test_mackey_ext_cli_over_a_group_whose_identity_is_not_element_0(tmp_path, c
         assert out == run(capsys, ["mackey", "ext", "--group", "sym:3"] + args)[1]
 
 
-def test_mackey_hom_cli_exits_2_without_an_irreducible_list(capsys):
-    code = cli.main(["mackey", "hom", "--group", "prod:cyclic:3,cyclic:3",
-                     "--M", "fixedpoint:3", "--N", "fixedpoint:3"])
+def test_mackey_hom_cli_fixed_points_over_a_relabelled_s3(tmp_path, capsys):
+    """The irreducibles of S3 are found whatever its element labels."""
+    moved = tmp_path / "s3_moved.json"
+    moved.write_text(json.dumps(group_to_json(relabelled(gr.symmetric(3), 3))))
+    for M in ("fixedpoint:std", "fixedpoint:sign", "fixedpoint:triv"):
+        args = ["--M", M, "--N", "burnside"]
+        code, out = run(capsys, ["mackey", "hom", "--group", f"json:{moved}"] + args)
+        assert code == 0
+        assert out == run(capsys, ["mackey", "hom", "--group", "sym:3"] + args)[1]
+
+
+def test_mackey_hom_cli_exits_2_without_an_irreducible_list(monkeypatch, capsys):
+    """A list that fails its checks (here: the new part of Q[S3/C3] dropped)
+    is a usage error with one message line."""
+    new_part = mk._new_part
+    monkeypatch.setattr(mk, "_new_part",
+                        lambda G, K, overs: None if K.order == 3 else new_part(G, K, overs))
+    code = cli.main(["mackey", "hom", "--group", "sym:3",
+                     "--M", "fixedpoint:0", "--N", "burnside"])
     out, err = capsys.readouterr()
     assert code == cli.EXIT_USAGE
     assert out == ""
-    assert err.startswith("error: no irreducible list for C3xC3")
+    assert err.startswith("error: no irreducible list for S3")
+    assert err.count("\n") == 1
 
 
 def test_sheaf_godement_cli(capsys):

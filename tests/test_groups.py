@@ -4,6 +4,7 @@ import random
 import pytest
 
 from profmack import groups as gr
+from group_helpers import frontier_subgroup_tuples, quaternion_json
 
 
 def test_cyclic_basics():
@@ -94,6 +95,15 @@ def test_parse_group_bad_selector():
 def test_all_subgroups_cached():
     G = gr.symmetric(3)
     assert gr.all_subgroups(G) is gr.all_subgroups(G)
+
+
+@pytest.mark.parametrize("sel", ["sym:3", "sym:4", "dihedral:8", "dihedral:12",
+                                 "prod:cyclic:4,cyclic:4", "Q8"])
+def test_cyclic_extension_enumeration_matches_the_frontier_reference(sel):
+    """The generic enumeration extends each subgroup by one generator per
+    cyclic subgroup; the reference closes it with every element outside it."""
+    G = gr.group_from_json(quaternion_json()) if sel == "Q8" else gr.parse_group(sel)
+    assert [H.elements for H in gr.all_subgroups(G)] == frontier_subgroup_tuples(G)
 
 
 COSET_GROUPS = ("cyclic:6", "dihedral:8", "sym:3", "prod:cyclic:2,cyclic:2")

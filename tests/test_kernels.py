@@ -1,6 +1,7 @@
 import random
 
 from profmack import _kernels as K
+from profmack import groups as gr
 
 
 def brute_closure(mult, seed):
@@ -36,6 +37,16 @@ def test_closure_matches_brute_force():
         for _ in range(5):
             seed = [rng.randrange(n), rng.randrange(n)]
             assert list(K.closure(mult, seed)) == brute_closure(mult, seed)
+
+
+def test_closure_matches_brute_force_in_a_non_abelian_table():
+    """S4: the walk x -> x·s from seed[0] reaches the subgroup the seed
+    generates, for seeds of one to three elements."""
+    mult = gr.symmetric(4).table()
+    rng = random.Random(7)
+    for _ in range(40):
+        seed = [rng.randrange(24) for _ in range(rng.randint(1, 3))]
+        assert list(K.closure(mult, seed)) == brute_closure(mult, seed)
 
 
 def test_orbit_labels():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from profmack import groups as gr
 from profmack import gsets as gs
 from profmack import linalg as la
 from profmack import mackey as mk
+from group_helpers import quaternion_json
 from span_helpers import identity_span, relabelled, span_action_matrix
 
 SEED = 20260823
@@ -345,8 +347,8 @@ def test_span_functor_round_trip():
 
 
 def class_action_functors():
-    """The sym:3 and C2×C2 batteries, the representables of D8 (which has no
-    irreducible list) and the first kernel of S3's standard fixed points."""
+    """The sym:3 and C2×C2 batteries, the representables of D8 and the first
+    kernel of S3's standard fixed points."""
     objs = battery(gr.symmetric(3)) + battery(gr.parse_group("prod:cyclic:2,cyclic:2"))
     D8 = gr.dihedral(8)
     objs += [mk.representable(D8, gs.transitive_gset(D8, H)) for H in class_reps(D8)]
@@ -688,6 +690,20 @@ def test_one_corrupt_generator_conj_map_fails_the_axioms(sel, monkeypatch):
     assert mk.check_axioms(build(G, dims, corrupt, "corrupt")) != []
 
 
+def test_ext_one_vanishes_over_the_c3xc3_battery():
+    """Rational Mackey functors are semisimple, so Ext^1 = 0 on all 121
+    ordered pairs of the 6 representables and 5 fixed-point functors of
+    C3×C3, a product whose factor orders share the divisor 3."""
+    G = gr.parse_group("prod:cyclic:3,cyclic:3")
+    objs = battery(G)
+    assert len(objs) == 11
+    tools = mk._RepTools(G)
+    for M in objs:
+        res = mk.projective_resolution(M, 2, tools)
+        for N in objs:
+            assert mk.ext_mackey(M, N, 1, res=res, tools=tools) == 0, (M.name, N.name)
+
+
 def test_rep_tools_build_each_representable_once(monkeypatch):
     G = gr.symmetric(3)
     built = []
@@ -702,15 +718,6 @@ def test_rep_tools_build_each_representable_once(monkeypatch):
     assert covers and len(covers) == len({id(A) for A in covers})
 
 
-@pytest.mark.parametrize("sel", ["prod:cyclic:3,cyclic:3", "prod:cyclic:4,cyclic:4",
-                                 "prod:cyclic:3,cyclic:6"])
-def test_no_irreducible_list_when_factor_orders_share_a_divisor_above_two(sel):
-    """Q(zeta_d) ⊗ Q(zeta_d) splits for d > 2, so the tensor products of the
-    factors' irreducibles are not all irreducible."""
-    with pytest.raises(gr.UnknownFamily, match="no irreducible list"):
-        mk.rational_irreducibles(gr.parse_group(sel))
-
-
 def element_order(G, g):
     n, x = 1, g
     while x != G.identity:
@@ -718,25 +725,90 @@ def element_order(G, g):
     return n
 
 
+def character_product(V, W):
+    """dim Hom_G(V, W) = (1/|G|) Σ_g χ_V(g)·χ_W(g): rational characters are
+    real, so χ(g⁻¹) = χ(g)."""
+    def trace(m):
+        return sum(m[i][i] for i in range(len(m)))
+    G = V.group
+    return sum(trace(V.mats[g]) * trace(W.mats[g]) for g in G.elements()) / G.order
+
+
+def check_irreducible_list(G, irrs, count):
+    """One module per class of cyclic subgroups (Serre, Linear
+    Representations of Finite Groups, §13.1), pairwise Hom = 0, unique
+    names, and Wedderburn dimensions Σ dim(V)² / dim End_G(V) adding up to
+    |G|; Hom dimensions are read off the characters."""
+    cyclic = [H for H, _ in gr.subgroup_conjugacy_classes(G)
+              if any(element_order(G, h) == H.order for h in H.elements)]
+    assert len(irrs) == len(cyclic) == count
+    assert len({V.name for V in irrs}) == len(irrs)
+    for V, W in itertools.combinations(irrs, 2):
+        assert character_product(V, W) == 0, (V.name, W.name)
+    assert sum(Fraction(V.dim ** 2) / character_product(V, V) for V in irrs) == G.order
+
+
 @pytest.mark.parametrize("sel,count", [("prod:cyclic:2,cyclic:2", 4),
                                        ("prod:cyclic:2,cyclic:4", 6),
-                                       ("prod:cyclic:4,cyclic:6", 12)])
+                                       ("prod:cyclic:4,cyclic:6", 12),
+                                       ("prod:cyclic:3,cyclic:3", 5),
+                                       ("prod:cyclic:4,cyclic:4", 10),
+                                       ("prod:cyclic:3,cyclic:6", 10)])
 def test_one_irreducible_per_cyclic_subgroup_of_an_abelian_product(sel, count):
-    """An abelian group has one Q-irreducible per cyclic subgroup (Serre,
-    Linear Representations of Finite Groups, §13.1), and the Wedderburn
-    dimensions Σ dim(V)² / dim End_G(V) add up to |G|."""
+    """Including products whose factor orders share a divisor above 2
+    (C3×C3, C4×C4, C3×C6), where the tensor products of the factors'
+    irreducibles are reducible.  Q[G] holds each Q(zeta_d) once, so the
+    dimensions add up to |G|; a module that is two copies of one
+    irreducible would exceed it."""
     G = gr.parse_group(sel)
-    cyclic = [H for H in gr.all_subgroups(G)
-              if any(element_order(G, h) == H.order for h in H.elements)]
     irrs = mk.rational_irreducibles(G)
-    assert len(irrs) == len(cyclic) == count
-    total = Fraction(0)
-    for V in irrs:
-        ends = la.intertwiners({0: (V.dim, V.dim)},
-                               [([(None, 0, V.mats[s])], [(V.mats[s], 0, None)])
-                                for s in gr.generators(G)])
-        total += Fraction(V.dim ** 2, len(ends))
-    assert total == G.order
+    check_irreducible_list(G, irrs, count)
+    assert sum(V.dim for V in irrs) == G.order
+
+
+@pytest.mark.parametrize("sel,dims", [("dihedral:8", [1, 1, 1, 1, 2]),
+                                      ("sym:4", [1, 1, 2, 3, 3]),
+                                      ("prod:cyclic:2,sym:3", [1, 1, 1, 1, 2, 2]),
+                                      ("Q8", [1, 1, 1, 1, 4]),
+                                      ("S3+3", [1, 1, 2])])
+def test_one_irreducible_per_class_of_cyclic_subgroups_of_a_non_abelian_group(sel, dims):
+    """The dimensions are those of the known Q-irreducibles, so no module is
+    two copies of one irreducible."""
+    G = (gr.group_from_json(quaternion_json()) if sel == "Q8"
+         else relabelled(gr.symmetric(3), 3) if sel == "S3+3" else gr.parse_group(sel))
+    irrs = mk.rational_irreducibles(G)
+    check_irreducible_list(G, irrs, len(dims))
+    assert sorted(V.dim for V in irrs) == dims
+
+
+@pytest.mark.parametrize("sel,expected", [
+    ("cyclic:12", [("Q(zeta_1)", [1, 1, 1, 1, 1, 1]), ("Q(zeta_2)", [1, 1, 1, 0, 1, 0]),
+                   ("Q(zeta_3)", [2, 2, 0, 2, 0, 0]), ("Q(zeta_4)", [2, 0, 2, 0, 0, 0]),
+                   ("Q(zeta_6)", [2, 2, 0, 0, 0, 0]), ("Q(zeta_12)", [4, 0, 0, 0, 0, 0])]),
+    ("prod:cyclic:2,cyclic:4", [
+        ("Q(zeta_1)xQ(zeta_1)", [1, 1, 1, 1, 1, 1, 1, 1]),
+        ("Q(zeta_1)xQ(zeta_2)", [1, 1, 1, 1, 0, 1, 0, 0]),
+        ("Q(zeta_1)xQ(zeta_4)", [2, 0, 2, 0, 0, 0, 0, 0]),
+        ("Q(zeta_2)xQ(zeta_1)", [1, 1, 0, 0, 1, 0, 0, 0]),
+        ("Q(zeta_2)xQ(zeta_2)", [1, 1, 0, 0, 0, 0, 1, 0]),
+        ("Q(zeta_2)xQ(zeta_4)", [2, 0, 0, 2, 0, 0, 0, 0])]),
+    ("sym:3", [("triv", [1, 1, 1, 1, 1, 1]), ("sign", [1, 0, 0, 0, 1, 0]),
+               ("std", [2, 1, 1, 1, 0, 0])]),
+    ("prod:cyclic:3,cyclic:3", [
+        ("Q(zeta_1)xQ(zeta_1)", [1, 1, 1, 1, 1, 1]), ("Q(zeta_1)xQ(zeta_3)", [2, 0, 2, 0, 0, 0]),
+        ("Q(zeta_3)xQ(zeta_1)", [2, 2, 0, 0, 0, 0]), ("Q(zeta_3)xQ(zeta_3)", [2, 0, 0, 2, 0, 0]),
+        ("Q(zeta_3)xQ(zeta_3)#2", [2, 0, 0, 0, 2, 0])]),
+])
+def test_irreducible_names_order_and_fixed_point_dimensions_are_pinned(sel, expected):
+    """Names, their order and dim V^H on every subgroup H.  The first three
+    are the values of the cyclotomic, Kronecker and S3 tables that the
+    new-part construction replaced; C3×C3 has a repeated name, suffixed #2."""
+    G = gr.parse_group(sel)
+    got = []
+    for V in mk.rational_irreducibles(G):
+        F = mk.fixed_point_functor(V)
+        got.append((V.name, [F.dim(H) for H in F.subs]))
+    assert got == expected
 
 
 def test_group_rep_rejects_the_zero_map_and_wrong_shapes():
