@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage error, 3 capacity/depth exhaustion.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -511,8 +512,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(depth_default: str | None) -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first ``main`` call and then once per
+    value of PROFMACK_DEPTH, the one input it reads besides its arguments."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser(os.environ.get("PROFMACK_DEPTH"))
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -42,10 +42,12 @@ class FiniteGroup:
     label: str
     identity: int
     abelian = False  # known commutative: CyclicGroup and products of them
-    # built on first use: the dense table, the subgroup list, the generators and
-    # their rows, G/H (gsets.coset_orbit), gHg^-1 by (H, g) and subgroup classes
+    # built on first use: the dense table, the subgroup list and its index by
+    # element tuple, the generators and their rows, G/H (gsets.coset_orbit),
+    # gHg^-1 by (H, g) and subgroup classes
     _table: tuple[tuple[int, ...], ...] | None = None
     _subgroup_cache: list[Subgroup] | None = None
+    _subgroup_index: dict[tuple[int, ...], Subgroup] | None = None
     _coset_orbits: dict | None = None
     _conjugates: dict | None = None
     _classes: tuple[list, dict] | None = None
@@ -128,9 +130,8 @@ class TableGroup(FiniteGroup):
                     if m[rx[a]] != tuple(map(rx.__getitem__, ra)):
                         raise ValueError("multiplication table is not associative")
         else:
-            rng = random.Random(0)
-            for _ in range(2000):
-                a, b, c = (rng.randrange(n) for _ in range(3))
+            draws = iter(random.Random(0).choices(range(n), k=6000))
+            for a, b, c in zip(draws, draws, draws):
                 if m[m[a][b]][c] != m[a][m[b][c]]:
                     raise ValueError("multiplication table is not associative")
 
@@ -305,10 +306,20 @@ def generator_rows(G: FiniteGroup) -> list[tuple[int, tuple[int, ...]]]:
 
 
 def subgroup(G: FiniteGroup, elements) -> Subgroup:
-    """Validated subgroup from an element collection, checked exactly at
-    |S|·|gens| products: a finite set holding e and closed under right
-    multiplication by its greedy generators is the subgroup they generate."""
+    """Validated subgroup from an element collection.
+
+    Once ``all_subgroups(G)`` is cached, a set equal to an enumerated
+    subgroup's elements is that subgroup, returned by one dict lookup.
+    Otherwise it is checked exactly at |S|·|gens| products: a finite set
+    holding e and closed under right multiplication by its greedy generators
+    is the subgroup they generate."""
     elems = tuple(sorted(set(elements)))
+    if G._subgroup_cache is not None:
+        if G._subgroup_index is None:
+            G._subgroup_index = {H.elements: H for H in G._subgroup_cache}
+        found = G._subgroup_index.get(elems)
+        if found is not None:
+            return found
     sg = Subgroup(G, elems)
     greedy_generators(G, elems)
     return sg
@@ -483,6 +494,11 @@ class GroupHom:
         self.mapping = tuple(self.mapping)
         if len(self.mapping) != self.domain.order:
             raise ValueError("hom table has wrong length")
+        # checked on every entry: the products below would hide a stray one,
+        # reduced modulo a cyclic codomain's order or read from the end of a
+        # table row when negative
+        if min(self.mapping) < 0 or max(self.mapping) >= self.codomain.order:
+            raise ValueError("hom table leaves its codomain")
         if self.mapping[self.domain.identity] != self.codomain.identity:
             raise ValueError("hom does not preserve the identity")
         n = self.domain.order
@@ -491,8 +507,8 @@ class GroupHom:
             # f(x)f(w) for every word w in the generators, by induction
             pairs = itertools.product(range(n), generators(self.domain))
         else:
-            rng = random.Random(1)
-            pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(2000))
+            draws = iter(random.Random(1).choices(range(n), k=4000))
+            pairs = zip(draws, draws)
         for a, b in pairs:
             if self.mapping[self.domain.mul(a, b)] != self.codomain.mul(
                 self.mapping[a], self.mapping[b]

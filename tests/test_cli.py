@@ -368,6 +368,53 @@ def test_stdout_matches_its_golden_md5(command, tmp_path, capsys):
     assert hashlib.md5(captured.out.encode()).hexdigest() == GOLDEN_STDOUT_MD5[command]
 
 
+# sha256 of the stdout of deep-tower commands, fixed before bond images were
+# looked up in the enumerated lattice
+GOLDEN_TOWER_SHA256 = {
+    "cb rank --tower prod:pro_p:2,pro_p:3 --depth 6 --json":
+        "521a4352811fd2f9e01503a602c96428bcbf171cefa903240919c0a4a63983ea",
+    "cb heights --tower pro_p:3 --depth 8 --json":
+        "764a56e96faa19fec74c8723073c63831b3af02e042a647621f7b9c5c1d0e210",
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_TOWER_SHA256))
+def test_tower_stdout_matches_its_golden_sha256(command, capsys):
+    code = cli.main(command.split())
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == \
+        GOLDEN_TOWER_SHA256[command]
+
+
+def test_one_process_answers_like_fresh_processes(capsys):
+    """main reuses its parser across calls: each command, run after the
+    others in this process, gives the exit code, stdout and stderr of a
+    fresh interpreter."""
+    commands = ["cb rank --tower pro_p:2 --depth 5 --json",
+                "cb rank --tower pro_p:2 --depth -1",
+                "cb rank --tower nope --depth 2",
+                "homdim certify --setup spzp:3 --depth 4"]
+    src = os.path.dirname(os.path.dirname(profmack.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PROFMACK_DEPTH"}
+    env["PYTHONPATH"] = src
+    for command in commands:
+        code = cli.main(command.split())
+        captured = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "profmack.cli", *command.split()],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (code, captured.out, captured.err) == \
+            (proc.returncode, proc.stdout, proc.stderr), command
+
+
+def test_profmack_depth_is_read_on_every_call(monkeypatch, capsys):
+    for depth in ("3", "4"):
+        monkeypatch.setenv("PROFMACK_DEPTH", depth)
+        code, out = run(capsys, ["cb", "rank", "--tower", "pro_p:2", "--json"])
+        assert code == 0
+        assert json.loads(out)["chain"] == f"pro_p:2@depth{depth}"
+
+
 def test_determinism_across_threads(capsys):
     outs = []
     for n in ("1", "4"):

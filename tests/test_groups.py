@@ -209,6 +209,53 @@ def test_group_hom_rejects_a_non_multiplicative_map():
     gr.GroupHom(C512, C2, tuple(x % 2 for x in range(512)))
     with pytest.raises(ValueError, match="multiplicative"):
         gr.GroupHom(C512, C2, tuple(int(x >= 256) for x in range(512)))
+    # the same on a product domain, where the C256 digit's top bit is no hom
+    G = gr.parse_group("prod:cyclic:2,cyclic:256")
+    assert G.order > gr.FULL_CHECK_LIMIT
+    gr.GroupHom(G, C2, tuple(G.decode(x)[1] % 2 for x in G.elements()))
+    with pytest.raises(ValueError, match="multiplicative"):
+        gr.GroupHom(G, C2, tuple(int(G.decode(x)[1] >= 128) for x in G.elements()))
+
+
+class CountingCyclic(gr.CyclicGroup):
+    products = 0
+
+    def mul(self, a, b):
+        self.products += 1
+        return super().mul(a, b)
+
+
+def test_sampled_checks_make_2000_products():
+    G = CountingCyclic(512)
+    gr.GroupHom(G, gr.cyclic(2), tuple(x % 2 for x in range(512)))
+    assert G.products == 2000
+    # 2000 triples, two row reads on each side of (ab)c == a(bc)
+    counted = []
+
+    class CountingTable(tuple):
+        def __getitem__(self, i):
+            counted.append(i)
+            return tuple.__getitem__(self, i)
+
+    T = gr.TableGroup(gr.cyclic(300).table())
+    T._mult = CountingTable(T._mult)
+    T._validate()
+    assert len(counted) == 4 * 2000
+
+
+def test_group_hom_rejects_a_table_that_leaves_its_codomain():
+    C512, C2 = gr.cyclic(512), gr.cyclic(2)
+    table = [x % 2 for x in range(512)]
+    # products in C2 wrap modulo 2, so the sampled pairs see a stray entry
+    # only at the index of a product: position 33 is none of the 2000, and
+    # the map would have a kernel of order 256
+    for pos, value in ((33, 3), (27, 3), (1, -1), (5, 2)):
+        bad = list(table)
+        bad[pos] = value
+        with pytest.raises(ValueError, match="leaves its codomain"):
+            gr.GroupHom(C512, C2, bad)
+    with pytest.raises(ValueError, match="leaves its codomain"):
+        gr.GroupHom(gr.cyclic(4), gr.symmetric(3), (0, 1, 6, 1))
 
 
 SUBGROUP_GROUPS = ("cyclic:12", "dihedral:8", "sym:3", "prod:cyclic:2,cyclic:4",
@@ -262,17 +309,31 @@ def test_subgroup_rejects_a_set_closed_under_its_first_generator_only():
 
 
 def test_subgroup_costs_at_most_two_products_per_element():
-    class CountingCyclic(gr.CyclicGroup):
-        products = 0
-
-        def mul(self, a, b):
-            self.products += 1
-            return super().mul(a, b)
-
     G = CountingCyclic(4096)
     H = gr.subgroup(G, range(0, 4096, 2))
     assert H.order == 2048
     assert G.products <= 2 * H.order
+
+
+def test_subgroup_is_a_lookup_once_the_lattice_is_enumerated():
+    G = CountingCyclic(4096)
+    lattice = gr.all_subgroups(G)
+    G.products = 0
+    for H in lattice:
+        assert gr.subgroup(G, reversed(H.elements)) is H
+    assert G.products == 0
+
+
+@pytest.mark.parametrize("enumerated", (False, True))
+def test_subgroup_rejects_a_non_subgroup_with_or_without_the_lattice(enumerated):
+    G = gr.cyclic(12)
+    if enumerated:
+        gr.all_subgroups(G)
+    with pytest.raises(ValueError, match="not closed"):
+        gr.subgroup(G, [0, 4, 6, 8])
+    with pytest.raises(ValueError, match="identity"):
+        gr.subgroup(G, [4, 8])
+    assert (G._subgroup_index is not None) == enumerated
 
 
 @pytest.mark.parametrize("sel", ("cyclic:12", "prod:cyclic:2,cyclic:4"))
