@@ -28,11 +28,8 @@ from .groups import (
     CapacityError,
     UnknownFamily,
     all_subgroups,
-    class_rep_of,
-    core,
-    normalizer,
     parse_group,
-    weyl_group,
+    subgroup_conjugacy_classes,
 )
 from .gsets import FiniteGSet, transitive_gset
 
@@ -84,20 +81,24 @@ def _flatten_rows(obj):
 def cmd_group_info(args):
     G = parse_group(args.group)
     subs = all_subgroups(G)
-    classes = mk.subgroup_conjugacy_classes(G)
-    class_index = {rep: ci for ci, (rep, _) in enumerate(classes)}
-    rep_of = class_rep_of(G)
+    classes = subgroup_conjugacy_classes(G)
+    # read off the class of H: N_G(H) is its stabilizer under conjugation,
+    # of index the class size, and core_G(H) the intersection of the class
+    of_class = {}
+    for ci, (_, members) in enumerate(classes):
+        core = set(members[0].elements).intersection(*(K.elements for K in members))
+        of_class.update(dict.fromkeys(members, (ci, len(core), G.order // len(members))))
     rows = []
     for i, H in enumerate(subs):
-        W, _ = weyl_group(G, H)
+        ci, core_order, normalizer_order = of_class[H]
         rows.append({
             "index": i,
             "order": H.order,
             "elements": list(H.elements),
-            "class": class_index[rep_of[H]],
-            "core_order": core(G, H).order,
-            "normalizer_order": normalizer(G, H).order,
-            "weyl_order": W.order,
+            "class": ci,
+            "core_order": core_order,
+            "normalizer_order": normalizer_order,
+            "weyl_order": normalizer_order // H.order,
         })
     report = {
         "schema": 1,
@@ -168,9 +169,20 @@ def verify_rank_json(data: dict) -> list[str]:
 
 
 def _verify_file(args, verifier) -> None:
-    """Emit the verdict of `verifier` on the JSON certificate --verify names."""
-    with open(args.verify) as fh:
-        problems = verifier(json.load(fh))
+    """Emit the verdict of `verifier` on the JSON certificate --verify names.
+    A path that is no readable file, a file that is not JSON, and a
+    certificate that is no object or has an entry of the wrong type are
+    usage errors."""
+    try:
+        with open(args.verify) as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise UsageError("certificate file must hold a JSON object")
+        problems = verifier(data)
+    except (OSError, ValueError) as e:
+        raise UsageError(str(e)) from None
+    except (AttributeError, TypeError) as e:
+        raise UsageError(f"certificate has an entry of the wrong type ({e})") from None
     emit({"schema": 1, "verified": not problems, "problems": problems},
          args, [f"verify: {'OK' if not problems else problems}"])
     if problems:

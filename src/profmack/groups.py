@@ -1,4 +1,4 @@
-"""Finite groups, subgroups, quotients, cores and Weyl groups.
+"""Finite groups, their subgroups, and Sub(G) under conjugation.
 
 Groups are element-indexed: elements are 0..order-1 and all structure is
 given by tables or closed-form arithmetic.  TableGroup carries an explicit
@@ -27,10 +27,6 @@ class CapacityError(Exception):
     """A configured enumeration bound was exceeded."""
 
 
-class NotNormal(Exception):
-    """Quotient requested by a non-normal subgroup."""
-
-
 class UnknownFamily(Exception):
     """Unrecognised group or tower family selector."""
 
@@ -44,12 +40,14 @@ class FiniteGroup:
     abelian = False  # known commutative: CyclicGroup and products of them
     # built on first use: the dense table, the subgroup list and its index by
     # element tuple, the generators and their rows, G/H (gsets.coset_orbit),
-    # gHg^-1 by (H, g) and subgroup classes
+    # gHg^-1 by (H, g), the generators' permutations of the subgroup list and
+    # subgroup classes
     _table: tuple[tuple[int, ...], ...] | None = None
     _subgroup_cache: list[Subgroup] | None = None
     _subgroup_index: dict[tuple[int, ...], Subgroup] | None = None
     _coset_orbits: dict | None = None
     _conjugates: dict | None = None
+    _conjugation_perms: list[tuple[int, ...]] | None = None
     _classes: tuple[list, dict] | None = None
     _generators: list[int] | None = None
     _generator_rows: list[tuple[int, tuple[int, ...]]] | None = None
@@ -434,25 +432,22 @@ def conjugate_subgroup(H: Subgroup, g: int) -> Subgroup:
     return Hg
 
 
-def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
-    return all(conjugate_subgroup(H, g) == H for g in G.elements())
-
-
 def intersection(H1: Subgroup, H2: Subgroup) -> Subgroup:
     if H1.parent is not H2.parent:
         raise ValueError("subgroups of different groups")
     return Subgroup(H1.parent, tuple(sorted(set(H1.elements) & set(H2.elements))))
 
 
-def core(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    """Largest normal subgroup of G contained in H: the intersection of all
-    conjugates of H."""
-    conjugates = (conjugate_subgroup(H, g).elements for g in G.elements())
-    return Subgroup(G, tuple(sorted(set(H.elements).intersection(*conjugates))))
-
-
-def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    return Subgroup(G, tuple(g for g in G.elements() if conjugate_subgroup(H, g) == H))
+def conjugation_perms(G: FiniteGroup) -> list[tuple[int, ...]]:
+    """For each s in ``generators(G)``, the permutation H -> sHs^-1 of the
+    indices of ``all_subgroups(G)``: Sub(G) as a G-set, built once per group
+    at |gens|·|Sub(G)| conjugations and shared (callers must not change it)."""
+    if G._conjugation_perms is None:
+        subs = all_subgroups(G)
+        index = {H: i for i, H in enumerate(subs)}
+        G._conjugation_perms = [tuple(index[conjugate_subgroup(H, s)] for H in subs)
+                                for s in generators(G)]
+    return G._conjugation_perms
 
 
 def subgroup_conjugacy_classes(G: FiniteGroup):
@@ -464,14 +459,16 @@ def subgroup_conjugacy_classes(G: FiniteGroup):
     or its member lists.
     """
     if G._classes is None:
-        classes, rep_of = [], {}
-        for H in all_subgroups(G):  # ascending: H is the least of its class
-            if H not in rep_of:
-                members = sorted({conjugate_subgroup(H, g) for g in G.elements()},
-                                 key=Subgroup.key)
-                rep_of.update(dict.fromkeys(members, H))
-                classes.append((H, members))
-        G._classes = classes, rep_of
+        subs = all_subgroups(G)
+        # the orbits of conjugation_perms, labelled in the order of their
+        # least index; subs ascends, so each member list does and starts
+        # with its representative
+        labels = _kernels.orbit_labels(conjugation_perms(G), len(subs))
+        members = [[] for _ in range(max(labels) + 1)]
+        for H, c in zip(subs, labels):
+            members[c].append(H)
+        G._classes = ([(m[0], m) for m in members],
+                      {H: m[0] for m in members for H in m})
     return G._classes[0]
 
 
@@ -541,46 +538,6 @@ class GroupHom:
 
 def identity_hom(G: FiniteGroup) -> GroupHom:
     return GroupHom(G, G, tuple(range(G.order)))
-
-
-def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
-    """Coset group with canonical (minimal-index) representatives and the
-    projection hom."""
-    if isinstance(G, CyclicGroup) and N.order == 1:
-        return G, identity_hom(G)
-    if isinstance(G, CyclicGroup) and N.order > 1:
-        d = G.order // N.order
-        Q = CyclicGroup(d, label=f"{G.label}/{N.order}")
-        return Q, GroupHom(G, Q, tuple(x % d for x in G.elements()))
-    if not is_normal(G, N):
-        raise NotNormal(f"{N.elements} is not normal in {G.label}")
-    reps, rep_of = left_cosets(G, N)
-    index = {r: i for i, r in enumerate(reps)}
-    k = len(reps)
-    mult = [[index[rep_of[G.mul(reps[i], reps[j])]] for j in range(k)] for i in range(k)]
-    Q = TableGroup(mult, label=f"{G.label}/{N.order}")
-    proj = GroupHom(G, Q, tuple(index[rep_of[g]] for g in G.elements()))
-    return Q, proj
-
-
-def subgroup_as_group(H: Subgroup) -> tuple[TableGroup, list[int]]:
-    """H as a group in its own right, plus the embedding element list."""
-    G = H.parent
-    elems = list(H.elements)
-    index = {x: i for i, x in enumerate(elems)}
-    mult = [[index[G.mul(a, b)] for b in elems] for a in elems]
-    return TableGroup(mult, label=f"{G.label}|{len(elems)}"), elems
-
-
-def weyl_group(G: FiniteGroup, K: Subgroup) -> tuple[FiniteGroup, GroupHom]:
-    """W_G(K) = N_G(K)/K, with the projection from N_G(K) (as a group)."""
-    if isinstance(G, CyclicGroup):
-        return quotient(G, K)
-    N = normalizer(G, K)
-    NG, elems = subgroup_as_group(N)
-    index = {x: i for i, x in enumerate(elems)}
-    Kin = Subgroup(NG, tuple(sorted(index[x] for x in K.elements)))
-    return quotient(NG, Kin)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .sheaf import (
     ConvSheaf,
     EqSheafFinite,
     GodementResolution,
+    ResolutionUnavailable,
     Tail,
     WeylFlag,
     common_period,
@@ -42,10 +43,6 @@ from .sheaf import (
 from .tower import builtin_tower, parse_prime, subgroup_space_tower
 
 Q0, Q1 = la.Q0, la.Q1
-
-
-class ResolutionUnavailable(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +130,6 @@ def ext_sheaf(E: ConvSheaf, F: ConvSheaf, i: int,
         trace.append(f"Ext^0 = dim hom_sheaf = {d}")
         return ExtResult(0, d, trace=trace)
     if i > res.length:
-        if len(res.stages) < res.length + 1:
-            raise ResolutionUnavailable("resolution shorter than requested stage")
         trace.append(f"stage {i} of the resolution is zero")
         return ExtResult(i, 0, trace=trace)
     # i == 1 with a nonzero I1 = skyscraper(omega, PerTail(pattern F))

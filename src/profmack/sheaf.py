@@ -39,6 +39,10 @@ class NonPeriodicTail(Exception):
     """The construction left the periodic-tail representable class."""
 
 
+class ResolutionUnavailable(Exception):
+    """A resolution, or a stage of one, is out of reach."""
+
+
 # ---------------------------------------------------------------------------
 # finite discrete bases
 
@@ -343,7 +347,8 @@ def coker_delta(E: ConvSheaf) -> ConvSheaf:
 
 
 def godement_resolution(E: ConvSheaf, max_n: int = 4) -> GodementResolution:
-    """0 -> E -> I0 -> I1 -> ...; always terminates within two stages here."""
+    """0 -> E -> I0 -> I1 -> ...; always terminates within two stages here.
+    Raises ResolutionUnavailable if the stages I0..I{max_n} do not end it."""
     def stage_zero(I: ConvSheaf) -> bool:
         return (
             I.fin_dim == 0 and I.tail_effective_mult() == 0
@@ -357,6 +362,10 @@ def godement_resolution(E: ConvSheaf, max_n: int = 4) -> GodementResolution:
         cur = coker_delta(cur)
         if stage_zero(cur):
             break
+    else:
+        raise ResolutionUnavailable(
+            f"the Godement resolution of {E.name} does not end within stages "
+            f"I0..I{max_n}")
     # drop trailing zero stages
     while stages and stage_zero(stages[-1]):
         stages.pop()

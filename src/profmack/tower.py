@@ -9,12 +9,16 @@ Built-in families:
   * ``finite:<group selector>``        — a constant finite group above the
     trivial level (the tower of a finite group).
 
+The first three are one family: the product of the cyclic pro-p towers of
+zero, one or several primes.
+
 Stability certificates for threads of the subgroup-space tower are only
 emitted where a family lemma applies (`_thread_cert`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .cbrank import SpaceTree, ThreadCert
@@ -26,8 +30,7 @@ from .groups import (
     Subgroup,
     UnknownFamily,
     all_subgroups,
-    conjugate_subgroup,
-    generators,
+    conjugation_perms,
     group_from_json,
     group_to_json,
     identity_hom,
@@ -95,11 +98,16 @@ def _prime_of(tag: str) -> int:
     return parse_prime(tag.split(":", 1)[1])
 
 
-def _family_primes(fam: str) -> list[int]:
-    """The primes of a ``pro_p:<p>`` or ``prod:pro_p:<p1>,...`` family."""
-    if fam.startswith("prod:"):
+def _family_primes(fam: str | None) -> list[int] | None:
+    """The primes of ``trivial`` (none), ``pro_p:<p>`` or
+    ``prod:pro_p:<p1>,...``; None for any other family."""
+    if fam == "trivial":
+        return []
+    if fam and fam.startswith("pro_p:"):
+        return [_prime_of(fam)]
+    if fam and fam.startswith("prod:"):
         return [_prime_of(t.strip()) for t in fam[5:].split(",")]
-    return [_prime_of(fam)]
+    return None
 
 
 def _valuation(n: int, p: int) -> int:
@@ -114,39 +122,6 @@ def _valuation(n: int, p: int) -> int:
 def builtin_tower(family: str, depth: int) -> GroupTower:
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    if family == "trivial":
-        levels = [CyclicGroup(1) for _ in range(depth + 1)]
-        bonds = [
-            GroupHom(levels[k + 1], levels[k], (0,)) for k in range(depth)
-        ]
-        return GroupTower(levels, bonds, family)
-    if family.startswith("pro_p:"):
-        p = _prime_of(family)
-        levels = [CyclicGroup(p**k) for k in range(depth + 1)]
-        bonds = [
-            GroupHom(
-                levels[k + 1], levels[k], tuple(x % p**k for x in range(p ** (k + 1)))
-            )
-            for k in range(depth)
-        ]
-        return GroupTower(levels, bonds, family)
-    if family.startswith("prod:"):
-        primes = _family_primes(family)
-        if len(set(primes)) != len(primes):
-            raise UnknownFamily("product families need pairwise distinct primes")
-        levels = [
-            ProductGroup([CyclicGroup(p**k) for p in primes])
-            for k in range(depth + 1)
-        ]
-        bonds = []
-        for k in range(depth):
-            # reduce each mixed-radix digit mod p^k, one factor at a time
-            table = [0]
-            for p in primes:
-                m = p**k
-                table = [t * m + x % m for t in table for x in range(m * p)]
-            bonds.append(GroupHom(levels[k + 1], levels[k], tuple(table)))
-        return GroupTower(levels, bonds, family)
     if family.startswith("finite:"):
         G = parse_group(family[7:])
         triv = CyclicGroup(1)
@@ -157,7 +132,25 @@ def builtin_tower(family: str, depth: int) -> GroupTower:
             for k in range(1, depth):
                 bonds.append(identity_hom(G))
         return GroupTower(levels, bonds, family)
-    raise UnknownFamily(f"unknown tower family {family!r}")
+    primes = _family_primes(family)
+    if primes is None:
+        raise UnknownFamily(f"unknown tower family {family!r}")
+    if len(set(primes)) != len(primes):
+        raise UnknownFamily("product families need pairwise distinct primes")
+    # level k is the product of the Z/p^k; with at most one prime it stays a
+    # CyclicGroup, whose products are several times cheaper than a product's
+    levels = [CyclicGroup(math.prod(p**k for p in primes)) if len(primes) < 2
+              else ProductGroup([CyclicGroup(p**k) for p in primes])
+              for k in range(depth + 1)]
+    bonds = []
+    for k in range(depth):
+        # reduce each mixed-radix digit mod p^k, one factor at a time
+        table = [0]
+        for p in primes:
+            m = p**k
+            table = [t * m + x % m for t in table for x in range(m * p)]
+        bonds.append(GroupHom(levels[k + 1], levels[k], tuple(table)))
+    return GroupTower(levels, bonds, family)
 
 
 def tower_to_json(T: GroupTower) -> dict:
@@ -183,26 +176,18 @@ def tower_from_json(data: dict) -> GroupTower:
 
 
 def _thread_cert(T: GroupTower, H: Subgroup) -> ThreadCert:
-    """Certificate for the thread of subgroup H at the top level."""
-    D = T.depth
+    """Certificate for the thread of subgroup H at the top level.  In a
+    product of cyclic pro-p towers of depth D >= 1 (or of no primes) it is
+    scattered(m), m the number of primes p whose index in H is p^D."""
     fam = T.family
-    if fam == "trivial" or (fam is not None and fam.startswith("finite:")):
+    if fam is not None and fam.startswith("finite:"):
         return ThreadCert("scattered", 0, "finite limit space is discrete")
-    if fam is not None and fam.startswith("pro_p:") and D >= 1:
-        p = _prime_of(fam)
-        index = T.levels[D].order // H.order
-        if index < p**D:
-            return ThreadCert("scattered", 0, f"proper thread p^i, i<{D}: unique preimages")
-        return ThreadCert(
-            "scattered", 1, "zero thread: accumulation point of the p^i"
-        )
-    if fam is not None and fam.startswith("prod:") and D >= 1:
-        index = T.levels[D].order // H.order
-        maxed = sum(_valuation(index, p) == D for p in _family_primes(fam))
-        return ThreadCert(
-            "scattered", maxed, f"{maxed} coordinate(s) at maximal index"
-        )
-    return ThreadCert("unknown", reason="no family lemma")
+    primes = _family_primes(fam)
+    if primes is None or (primes and T.depth == 0):
+        return ThreadCert("unknown", reason="no family lemma")
+    index = T.levels[-1].order // H.order
+    m = sum(_valuation(index, p) == T.depth for p in primes)
+    return ThreadCert("scattered", m, f"{m} prime(s) at maximal index")
 
 
 def subgroup_space_tower(T: GroupTower) -> SpaceTree:
@@ -224,15 +209,7 @@ def subgroup_space_tower(T: GroupTower) -> SpaceTree:
             img = subgroup(Gk, {q[h] for h in H.elements})
             row.append(index_per_level[k][img])
         bonds.append(row)
-    actions = []
-    for k, G in enumerate(T.levels):
-        subs = subs_per_level[k]
-        perms = []
-        for g in generators(G):
-            perms.append(
-                tuple(index_per_level[k][conjugate_subgroup(H, g)] for H in subs)
-            )
-        actions.append(perms)
+    actions = [conjugation_perms(G) for G in T.levels]
     certs = [_thread_cert(T, H) for H in subs_per_level[-1]]
     chain = f"{T.family or 'user'}@depth{T.depth}"
     return SpaceTree(levels, bonds, certs, actions, chain=chain)

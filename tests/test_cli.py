@@ -176,6 +176,18 @@ def test_sheaf_godement_cli(capsys):
     assert data["stalk_vanishing_violations"] == []
 
 
+def test_sheaf_godement_cli_rejects_a_truncated_resolution(capsys):
+    """const:Q needs stages I0 and I1: --stages 0 is a capacity error, and
+    --stages 1 gives the length of the default run."""
+    code = cli.main(["sheaf", "godement", "--stages", "0"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_CAPACITY and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    for stages in (["--stages", "1"], []):
+        code, out = run(capsys, ["sheaf", "godement", "--json"] + stages)
+        assert code == 0 and json.loads(out)["length"] == 1
+
+
 def test_homdim_certify_cli(capsys):
     code, out = run(capsys, ["homdim", "certify", "--setup", "spzp-weyl",
                              "--depth", "5", "--json"])
@@ -232,6 +244,34 @@ def test_verify_rejects_tampered_certificate(tmp_path, capsys):
     f.write_text(json.dumps(data))
     code, _ = run(capsys, ["homdim", "certify", "--verify", str(f)])
     assert code == cli.EXIT_USAGE
+
+
+MALFORMED_CERTIFICATES = {
+    "not json": "{not json",
+    "a JSON list": "[1, 2]",
+    "a directory": None,
+    "an entry of the wrong type": {
+        "cb rank": {"schema": 1, "verdict": "Exact", "rank": 2, "trace": [5, 6],
+                    "convention": "c"},
+        "homdim certify": {"schema": 1, "verdict": "Exact", "lower": 1, "upper": 1,
+                           "value": 1, "rank_certificate": 3}},
+}
+
+
+@pytest.mark.parametrize("command", ["cb rank", "homdim certify"])
+@pytest.mark.parametrize("case", list(MALFORMED_CERTIFICATES))
+def test_verify_rejects_a_malformed_file_as_usage(command, case, tmp_path, capsys):
+    content = MALFORMED_CERTIFICATES[case]
+    path = tmp_path / "cert.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content if isinstance(content, str)
+                        else json.dumps(content[command]))
+    code = cli.main(command.split() + ["--verify", str(path)])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_USAGE and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_span_compose_cli(tmp_path, capsys):
@@ -385,6 +425,37 @@ def test_tower_stdout_matches_its_golden_sha256(command, capsys):
     assert (code, captured.err) == (0, "")
     assert hashlib.sha256(captured.out.encode()).hexdigest() == \
         GOLDEN_TOWER_SHA256[command]
+
+
+# sha256 of the stdout of `group info`, fixed while its core, normalizer and
+# Weyl orders were still computed by scanning G for each subgroup
+GOLDEN_GROUP_INFO_SHA256 = {
+    "group info --group sym:4":
+        "9067da087385fee4749d062abc2d2ff95c88746365205e06695a3f90481b8fcd",
+    "group info --group sym:4 --json":
+        "25a245dc3c4124173a6ee200ebcf69c355afcbb34838c3e73161949a661b0672",
+    "group info --group sym:5":
+        "de3a10af251039138cc0026778aba811b44cdccfffd81eff86e40ff3a5a59572",
+    "group info --group sym:5 --json":
+        "bf8b07c7d8b33558c47aef7d8bdac235db8abc936ac5657dc4e61ef0eb14cee1",
+    "group info --group dihedral:8":
+        "c7ef861bb7e377de37437d9d821b4084c5476b43f177a7ebc0ae7cd5f5ac8ccd",
+    "group info --group dihedral:8 --json":
+        "410ca4092221d0e9f05f079a02f90c90575841d66b814a1aa8108357a99cce13",
+    "group info --group prod:sym:3,cyclic:2":
+        "665066a7e404e6fe279068f99c0ce9c4b6e4ea5cfd8ec945729867231831a5b0",
+    "group info --group prod:sym:3,cyclic:2 --json":
+        "d3556a9de637473edc5fa52b5fd6c6193f74735724fd767314b1e0f7b4970317",
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_GROUP_INFO_SHA256))
+def test_group_info_stdout_matches_its_golden_sha256(command, capsys):
+    code = cli.main(command.split())
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == \
+        GOLDEN_GROUP_INFO_SHA256[command]
 
 
 def test_one_process_answers_like_fresh_processes(capsys):

@@ -1,10 +1,13 @@
 import itertools
+import json
 import random
 
 import pytest
 
+from profmack import cli
 from profmack import groups as gr
 from group_helpers import frontier_subgroup_tuples, quaternion_json
+from span_helpers import relabelled
 
 
 def test_cyclic_basics():
@@ -36,24 +39,80 @@ def test_dihedral_8():
     assert len(gr.subgroup_conjugacy_classes(G)) == 8
 
 
-def test_core_normalizer_weyl_s3():
+def _group_info_rows(G, tmp_path, capsys):
+    """The subgroup rows of `group info --json` on G, passed as a table file."""
+    path = tmp_path / f"{G.label}.json"
+    path.write_text(json.dumps(gr.group_to_json(G)))
+    assert cli.main(["group", "info", "--group", f"json:{path}", "--json"]) == 0
+    return json.loads(capsys.readouterr().out)["subgroups"]
+
+
+def test_core_normalizer_weyl_s3(tmp_path, capsys):
     G = gr.symmetric(3)
-    subs = gr.all_subgroups(G)
+    rows = {(r["order"], r["index"]): r for r in _group_info_rows(G, tmp_path, capsys)}
     by_order = {}
+    for (order, _), r in sorted(rows.items()):
+        by_order.setdefault(order, []).append(r)
+    C2, C3, E = by_order[2][0], by_order[3][0], by_order[1][0]
+    assert (C2["core_order"], C2["normalizer_order"], C2["weyl_order"]) == (1, 2, 1)
+    assert (C3["core_order"], C3["normalizer_order"], C3["weyl_order"]) == (3, 6, 2)
+    assert E["weyl_order"] == 6
+
+
+ORACLE_GROUPS = ("sym:3", "sym:4", "dihedral:8", "dihedral:12", "prod:cyclic:2,sym:3",
+                 "Q8", "relabelled S3")
+
+
+def _oracle_group(sel):
+    if sel == "Q8":
+        return gr.group_from_json(quaternion_json())
+    if sel == "relabelled S3":
+        return relabelled(gr.symmetric(3), 3)
+    return gr.parse_group(sel)
+
+
+def _conjugates_by_every_element(G, H):
+    """{g: gHg^-1 as a set} for every g in G, by the group law alone."""
+    return {g: {G.mul(G.mul(g, h), G.inv(g)) for h in H.elements} for g in G.elements()}
+
+
+@pytest.mark.parametrize("sel", ORACLE_GROUPS)
+def test_group_info_rows_match_the_brute_force_oracle(sel, tmp_path, capsys):
+    """N_G(H) and core_G(H) by scanning every g, and W_G(H) = |N|/|H|."""
+    G = _oracle_group(sel)
+    rows = _group_info_rows(G, tmp_path, capsys)
+    assert [tuple(r["elements"]) for r in rows] == [H.elements for H in gr.all_subgroups(G)]
+    for r in rows:
+        H = set(r["elements"])
+        conj = _conjugates_by_every_element(G, gr.subgroup(G, H))
+        normalizer = [g for g, Hg in conj.items() if Hg == H]
+        core = H.intersection(*conj.values())
+        assert (r["core_order"], r["normalizer_order"], r["weyl_order"]) == \
+            (len(core), len(normalizer), len(normalizer) // len(H))
+
+
+@pytest.mark.parametrize("sel", ORACLE_GROUPS + ("cyclic:1", "cyclic:12"))
+def test_subgroup_conjugacy_classes_match_the_all_elements_reference(sel):
+    """The orbits of the generators' permutations are the classes found by
+    conjugating each representative by every element of G."""
+    G = _oracle_group(sel)
+    subs = gr.all_subgroups(G)
+    index = {H.elements: i for i, H in enumerate(subs)}
+    for s, perm in zip(gr.generators(G), gr.conjugation_perms(G)):
+        assert list(perm) == [index[tuple(sorted(_conjugates_by_every_element(G, H)[s]))]
+                              for H in subs]
+    reference, seen = [], set()
     for H in subs:
-        by_order.setdefault(H.order, []).append(H)
-    C2 = by_order[2][0]
-    C3 = by_order[3][0]
-    assert gr.core(G, C2).order == 1
-    assert gr.core(G, C3).order == 3  # normal
-    assert gr.normalizer(G, C2).order == 2
-    assert gr.normalizer(G, C3).order == 6
-    W, q = gr.weyl_group(G, C2)
-    assert W.order == 1
-    W3, _ = gr.weyl_group(G, C3)
-    assert W3.order == 2
-    We, _ = gr.weyl_group(G, gr.trivial_subgroup(G))
-    assert We.order == 6
+        if H.elements not in seen:
+            members = sorted({tuple(sorted(Hg)) for Hg in
+                              _conjugates_by_every_element(G, H).values()},
+                             key=lambda t: (len(t), t))
+            seen.update(members)
+            reference.append((H.elements, members))
+    classes = gr.subgroup_conjugacy_classes(G)
+    assert [(rep.elements, [K.elements for K in members]) for rep, members in classes] \
+        == reference
+    assert all(gr.class_rep_of(G)[K] is rep for rep, members in classes for K in members)
 
 
 def test_conjugation_closure():

@@ -64,6 +64,15 @@ def test_resolution_skyscraper_length_zero():
     sky = sh.skyscraper_omega(sh.spzp_base(2), 3)
     res = sh.godement_resolution(sky)
     assert res.length == 0
+    assert sh.godement_resolution(sky, max_n=0).length == 0
+
+
+def test_truncated_resolution_raises():
+    """Stages I0..I{max_n} that do not end the resolution are no resolution."""
+    E = sh.constant_sheaf(sh.spzp_base(2), 1)
+    with pytest.raises(sh.ResolutionUnavailable):
+        sh.godement_resolution(E, max_n=0)
+    assert sh.godement_resolution(E, max_n=1).length == 1
 
 
 def test_resolution_finite_discrete_iso():
