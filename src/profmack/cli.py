@@ -57,7 +57,7 @@ def emit(obj, args, pretty_lines=None):
                          indent=1))
     elif getattr(args, "tsv", False):
         for row in pretty_lines or _flatten_rows(obj):
-            print("\t".join(str(c) for c in row))
+            print(row if isinstance(row, str) else "\t".join(str(c) for c in row))
     else:
         for line in pretty_lines or [json.dumps(_jsonable(obj), sort_keys=True)]:
             if isinstance(line, (list, tuple)):
@@ -124,11 +124,11 @@ def cmd_group_info(args):
 
 def cmd_tower_show(args):
     T = tw.builtin_tower(args.tower, args.depth)
-    data = tw.tower_to_json(T)
     lines = [f"tower {args.tower} depth {T.depth}"] + [
         f"  level {k}: order {G.order}" for k, G in enumerate(T.levels)
     ]
-    emit(data, args, lines)
+    # only the JSON holds the dense tables, which are bounded by TABLE_LIMIT
+    emit(tw.tower_to_json(T) if args.json else None, args, lines)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ emitted where a family lemma applies (`_thread_cert`).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .cbrank import SpaceTree, ThreadCert
@@ -198,7 +199,8 @@ def subgroup_space_tower(T: GroupTower) -> SpaceTree:
         subs = all_subgroups(G)
         subs_per_level.append(subs)
         index_per_level.append({H: i for i, H in enumerate(subs)})
-        levels.append([f"ord{H.order}" + (f"#{i}" if _dup(subs, H) else "")
+        count = Counter(H.order for H in subs)
+        levels.append([f"ord{H.order}" + (f"#{i}" if count[H.order] > 1 else "")
                        for i, H in enumerate(subs)])
     bonds = []
     for k in range(T.depth):
@@ -213,7 +215,3 @@ def subgroup_space_tower(T: GroupTower) -> SpaceTree:
     certs = [_thread_cert(T, H) for H in subs_per_level[-1]]
     chain = f"{T.family or 'user'}@depth{T.depth}"
     return SpaceTree(levels, bonds, certs, actions, chain=chain)
-
-
-def _dup(subs: list[Subgroup], H: Subgroup) -> bool:
-    return sum(1 for K in subs if K.order == H.order) > 1

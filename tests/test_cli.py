@@ -52,6 +52,36 @@ def test_marks_tsv_golden(capsys):
     assert out == "6\t0\t0\t0\n3\t1\t0\t0\n2\t0\t2\t0\n1\t1\t1\t1\n"
 
 
+@pytest.mark.parametrize("argv, expected", (
+    ("mackey ext --group cyclic:2 --M rep:0 --N burnside --tsv",
+     "Ext^1(rep:0,burnside) = 0\n"),
+    ("mackey hom --group cyclic:2 --M rep:0 --N burnside --tsv",
+     "dim Hom(rep:0,burnside) = 1\n"),
+    ("cb rank --tower pro_p:2 --depth 3 --tsv", "cb rank [pro_p:2@depth3]: Exact(2)\n"),
+    ("group info --group cyclic:2 --tsv",
+     "group cyclic:2: order 2, 2 subgroups, 2 classes\n"
+     "  #0 order 1 class 0 core 1 N 2 W 2\n"
+     "  #1 order 2 class 1 core 2 N 2 W 1\n"),
+))
+def test_tsv_prints_text_lines_verbatim(argv, expected, capsys):
+    code, out = run(capsys, argv.split())
+    assert code == 0
+    assert out == expected
+
+
+def test_tower_show_text_needs_no_dense_table(capsys):
+    argv = ["tower", "show", "--tower", "prod:pro_p:2,pro_p:3", "--depth", "4"]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert out.splitlines() == ["tower prod:pro_p:2,pro_p:3 depth 4"] + [
+        f"  level {k}: order {6**k}" for k in range(5)]
+    # the JSON holds every level's table: order 1296 exceeds TABLE_LIMIT
+    code = cli.main(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CAPACITY and captured.out == ""
+    assert captured.err == "error: dense table of order 1296 exceeds limit 1024\n"
+
+
 def test_marks_trivial_group(capsys):
     code, out = run(capsys, ["burnside", "marks", "--group", "cyclic:1", "--tsv"])
     assert code == 0

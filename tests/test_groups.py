@@ -258,22 +258,67 @@ def test_table_group_rejects_a_non_associative_table():
         gr.TableGroup(table)
 
 
+@pytest.mark.parametrize("G", (
+    gr.cyclic(1), gr.cyclic(2), gr.cyclic(7),
+    gr.direct_product(gr.cyclic(4), gr.cyclic(3), gr.cyclic(5)),
+    gr.parse_group("prod:sym:3,cyclic:4"),
+    gr.direct_product(gr.cyclic(1), gr.dihedral(8)),
+    gr.parse_group("prod:cyclic:2,cyclic:2"),
+), ids=lambda G: G.label)
+def test_generator_rows_equal_the_generic_definition(G):
+    assert gr.generator_rows(G) == [(s, tuple(G.mul(s, h) for h in G.elements()))
+                                    for s in gr.generators(G)]
+
+
 def test_group_hom_rejects_a_non_multiplicative_map():
-    # full check of all pairs (order <= FULL_CHECK_LIMIT)
+    # exact check of every (generator, element) pair: the domain's rows hold
+    # at most HOM_ROW_LIMIT entries
     with pytest.raises(ValueError, match="multiplicative"):
         gr.GroupHom(gr.cyclic(4), gr.cyclic(2), (0, 1, 1, 1))
-    # sampled pairs: the map is wrong on about half of all pairs
     C512, C2 = gr.cyclic(512), gr.cyclic(2)
-    assert C512.order > gr.FULL_CHECK_LIMIT
     gr.GroupHom(C512, C2, tuple(x % 2 for x in range(512)))
     with pytest.raises(ValueError, match="multiplicative"):
         gr.GroupHom(C512, C2, tuple(int(x >= 256) for x in range(512)))
     # the same on a product domain, where the C256 digit's top bit is no hom
     G = gr.parse_group("prod:cyclic:2,cyclic:256")
-    assert G.order > gr.FULL_CHECK_LIMIT
     gr.GroupHom(G, C2, tuple(G.decode(x)[1] % 2 for x in G.elements()))
     with pytest.raises(ValueError, match="multiplicative"):
         gr.GroupHom(G, C2, tuple(int(G.decode(x)[1] >= 128) for x in G.elements()))
+    # sampled pairs above the bound: each map is wrong on about half of all pairs
+    C16384 = gr.cyclic(16384)
+    assert C16384.order > gr.HOM_ROW_LIMIT
+    gr.GroupHom(C16384, C2, tuple(x % 2 for x in range(16384)))
+    with pytest.raises(ValueError, match="multiplicative"):
+        gr.GroupHom(C16384, C2, tuple(int(x >= 8192) for x in range(16384)))
+    P = gr.parse_group("prod:cyclic:2,cyclic:8192")
+    assert len(gr.generators(P)) * P.order > gr.HOM_ROW_LIMIT
+    gr.GroupHom(P, C2, tuple(P.decode(x)[1] % 2 for x in P.elements()))
+    with pytest.raises(ValueError, match="multiplicative"):
+        gr.GroupHom(P, C2, tuple(int(P.decode(x)[1] >= 4096) for x in P.elements()))
+
+
+def test_group_hom_rejects_the_identity_table_with_two_entries_swapped():
+    # wrong on 24558 of 4096² pairs (0.15%), none of them among the 2000
+    # seeded pairs that a sampled check draws
+    C4096 = gr.cyclic(4096)
+    table = list(range(4096))
+    table[4], table[9] = table[9], table[4]
+    with pytest.raises(ValueError, match="multiplicative"):
+        gr.GroupHom(C4096, C4096, table)
+
+
+@pytest.mark.parametrize("sel", ("cyclic:2048", "prod:cyclic:8,cyclic:3,cyclic:5",
+                                 "dihedral:8"))
+def test_group_hom_rejects_a_single_wrong_entry_below_the_bound(sel):
+    G = gr.parse_group(sel)
+    assert len(gr.generators(G)) * G.order <= gr.HOM_ROW_LIMIT
+    positions = set(random.Random(3).sample(range(G.order), min(G.order, 12)))
+    for pos in sorted(positions - {G.identity}):
+        for other in (pos - 1, (pos + 1) % G.order):
+            table = list(range(G.order))
+            table[pos] = other
+            with pytest.raises(ValueError, match="multiplicative"):
+                gr.GroupHom(G, G, table)
 
 
 class CountingCyclic(gr.CyclicGroup):
@@ -285,8 +330,9 @@ class CountingCyclic(gr.CyclicGroup):
 
 
 def test_sampled_checks_make_2000_products():
-    G = CountingCyclic(512)
-    gr.GroupHom(G, gr.cyclic(2), tuple(x % 2 for x in range(512)))
+    G = CountingCyclic(16384)
+    assert G.order > gr.HOM_ROW_LIMIT
+    gr.GroupHom(G, gr.cyclic(2), tuple(x % 2 for x in range(16384)))
     assert G.products == 2000
     # 2000 triples, two row reads on each side of (ab)c == a(bc)
     counted = []
@@ -302,12 +348,18 @@ def test_sampled_checks_make_2000_products():
     assert len(counted) == 4 * 2000
 
 
+def test_exact_hom_check_makes_no_products_on_a_cyclic_domain():
+    G = CountingCyclic(8192)
+    gr.GroupHom(G, gr.cyclic(2), tuple(x % 2 for x in range(8192)))
+    gr.GroupHom(G, G, tuple(range(8192)))
+    assert G.products == 0
+
+
 def test_group_hom_rejects_a_table_that_leaves_its_codomain():
     C512, C2 = gr.cyclic(512), gr.cyclic(2)
     table = [x % 2 for x in range(512)]
-    # products in C2 wrap modulo 2, so the sampled pairs see a stray entry
-    # only at the index of a product: position 33 is none of the 2000, and
-    # the map would have a kernel of order 256
+    # the range is checked on every entry before any product: C2's products
+    # reduce 3 and -1 modulo 2, and a row lookup reads -1 from the row's end
     for pos, value in ((33, 3), (27, 3), (1, -1), (5, 2)):
         bad = list(table)
         bad[pos] = value
@@ -315,6 +367,17 @@ def test_group_hom_rejects_a_table_that_leaves_its_codomain():
             gr.GroupHom(C512, C2, bad)
     with pytest.raises(ValueError, match="leaves its codomain"):
         gr.GroupHom(gr.cyclic(4), gr.symmetric(3), (0, 1, 6, 1))
+
+
+@pytest.mark.parametrize("elements, message", (
+    ((0, 2, 2), "strictly sorted"),
+    ((2, 0), "strictly sorted"),
+    ((1, 2), "identity"),
+    ((), "identity"),
+))
+def test_subgroup_rejects_unsorted_or_identity_free_tuples(elements, message):
+    with pytest.raises(ValueError, match=message):
+        gr.Subgroup(gr.cyclic(4), elements)
 
 
 SUBGROUP_GROUPS = ("cyclic:12", "dihedral:8", "sym:3", "prod:cyclic:2,cyclic:4",
