@@ -151,7 +151,8 @@ def cb_rank(X: SpaceTree) -> RankCertificate:
              "removed": [labels[t] for t in removed],
              "certs": [f"scattered(m={X.certs[t].m})" for t in removed]}
         )
-        remaining = [t for t in remaining if t not in set(removed)]
+        gone = set(removed)
+        remaining = [t for t in remaining if t not in gone]
 
 
 @dataclass

@@ -28,6 +28,7 @@ from .groups import (
     CapacityError,
     UnknownFamily,
     all_subgroups,
+    group_from_json,
     parse_group,
     subgroup_conjugacy_classes,
 )
@@ -168,21 +169,28 @@ def verify_rank_json(data: dict) -> list[str]:
     return bad
 
 
-def _verify_file(args, verifier) -> None:
-    """Emit the verdict of `verifier` on the JSON certificate --verify names.
-    A path that is no readable file, a file that is not JSON, and a
-    certificate that is no object or has an entry of the wrong type are
-    usage errors."""
+def _read_json_file(path: str, what: str, read):
+    """read(data) of the JSON object in the file at path.  A path that is no
+    readable file, a file that is not JSON or holds no object, and an entry
+    that read finds missing, of the wrong type or failing validation are
+    usage errors, whose messages name the file as a `what` file."""
     try:
-        with open(args.verify) as fh:
+        with open(path) as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
-            raise UsageError("certificate file must hold a JSON object")
-        problems = verifier(data)
+            raise UsageError(f"{what} file must hold a JSON object")
+        return read(data)
     except (OSError, ValueError) as e:
         raise UsageError(str(e)) from None
     except (AttributeError, TypeError) as e:
-        raise UsageError(f"certificate has an entry of the wrong type ({e})") from None
+        raise UsageError(f"{what} file has an entry of the wrong type ({e})") from None
+    except KeyError as e:
+        raise UsageError(f"{what} file has no entry {e}") from None
+
+
+def _verify_file(args, verifier) -> None:
+    """Emit the verdict of `verifier` on the JSON certificate --verify names."""
+    problems = _read_json_file(args.verify, "certificate", verifier)
     emit({"schema": 1, "verified": not problems, "problems": problems},
          args, [f"verify: {'OK' if not problems else problems}"])
     if problems:
@@ -251,28 +259,19 @@ def _span_from_json(G, feet, data) -> bs.Span:
                    tuple(data["right"]))
 
 
-def cmd_span_compose(args):
-    from .groups import group_from_json
+def _spans_from_json(data) -> tuple[bs.Span, bs.Span]:
+    """The two spans of a span file; a foot not in "gsets" is a missing entry."""
+    if data.get("schema") != 1:
+        raise UsageError("span file needs schema 1")
+    G = group_from_json(data["group"])
+    s1d, s2d = data["spans"]
+    sets = {k: _gset_from_json(G, v) for k, v in data["gsets"].items()}
+    return tuple(_span_from_json(G, (sets[d["left_foot"]], sets[d["right_foot"]]), d)
+                 for d in (s1d, s2d))
 
-    # a file that is not JSON, holds a group, G-set or span that fails
-    # validation or an entry of the wrong type, or lacks an entry (or names
-    # a foot that is not in "gsets") is a usage error
-    try:
-        with open(args.file) as fh:
-            data = json.load(fh)
-        if data.get("schema") != 1:
-            raise UsageError("span file needs schema 1")
-        G = group_from_json(data["group"])
-        s1d, s2d = data["spans"]
-        sets = {k: _gset_from_json(G, v) for k, v in data["gsets"].items()}
-        s1 = _span_from_json(G, (sets[s1d["left_foot"]], sets[s1d["right_foot"]]), s1d)
-        s2 = _span_from_json(G, (sets[s2d["left_foot"]], sets[s2d["right_foot"]]), s2d)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-    except TypeError as e:
-        raise UsageError(f"span file has an entry of the wrong type ({e})") from None
-    except KeyError as e:
-        raise UsageError(f"span file has no entry {e}") from None
+
+def cmd_span_compose(args):
+    s1, s2 = _read_json_file(args.file, "span", _spans_from_json)
     try:
         comp = bs.span_compose(s1, s2)
     except bs.MiddleMismatch as e:
@@ -542,13 +541,7 @@ def main(argv=None) -> int:
             if getattr(args, count, 0) < 0:
                 raise UsageError(f"--{count} must be non-negative")
         args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except UnknownFamily as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as e:
+    except (UsageError, UnknownFamily) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (cb.DepthExhausted, CapacityError, hd.ResolutionUnavailable,

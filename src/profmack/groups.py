@@ -629,8 +629,21 @@ def parse_group(selector: str) -> FiniteGroup:
             raise UnknownFamily("nested prod selectors are not supported")
         return direct_product(*(parse_group(p) for p in parts))
     if selector.startswith("json:"):
-        with open(selector[len("json:"):]) as fh:
-            return group_from_json(json.load(fh))
+        # a path that is no readable file, a file that is not JSON or holds
+        # no object, and a table that is missing, of the wrong type or not a
+        # group are bad selectors
+        try:
+            with open(selector[len("json:"):]) as fh:
+                data = json.load(fh)
+            if not isinstance(data, dict):
+                raise UnknownFamily("group file must hold a JSON object")
+            return group_from_json(data)
+        except (OSError, ValueError) as e:
+            raise UnknownFamily(str(e)) from None
+        except TypeError as e:
+            raise UnknownFamily(f"group file has an entry of the wrong type ({e})") from None
+        except KeyError as e:
+            raise UnknownFamily(f"group file has no entry {e}") from None
     head, _, arg = selector.partition(":")
     try:
         n = int(arg)

@@ -115,11 +115,6 @@ def add_block(out: Matrix, r0: int, c0: int, block: Matrix, f: Fraction = Q1) ->
                 orow[c0 + j] += x * f if scaled else x
 
 
-def transpose(a: Matrix) -> Matrix:
-    r, c = shape(a)
-    return Matrix([[row[j] for row in a] for j in range(c)], r)
-
-
 def is_zero(a: Matrix) -> bool:
     return all(not x for row in a for x in row)
 
@@ -128,13 +123,6 @@ def eq(a: Matrix, b: Matrix) -> bool:
     return shape(a) == shape(b) and all(
         x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)
     )
-
-
-def vstack(blocks: list[Matrix]) -> Matrix:
-    cols = shape(blocks[0])[1]
-    if any(shape(b)[1] != cols for b in blocks):
-        raise ValueError(f"vstack column mismatch {[shape(b) for b in blocks]}")
-    return Matrix([row[:] for b in blocks for row in b], cols)
 
 
 Block = tuple[int, int, int]  # (offset, rows, cols) of an unknown matrix

@@ -683,13 +683,11 @@ def zero_mackey(G: FiniteGroup) -> MackeyFunctorQ:
 class FreeCover:
     """P = ⊕_i rep(O_{H_i}) --cover--> T, with Yoneda bookkeeping."""
 
-    target: MackeyFunctorQ
     gen_subgroups: list[Subgroup]  # class representatives
     gen_vectors: list[la.Vector]  # x_i in T(H_i)
     functor: MackeyFunctorQ  # P
     cover: MackeyMorphism  # P -> T
     bases: dict  # per subgroup K, list of (summand index, component)
-    id_index: dict  # per summand i, index of identity class in its block at H_i
 
 
 class _RepTools:
@@ -723,13 +721,6 @@ class _RepTools:
         if key not in store:
             store[key] = _class_action(T, H, K, (c[0], c[2], c[1]))
         return store[key]
-
-
-def _identity_component(H: Subgroup) -> Component:
-    """The class of the identity span on G/H, keyed as `decompose_span` keys
-    it: the least (stabilizer of x, x, x) over the points x of G/H."""
-    reps = coset_orbit(H.parent, H)[0]
-    return min((conjugate_subgroup(H, r).elements, x, x) for x, r in enumerate(reps))
 
 
 def free_cover(T: MackeyFunctorQ, tools: _RepTools) -> FreeCover:
@@ -787,13 +778,9 @@ def free_cover(T: MackeyFunctorQ, tools: _RepTools) -> FreeCover:
         ]
         for K in tools.subs
     }
-    id_index = {}
-    for i, H in enumerate(gen_subgroups):
-        block = bases[H]
-        id_index[i] = block.index((i, _identity_component(H)))
     cover = MackeyMorphism(P, T, {K: la.from_columns(cols[K], T.dim(K))
                                   for K in tools.subs})
-    return FreeCover(T, gen_subgroups, gen_vectors, P, cover, bases, id_index)
+    return FreeCover(gen_subgroups, gen_vectors, P, cover, bases)
 
 
 def kernel_functor(phi: MackeyMorphism) -> tuple[MackeyFunctorQ, MackeyMorphism]:
@@ -806,17 +793,24 @@ def kernel_functor(phi: MackeyMorphism) -> tuple[MackeyFunctorQ, MackeyMorphism]
 
 @dataclass
 class Resolution:
-    target: MackeyFunctorQ
     covers: list[FreeCover]  # covers[j].functor = P_j
-    differentials: list[MackeyMorphism]  # d_j: P_j -> P_{j-1}, j >= 1
+    # boundaries[j][i]: d(generator i of P_{j+1}) in the basis of P_j at its
+    # subgroup, the only column of d: P_{j+1} -> P_j that Ext reads (Yoneda)
+    boundaries: list[list[la.Vector]]
     exact_at: int | None  # stage at which the kernel vanished, if reached
 
 
 def projective_resolution(M: MackeyFunctorQ, length: int,
                           tools: _RepTools | None = None) -> Resolution:
+    """Covers P_0, ..., P_length of M, each after P_0 covering the kernel
+    of the cover before it.  d = incl ∘ cover sends generator i of P_{j+1},
+    the identity class at H_i, to incl(x_i), so that vector is all of d
+    that is kept."""
+    if length < 0:
+        raise ValueError("length must be non-negative")
     tools = tools or _RepTools(M.group)
     covers: list[FreeCover] = []
-    diffs: list[MackeyMorphism] = []
+    boundaries: list[list[la.Vector]] = []
     T = M
     incl: MackeyMorphism | None = None
     exact_at = None
@@ -827,14 +821,12 @@ def projective_resolution(M: MackeyFunctorQ, length: int,
         cov = free_cover(T, tools)
         covers.append(cov)
         if incl is not None:
-            diffs.append(incl.compose(cov.cover))
+            boundaries.append([la.matvec(incl.mats[H], x)
+                               for H, x in zip(cov.gen_subgroups, cov.gen_vectors)])
         if j == length:  # the last kernel is never consumed
             break
         T, incl = kernel_functor(cov.cover)
-    else:
-        if T.is_zero():
-            exact_at = length
-    return Resolution(M, covers, diffs, exact_at)
+    return Resolution(covers, boundaries, exact_at)
 
 
 def _hom_complex_diff(res: Resolution, N: MackeyFunctorQ, j: int,
@@ -843,20 +835,18 @@ def _hom_complex_diff(res: Resolution, N: MackeyFunctorQ, j: int,
 
     Column (i, t) is the Yoneda morphism of e_t in N(H_i) composed with
     d: P_{j+1} -> P_j, read at the identity class of each generator H2 of
-    P_{j+1}.  So only that column of d(H2) is needed, against the columns
-    dual_action(N, H2, H_i, c)[:, t] of the Yoneda morphism at H2.
+    P_{j+1}.  That is the Yoneda morphism applied to the boundary z of the
+    generator, so block (H2, i) is the sum over the entries f of z at the
+    classes (i, c) of f · dual_action(N, H2, H_i, c).
     """
     cov_j = res.covers[j]
     cov_j1 = res.covers[j + 1]
-    d = res.differentials[j]  # P_{j+1} -> P_j
     col0 = list(itertools.accumulate((N.dim(H) for H in cov_j.gen_subgroups),
                                      initial=0))
     out = la.zeros(sum(N.dim(H2) for H2 in cov_j1.gen_subgroups), col0[-1])
     row0 = 0
-    for i2, H2 in enumerate(cov_j1.gen_subgroups):
-        idx = cov_j1.id_index[i2]
-        for p, (i, c) in enumerate(cov_j.bases[H2]):
-            f = d.mats[H2][p][idx]
+    for H2, z in zip(cov_j1.gen_subgroups, res.boundaries[j]):
+        for f, (i, c) in zip(z, cov_j.bases[H2]):
             if f:
                 la.add_block(out, row0, col0[i],
                              tools.dual_action(N, H2, cov_j.gen_subgroups[i], c), f)

@@ -26,8 +26,6 @@ KEEP = {
     "sheaf.weyl_check": "caller planned: the spzp-weyl certificate path (ROADMAP item 2)",
     "tower.tower_from_json": "caller planned: a user tower file (ROADMAP item 6)",
     "homdim.ext_sheaf": "tests check homdim 1 of S(Z_p) with it",
-    "linalg.transpose": "basic matrix operation of the linalg layer",
-    "linalg.vstack": "basic matrix operation of the linalg layer",
 }
 
 DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")

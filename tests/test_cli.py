@@ -276,6 +276,22 @@ def test_verify_rejects_tampered_certificate(tmp_path, capsys):
     assert code == cli.EXIT_USAGE
 
 
+def _write_case(path, content):
+    """A directory at path for None, else a file of the text or JSON."""
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    return path
+
+
+def _assert_one_usage_line(argv, capsys):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_USAGE and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 MALFORMED_CERTIFICATES = {
     "not json": "{not json",
     "a JSON list": "[1, 2]",
@@ -292,16 +308,43 @@ MALFORMED_CERTIFICATES = {
 @pytest.mark.parametrize("case", list(MALFORMED_CERTIFICATES))
 def test_verify_rejects_a_malformed_file_as_usage(command, case, tmp_path, capsys):
     content = MALFORMED_CERTIFICATES[case]
-    path = tmp_path / "cert.json"
-    if content is None:
-        path.mkdir()
-    else:
-        path.write_text(content if isinstance(content, str)
-                        else json.dumps(content[command]))
-    code = cli.main(command.split() + ["--verify", str(path)])
-    out, err = capsys.readouterr()
-    assert code == cli.EXIT_USAGE and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if isinstance(content, dict):
+        content = content[command]
+    path = _write_case(tmp_path / "cert.json", content)
+    _assert_one_usage_line(command.split() + ["--verify", str(path)], capsys)
+
+
+MALFORMED_GROUP_FILES = {
+    "a directory": None,
+    "not json": "{not json",
+    "a JSON list": "[[0]]",
+    "an object without mult": {"schema": 1, "label": "G"},
+    "a table of the wrong type": {"mult": 5},
+    "a non-square table": {"mult": [[0, 1], [1]]},
+    "a table with no identity": {"mult": [[0, 0], [0, 0]]},
+}
+
+
+@pytest.mark.parametrize("command", ["group info", "mackey hom --M rep:0 --N burnside"])
+@pytest.mark.parametrize("case", list(MALFORMED_GROUP_FILES))
+def test_group_selector_rejects_a_malformed_file_as_usage(command, case, tmp_path, capsys):
+    path = _write_case(tmp_path / "group.json", MALFORMED_GROUP_FILES[case])
+    _assert_one_usage_line(command.split() + ["--group", f"json:{path}"], capsys)
+
+
+MALFORMED_SPAN_FILES = {
+    "a directory": None,
+    "not json": "{not json",
+    "a JSON list": "[1, 2]",
+    "a gsets list": {"schema": 1, "group": {"mult": [[0, 1], [1, 0]]},
+                     "gsets": [], "spans": [{}, {}]},
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_SPAN_FILES))
+def test_span_compose_rejects_a_malformed_file_as_usage(case, tmp_path, capsys):
+    path = _write_case(tmp_path / "spans.json", MALFORMED_SPAN_FILES[case])
+    _assert_one_usage_line(["span", "compose", "--file", str(path)], capsys)
 
 
 def test_span_compose_cli(tmp_path, capsys):

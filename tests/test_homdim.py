@@ -182,7 +182,7 @@ def twisted_ses(A, B, h):
     M = mk.direct_sum_mackey([A, B])
     subs = A.subs
     inc = mk.MackeyMorphism(A, M, {
-        H: la.vstack([la.identity(A.dim(H)), h(H)]) for H in subs})
+        H: la.Matrix(la.identity(A.dim(H)) + h(H), A.dim(H)) for H in subs})
     proj = mk.MackeyMorphism(M, B, {
         H: la.Matrix([[-h(H)[i][j] for j in range(A.dim(H))]
                       + [la.Q1 if i == t else la.Q0 for t in range(B.dim(H))]

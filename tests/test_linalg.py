@@ -118,10 +118,7 @@ def test_add_rejects_shape_mismatch():
 def test_operations_keep_shape_without_rows_or_columns():
     assert la.shape(la.zeros(0, 3)) == (0, 3)
     assert la.shape(la.identity(0)) == (0, 0)
-    assert la.shape(la.transpose(la.zeros(0, 3))) == (3, 0)
-    assert la.shape(la.transpose(la.zeros(3, 0))) == (0, 3)
     assert la.shape(la.scale(la.zeros(0, 2), F(3))) == (0, 2)
-    assert la.shape(la.vstack([la.zeros(0, 2), la.zeros(0, 2)])) == (0, 2)
     assert la.shape(la.from_columns([], 3)) == (3, 0)
     assert la.shape(la.from_columns([[], []], 0)) == (0, 2)
     assert la.shape(la.read_block([F(1)] * 4, (2, 0, 5))) == (0, 5)
@@ -141,7 +138,6 @@ def test_from_columns_is_transpose_of_rows():
         a = rand_matrix(rng, r, c)
         cols = [[a[i][j] for i in range(r)] for j in range(c)]
         assert la.from_columns(cols, r) == a
-        assert la.eq(la.from_columns(cols, r), la.transpose(la.transpose(a)))
 
 
 def test_add_block_adds_scaled_nonzero_entries():
@@ -284,14 +280,6 @@ def test_matvec_checks_the_column_count_without_rows():
     assert la.matvec(la.zeros(0, 3), [F(1)] * 3) == []
     with pytest.raises(ValueError):
         la.matvec(la.zeros(0, 3), [F(1)])
-
-
-def test_vstack_rejects_blocks_of_different_widths():
-    with pytest.raises(ValueError):
-        la.vstack([la.zeros(1, 2), la.zeros(1, 3)])
-    with pytest.raises(ValueError):
-        la.vstack([la.zeros(0, 2), la.zeros(0, 3)])
-    assert la.shape(la.vstack([la.zeros(1, 2), la.zeros(2, 2)])) == (3, 2)
 
 
 def test_in_span_of_no_vectors_needs_no_elimination(monkeypatch):

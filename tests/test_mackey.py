@@ -252,12 +252,26 @@ def yoneda_morphism(P, N, gen_subgroups, gen_vectors, bases, tools):
     return mk.MackeyMorphism(P, N, mats)
 
 
+def identity_component(H):
+    """The class of the identity span on G/H, keyed as `decompose_span` keys
+    it: the least (stabilizer of x, x, x) over the points x of G/H."""
+    reps = gs.coset_orbit(H.parent, H)[0]
+    return min((gr.conjugate_subgroup(H, r).elements, x, x) for x, r in enumerate(reps))
+
+
+def reference_differential(res, j):
+    """d: P_{j+1} -> P_j, the cover of P_{j+1} followed by the inclusion of
+    its image, the kernel of P_j's cover."""
+    cov_j, cov_j1 = res.covers[j], res.covers[j + 1]
+    return mk.kernel_functor(cov_j.cover)[1].compose(cov_j1.cover)
+
+
 def reference_hom_complex_diff(res, N, j, tools):
     """The hom-complex differential built column by column from whole Yoneda
     morphisms: phi over every subgroup, composed with d, read at the
     identity class of each generator of P_{j+1}."""
     cov_j, cov_j1 = res.covers[j], res.covers[j + 1]
-    d = res.differentials[j]
+    d = reference_differential(res, j)
     cols = []
     for i, H in enumerate(cov_j.gen_subgroups):
         for t in range(N.dim(H)):
@@ -268,11 +282,11 @@ def reference_hom_complex_diff(res, N, j, tools):
             psi = phi.compose(d)
             col = []
             for i2, H2 in enumerate(cov_j1.gen_subgroups):
-                idx = cov_j1.bases[H2].index((i2, mk._identity_component(H2)))
+                idx = cov_j1.bases[H2].index((i2, identity_component(H2)))
                 col += [psi.mats[H2][r][idx] for r in range(N.dim(H2))]
             cols.append(col)
     n_rows = sum(N.dim(H2) for H2 in cov_j1.gen_subgroups)
-    return la.transpose(cols) if cols else la.zeros(n_rows, 0)
+    return la.from_columns(cols, n_rows)
 
 
 @pytest.mark.parametrize("sel", ["cyclic:4", "sym:3"])
@@ -287,6 +301,30 @@ def test_hom_complex_diff_matches_yoneda_composition(sel):
             for j in (0, 1):
                 got = mk._hom_complex_diff(res, N, j, tools)
                 assert got == reference_hom_complex_diff(res, N, j, tools)
+
+
+@pytest.mark.parametrize("sel", ["cyclic:4", "sym:3", "prod:cyclic:2,cyclic:2"])
+def test_boundaries_are_the_differential_at_each_generators_identity_class(sel):
+    G = gr.parse_group(sel)
+    tools = mk._RepTools(G)
+    stages = set()
+    for M in battery(G):
+        res = mk.projective_resolution(M, 2, tools)
+        for j in range(len(res.covers) - 1):
+            d = reference_differential(res, j)
+            cov_j1 = res.covers[j + 1]
+            assert len(res.boundaries[j]) == len(cov_j1.gen_subgroups)
+            for i, (H, z) in enumerate(zip(cov_j1.gen_subgroups, res.boundaries[j])):
+                idx = cov_j1.bases[H].index((i, identity_component(H)))
+                assert z == [row[idx] for row in d.mats[H]], (M.name, j, i)
+                stages.add(j)
+    assert stages == {0, 1}
+
+
+def test_projective_resolution_rejects_a_negative_length():
+    G = gr.cyclic(2)
+    with pytest.raises(ValueError, match="non-negative"):
+        mk.projective_resolution(mk.burnside_mackey(G), -1)
 
 
 def reference_generators(T, tools):
@@ -378,7 +416,7 @@ def test_identity_component_is_the_class_of_the_identity_span():
     for G in (gr.symmetric(3), relabelled(gr.symmetric(3), 3), gr.dihedral(8)):
         for H in gr.all_subgroups(G):
             O = gs.transitive_gset(G, H)
-            assert bs.decompose_span(identity_span(O)) == {mk._identity_component(H): 1}
+            assert bs.decompose_span(identity_span(O)) == {identity_component(H): 1}
 
 
 def test_ext_over_a_relabelled_group_equals_ext_over_the_original():
