@@ -353,8 +353,23 @@ def trivial_subgroup(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, (G.identity,))
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+def divisors(n: int) -> list[int]:
+    """The divisors of n >= 1 in ascending order, built from the prime powers
+    of n.  Trial division stops once p·p exceeds what is left of n: at most
+    √n trials, and four for 30^12."""
+    divs = [1]
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            powers = [1]
+            while n % p == 0:
+                n //= p
+                powers.append(powers[-1] * p)
+            divs = [d * q for d in divs for q in powers]
+        p += 1
+    if n > 1:
+        divs += [d * n for d in divs]
+    return sorted(divs)
 
 
 def _cyclic_subgroup_of_index(n: int, d: int) -> tuple[int, ...]:
@@ -373,7 +388,7 @@ def _all_subgroup_tuples(G: FiniteGroup) -> list[tuple[int, ...]]:
     if isinstance(G, CyclicGroup):
         n = G.order
         return sorted(
-            (_cyclic_subgroup_of_index(n, d) for d in _divisors(n)),
+            (_cyclic_subgroup_of_index(n, d) for d in divisors(n)),
             key=lambda t: (len(t), t),
         )
     if isinstance(G, ProductGroup) and all(

@@ -34,6 +34,8 @@ class FiniteGSet:
     label: str = ""
     # the orbit_scan result, built on its first call
     _scan: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # fixed_points by subgroup, each built on its first call
+    _fixed: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.act = act = tuple(tuple(row) for row in self.act)
@@ -57,11 +59,19 @@ class FiniteGSet:
         return len(self.act[0]) if self.act else 0
 
     def fixed_points(self, H: Subgroup) -> list[int]:
-        return [
-            x
-            for x in range(self.size)
-            if all(self.act[g][x] == x for g in H.elements)
-        ]
+        """The points fixed by every element of H, ascending.  The list is made
+        on the first call for H and kept on the G-set, so every caller shares
+        it, and none may modify it."""
+        if self._fixed is None:
+            self._fixed = {}
+        fixed = self._fixed.get(H)
+        if fixed is None:
+            fixed = self._fixed[H] = [
+                x
+                for x in range(self.size)
+                if all(self.act[g][x] == x for g in H.elements)
+            ]
+        return fixed
 
     def orbits(self) -> list[list[int]]:
         # components under the generators are the G-orbits

@@ -3,9 +3,7 @@
 A Mackey functor is stored as value spaces M(H) for *every* subgroup H
 (not just conjugacy class representatives), together with restriction,
 induction and conjugation matrices; this keeps span actions and the Weyl
-sheaf construction index-free.  The span-functor view (additive functor on
-the Burnside category) is derived, and the two round-trip on class
-representatives.
+sheaf construction index-free.
 
 All arithmetic is exact over Q.
 """
@@ -35,7 +33,6 @@ from .groups import (
     Subgroup,
     UnknownFamily,
     all_subgroups,
-    class_rep_of,
     conjugate_subgroup,
     generator_rows,
     generators,
@@ -879,59 +876,3 @@ def ext_mackey(M: MackeyFunctorQ, N: MackeyFunctorQ, i: int,
         return ker_dim
     delta_prev = _hom_complex_diff(res, N, i - 1, tools)
     return ker_dim - la.rank(delta_prev)
-
-
-# ---------------------------------------------------------------------------
-# span-functor view and serialization
-
-
-@dataclass
-class SpanFunctorQ:
-    group: FiniteGroup
-    dims: dict[Subgroup, int]  # on class representatives
-    mats: dict[tuple[Subgroup, Subgroup, Component], la.Matrix]
-
-    def mat(self, H, K, c):
-        return self.mats[(H, K, c)]
-
-
-def to_span_functor(M: MackeyFunctorQ, tools: _RepTools | None = None) -> SpanFunctorQ:
-    """Values of M on all transitive span classes between class reps."""
-    if check_axioms(M):
-        raise AxiomViolation(f"{M.name} violates the Mackey axioms")
-    G = M.group
-    tools = tools or _RepTools(G)
-    reps = tools.class_reps
-    mats = {}
-    for H in reps:
-        for K in reps:
-            for c in tools.basis(H, K):
-                mats[(H, K, c)] = _class_action(M, H, K, c)
-    return SpanFunctorQ(G, {H: M.dim(H) for H in reps}, mats)
-
-
-def from_span_functor(F: SpanFunctorQ) -> MackeyFunctorQ:
-    """Rebuild a Mackey functor (on all subgroups) from span-class matrices."""
-    G = F.group
-    subs = all_subgroups(G)
-    rep_for = class_rep_of(G)
-    transporter = {H: min(g for g in G.elements() if conjugate_subgroup(rep_for[H], g) == H)
-                   for H in subs}
-    dims = {H: F.dims[rep_for[H]] for H in subs}
-
-    def span_between(kind, key, src, dst) -> la.Matrix:
-        """Matrix of F on the structure span O_src -> O_dst, conjugated
-        into class-representative coordinates."""
-        A0, B0 = rep_for[src], rep_for[dst]
-        # iso O_A0 -> O_src, then the map, then iso O_dst -> O_B0; compose
-        # as actual spans and decompose.
-        s1 = _one_leg_span(G, A0, src, G.inv(transporter[src]))
-        s2 = _structure_span(G, kind, key, src, dst)
-        s3 = _one_leg_span(G, dst, B0, transporter[dst])
-        s = span_compose(span_compose(s1, s2), s3)
-        total = la.zeros(F.dims[B0], F.dims[A0])
-        for comp, mult in decompose_span(s).items():
-            total = la.add(total, la.scale(F.mat(A0, B0, comp), Fraction(mult)))
-        return total
-
-    return _build_mackey(G, dims, span_between, "from_span")

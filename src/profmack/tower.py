@@ -12,6 +12,14 @@ Built-in families:
 The first three are one family: the product of the cyclic pro-p towers of
 zero, one or several primes.
 
+The subgroup-space tower S(G) has two paths.  When every level is cyclic by
+construction (a CyclicGroup, or a ProductGroup of such groups with pairwise
+coprime orders), as in the first three families and ``finite:`` of a cyclic
+group, it is read off the level orders: Sub(G_k) is the divisor lattice of
+|G_k| and a bond's image of a subgroup depends only on its order, so no
+subgroup is built.  Every other tower enumerates the subgroups of each level
+and maps their elements through the bond tables.
+
 Stability certificates for threads of the subgroup-space tower are only
 emitted where a family lemma applies (`_thread_cert`).
 """
@@ -32,6 +40,8 @@ from .groups import (
     UnknownFamily,
     all_subgroups,
     conjugation_perms,
+    divisors,
+    generators,
     group_from_json,
     group_to_json,
     identity_hom,
@@ -176,22 +186,58 @@ def tower_from_json(data: dict) -> GroupTower:
 # the subgroup space S(G) through the tower
 
 
-def _thread_cert(T: GroupTower, H: Subgroup) -> ThreadCert:
-    """Certificate for the thread of subgroup H at the top level.  In a
-    product of cyclic pro-p towers of depth D >= 1 (or of no primes) it is
-    scattered(m), m the number of primes p whose index in H is p^D."""
+def _thread_cert(T: GroupTower, order: int) -> ThreadCert:
+    """Certificate for the thread of a subgroup of the given order at the top
+    level.  In a product of cyclic pro-p towers of depth D >= 1 (or of no
+    primes) it is scattered(m), m the number of primes p whose index in the
+    subgroup is p^D."""
     fam = T.family
     if fam is not None and fam.startswith("finite:"):
         return ThreadCert("scattered", 0, "finite limit space is discrete")
     primes = _family_primes(fam)
     if primes is None or (primes and T.depth == 0):
         return ThreadCert("unknown", reason="no family lemma")
-    index = T.levels[-1].order // H.order
+    index = T.levels[-1].order // order
     m = sum(_valuation(index, p) == T.depth for p in primes)
     return ThreadCert("scattered", m, f"{m} prime(s) at maximal index")
 
 
+def _cyclic_by_construction(G: FiniteGroup) -> bool:
+    """A CyclicGroup, or a ProductGroup of such groups with pairwise coprime
+    orders (their lcm is then their product)."""
+    if isinstance(G, CyclicGroup):
+        return True
+    if not isinstance(G, ProductGroup):
+        return False
+    return (all(map(_cyclic_by_construction, G.factors))
+            and math.lcm(*(f.order for f in G.factors)) == G.order)
+
+
+def _cyclic_space_tower(T: GroupTower, chain: str) -> SpaceTree:
+    """S(G) of a tower whose levels are cyclic by construction, from the level
+    orders N_k alone.  Level k lists the divisors of N_k ascending, which is
+    the order of ``all_subgroups``, one subgroup per order.  A bond
+    G_{k+1} -> G_k is surjective (GroupTower checks it), so its kernel is the
+    subgroup of order m = N_{k+1}/N_k, and it sends the subgroup of order d
+    onto the one of order d / gcd(d, m).  Conjugation fixes every subgroup:
+    each generator of ``generators(G_k)`` acts as the identity."""
+    orders = [divisors(G.order) for G in T.levels]
+    index = [{d: i for i, d in enumerate(divs)} for divs in orders]
+    bonds = []
+    for k in range(T.depth):
+        m = T.levels[k + 1].order // T.levels[k].order
+        bonds.append([index[k][d // math.gcd(d, m)] for d in orders[k + 1]])
+    levels = [[f"ord{d}" for d in divs] for divs in orders]
+    actions = [[tuple(range(len(divs)))] * len(generators(G))
+               for G, divs in zip(T.levels, orders)]
+    certs = [_thread_cert(T, d) for d in orders[-1]]
+    return SpaceTree(levels, bonds, certs, actions, chain=chain)
+
+
 def subgroup_space_tower(T: GroupTower) -> SpaceTree:
+    chain = f"{T.family or 'user'}@depth{T.depth}"
+    if all(map(_cyclic_by_construction, T.levels)):
+        return _cyclic_space_tower(T, chain)
     levels: list[list[str]] = []
     subs_per_level: list[list[Subgroup]] = []
     index_per_level: list[dict] = []
@@ -212,6 +258,5 @@ def subgroup_space_tower(T: GroupTower) -> SpaceTree:
             row.append(index_per_level[k][img])
         bonds.append(row)
     actions = [conjugation_perms(G) for G in T.levels]
-    certs = [_thread_cert(T, H) for H in subs_per_level[-1]]
-    chain = f"{T.family or 'user'}@depth{T.depth}"
+    certs = [_thread_cert(T, H.order) for H in subs_per_level[-1]]
     return SpaceTree(levels, bonds, certs, actions, chain=chain)

@@ -21,8 +21,6 @@ KEEP = {
     "mackey.zero_morphism": "acceptance 8 entry point",
     "mackey.check_axioms": "oracle: tests check live Mackey functors against the axioms",
     "cbrank.check_equivariant_heights": "oracle: tests check subgroup-space certificates with it",
-    "mackey.to_span_functor": "oracle: the span-functor round trip checks representables",
-    "mackey.from_span_functor": "oracle: the span-functor round trip checks representables",
     "sheaf.weyl_check": "caller planned: the spzp-weyl certificate path (ROADMAP item 2)",
     "tower.tower_from_json": "caller planned: a user tower file (ROADMAP item 6)",
     "homdim.ext_sheaf": "tests check homdim 1 of S(Z_p) with it",

@@ -488,6 +488,13 @@ GOLDEN_TOWER_SHA256 = {
         "521a4352811fd2f9e01503a602c96428bcbf171cefa903240919c0a4a63983ea",
     "cb heights --tower pro_p:3 --depth 8 --json":
         "764a56e96faa19fec74c8723073c63831b3af02e042a647621f7b9c5c1d0e210",
+    # deep and product towers, fixed while S(G) was built from element tuples
+    "cb rank --tower prod:pro_p:2,pro_p:3,pro_p:5 --depth 4 --json":
+        "1fa77c44a2f5c63a0eace83730a466ef3c665332c1640f5f1330c900756c0552",
+    "cb rank --tower pro_p:2 --depth 16 --json":
+        "aff848d6b873a415325eccab2977353844295029f956f365c505f453e02531ad",
+    "cb heights --tower prod:pro_p:2,pro_p:5 --depth 5 --json":
+        "6a206fd35d9bb50517839be0fbbb65b519337f61fe0b28f88a921b99a22c1992",
 }
 
 

@@ -598,3 +598,13 @@ def _mismatched_inputs():
 def test_mismatched_input_raises_value_error(check):
     with pytest.raises(ValueError):
         _mismatched_inputs()[check]()
+
+
+def test_divisors_ascend_and_match_the_scan():
+    for n in range(1, 400):
+        assert gr.divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+    # the top level of prod:pro_p:2,pro_p:3,pro_p:5 at depth 12: 13^3 divisors
+    divs = gr.divisors(30**12)
+    assert len(divs) == 13**3 and divs == sorted(divs)
+    assert all(30**12 % d == 0 for d in divs)
+    assert gr.divisors(1_000_003) == [1, 1_000_003]  # prime

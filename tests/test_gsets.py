@@ -31,6 +31,17 @@ def test_fixed_points_regular_orbit():
             assert X.fixed_points(H) == []
 
 
+def test_fixed_points_are_scanned_once_per_subgroup():
+    G = gr.dihedral(8)
+    X = gs.product_gset(gs.transitive_gset(G, gr.all_subgroups(G)[1]),
+                        gs.transitive_gset(G, gr.all_subgroups(G)[3]))
+    for H in gr.all_subgroups(G):
+        fixed = X.fixed_points(H)
+        assert fixed == [x for x in range(X.size)
+                         if all(X.act[g][x] == x for g in H.elements)]
+        assert X.fixed_points(H) is fixed
+
+
 def test_product_decomposition_c2():
     # C2/e x C2/e = 2 copies of C2/e
     G = gr.cyclic(2)

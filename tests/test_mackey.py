@@ -10,7 +10,8 @@ from profmack import gsets as gs
 from profmack import linalg as la
 from profmack import mackey as mk
 from group_helpers import quaternion_json
-from span_helpers import identity_span, relabelled, span_action_matrix
+from span_helpers import (from_span_functor, identity_span, relabelled, span_action_matrix,
+                          to_span_functor)
 
 SEED = 20260823
 
@@ -375,8 +376,8 @@ def test_free_cover_is_the_yoneda_morphism_of_the_greedy_generators(sel):
 def test_span_functor_round_trip():
     for G in (gr.cyclic(2), gr.symmetric(3)):
         A = mk.burnside_mackey(G)
-        F = mk.to_span_functor(A)
-        B = mk.from_span_functor(F)
+        F = to_span_functor(A)
+        B = from_span_functor(F)
         assert B.dims == A.dims
         for name in ("res", "ind", "conj"):
             assert getattr(B, name).keys() == getattr(A, name).keys()

@@ -1,8 +1,9 @@
 import pytest
 
 from profmack import tower as tw
-from profmack.groups import (TableGroup, UnknownFamily, all_subgroups, cyclic,
-                             dihedral, direct_product, symmetric)
+from profmack.groups import (TABLE_LIMIT, CyclicGroup, GroupHom, TableGroup,
+                             UnknownFamily, all_subgroups, cyclic, dihedral,
+                             direct_product, parse_group, symmetric)
 
 
 def test_pro_p_levels_and_bonds():
@@ -105,3 +106,80 @@ def test_product_bonds_reduce_every_coordinate(fam):
         assert q.mapping == tuple(
             Gk.encode([x % p**k for x, p in zip(Gm.decode(g), primes)])
             for g in range(Gm.order))
+
+
+# ---------------------------------------------------------------------------
+# S(G) from level orders: cyclic levels against the element path
+
+
+def as_table_tower(T):
+    """T with every level rebuilt as a TableGroup and the same bond tables:
+    a tower that ``subgroup_space_tower`` reads through its element path."""
+    levels = [TableGroup(G.table(), label=G.label) for G in T.levels]
+    bonds = [GroupHom(levels[k + 1], levels[k], q.mapping) for k, q in enumerate(T.bonds)]
+    return tw.GroupTower(levels, bonds, T.family)
+
+
+def space_data(X):
+    return X.levels, X.bonds, X.certs, X.actions, X.chain
+
+
+@pytest.mark.parametrize("fam", [
+    "trivial", "pro_p:2", "pro_p:3", "pro_p:5", "pro_p:7", "prod:pro_p:2,pro_p:3",
+    "prod:pro_p:2,pro_p:3,pro_p:5", "finite:cyclic:4", "finite:prod:cyclic:2,cyclic:3",
+])
+def test_cyclic_levels_give_the_element_paths_space_tree(fam):
+    for depth in range(8):
+        T = tw.builtin_tower(fam, depth)
+        if T.levels[-1].order > TABLE_LIMIT:
+            break
+        X = tw.subgroup_space_tower(T)
+        assert space_data(X) == space_data(tw.subgroup_space_tower(as_table_tower(T)))
+        # read off the orders: no level enumerated its subgroups
+        assert all(G._subgroup_cache is None for G in T.levels)
+
+
+def test_levels_that_are_not_cyclic_by_construction_take_the_element_path():
+    assert tw._cyclic_by_construction(parse_group("prod:cyclic:4,cyclic:3"))
+    assert tw._cyclic_by_construction(direct_product(cyclic(2), direct_product(cyclic(3),
+                                                                               cyclic(5))))
+    C1, C6 = CyclicGroup(1), TableGroup(cyclic(6).table())  # cyclic, but a table group
+    towers = [tw.builtin_tower(f"finite:{sel}", 2) for sel in (
+        "prod:cyclic:2,cyclic:2",  # not coprime
+        "prod:cyclic:3,sym:3",  # a non-cyclic factor
+        "prod:cyclic:5,sym:3",  # a non-cyclic factor of coprime order
+    )] + [tw.GroupTower([C1, C6], [GroupHom(C6, C1, (0,) * 6)])]
+    tops = []
+    for T in towers:
+        G = T.levels[-1]
+        assert not tw._cyclic_by_construction(G)
+        tops.append(tw.subgroup_space_tower(T).levels[-1])
+        assert G._subgroup_cache is not None  # the element path enumerated Sub(G)
+        orders = [H.order for H in all_subgroups(G)]
+        assert tops[-1] == [f"ord{n}" + (f"#{i}" if orders.count(n) > 1 else "")
+                            for i, n in enumerate(orders)]
+    assert tops[0] == ["ord1", "ord2#1", "ord2#2", "ord2#3", "ord4"]  # C2xC2
+    # each of the three has three subgroups of order 2
+    assert all("ord2#2" in top for top in tops[:3])
+
+
+def test_a_cyclic_tower_whose_bond_is_not_reduction():
+    # C9 -> C3, x -> 2x mod 3: surjective, with kernel the subgroup of order 3
+    C1, C3, C9 = CyclicGroup(1), CyclicGroup(3), CyclicGroup(9)
+    T = tw.GroupTower([C1, C3, C9], [GroupHom(C3, C1, (0,) * 3),
+                                     GroupHom(C9, C3, tuple(2 * x % 3 for x in range(9)))])
+    X = tw.subgroup_space_tower(T)
+    assert X.levels == [["ord1"], ["ord1", "ord3"], ["ord1", "ord3", "ord9"]]
+    assert X.bonds == [[0, 0], [0, 0, 1]]
+    assert X.chain == "user@depth2"
+    assert all(c.kind == "unknown" for c in X.certs)
+    assert space_data(X) == space_data(tw.subgroup_space_tower(as_table_tower(T)))
+
+
+def test_a_non_surjective_bond_is_rejected_before_either_path():
+    C1, C3, C9 = CyclicGroup(1), CyclicGroup(3), CyclicGroup(9)
+    for top, mid in ((C9, C3), (TableGroup(C9.table()), TableGroup(C3.table()))):
+        # the zero map C9 -> C3 is a homomorphism, but not onto
+        with pytest.raises(ValueError, match="bond 1 is not surjective"):
+            tw.GroupTower([C1, mid, top], [GroupHom(mid, C1, (0,) * 3),
+                                           GroupHom(top, mid, (0,) * 9)])
