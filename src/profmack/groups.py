@@ -83,8 +83,19 @@ class FiniteGroup:
         return self._table
 
     def _dense_table(self) -> tuple[tuple[int, ...], ...]:
-        n = self.order
-        return tuple(tuple(self.mul(a, b) for b in range(n)) for a in range(n))
+        # row g·h is row h read through the generator row of g, along a
+        # breadth-first word in the generators: list lookups, no `mul`
+        rows: list = [None] * self.order
+        rows[self.identity] = tuple(self.elements())
+        reached = [self.identity]
+        gen_rows = generator_rows(self)
+        for h in reached:
+            for _, s_row in gen_rows:
+                g = s_row[h]
+                if rows[g] is None:
+                    rows[g] = tuple(map(s_row.__getitem__, rows[h]))
+                    reached.append(g)
+        return tuple(rows)
 
     def __repr__(self):
         return f"<{self.__class__.__name__} {self.label} order={self.order}>"

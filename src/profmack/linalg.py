@@ -17,7 +17,8 @@ the same sum over rhs, None standing for an identity factor.
 Matrices go in and come out dense.  Elimination (`rref`, and through it
 `rank`, `nullspace`, `solve_columns`, `solve`, `in_span`, `quotient_basis`
 and `intertwiners`) works on sparse rows inside the function, because the
-equation systems it meets are mostly zero.
+equation systems it meets are mostly zero.  Coordinates in a null basis
+need none (`UnitColumnBasis`).
 """
 
 from __future__ import annotations
@@ -254,7 +255,10 @@ def rank(a: Matrix) -> int:
 
 
 def nullspace(a: Matrix) -> list[Vector]:
-    """Basis of the right null space {v : a v = 0}, one vector per free column."""
+    """Basis of the right null space {v : a v = 0}, one vector per free column.
+
+    Unit columns: vector k is 1 at its free column f_k, which is its last
+    nonzero entry, and every other vector is 0 at f_k (`UnitColumnBasis`)."""
     n = shape(a)[1]
     if any(len(row) != n for row in a):
         raise ValueError(f"nullspace row length differs from {n} columns")
@@ -281,6 +285,52 @@ def fixed_space(mats: list[Matrix], n: int) -> list[Vector]:
     """Basis of the vectors of Q^n fixed by every n x n matrix in mats."""
     return nullspace(Matrix([[x - Q1 if i == j else x for j, x in enumerate(row)]
                              for m in mats for i, row in enumerate(m)], n))
+
+
+class UnitColumnBasis:
+    """Coordinates in a basis of vectors in Q^n with unit columns, as
+    `nullspace` and `fixed_space` return: vector k is 1 at its last nonzero
+    entry f_k, and every other vector is 0 at f_k.
+
+    The coordinates of w in such a basis are its entries at the free columns
+    f_k, and w lies in the span exactly when the basis read at the other
+    rows, times those coordinates, equals w there.  The free columns, the
+    other rows and that sub-matrix are found once here; `coordinates` then
+    costs one `matvec` per vector, with no elimination.  A basis without
+    the unit-column property raises ValueError.
+    """
+
+    __slots__ = ("n", "free", "rest", "sub")
+
+    def __init__(self, basis: list[Vector], n: int):
+        free = []
+        for v in basis:
+            if len(v) != n:
+                raise ValueError(f"basis vector of length {len(v)} in Q^{n}")
+            f = next((j for j in range(n - 1, -1, -1) if v[j]), None)
+            if f is None or v[f] != 1:
+                raise ValueError("basis vector is not 1 at its last nonzero entry")
+            free.append(f)
+        for k, f in enumerate(free):
+            if any(v[f] for i, v in enumerate(basis) if i != k):
+                raise ValueError(f"free column {f} is nonzero in another basis vector")
+        at_free = set(free)
+        self.n, self.free = n, free
+        self.rest = [i for i in range(n) if i not in at_free]
+        self.sub = Matrix([[v[i] for v in basis] for i in self.rest], len(basis))
+
+    def coordinates(self, ws: list[Vector]) -> Matrix | None:
+        """The len(basis) x len(ws) matrix whose column j is the coordinate
+        vector of ws[j], or None if some ws[j] is outside the span."""
+        cols = []
+        for w in ws:
+            if len(w) != self.n:
+                raise ValueError(f"vector of length {len(w)} in Q^{self.n}")
+            c = [w[f] for f in self.free]
+            if matvec(self.sub, c) != [w[i] for i in self.rest]:
+                return None
+            cols.append(c)
+        return from_columns(cols, len(self.free))
 
 
 def solve_columns(a: Matrix, bs: list[Vector]) -> Matrix | None:

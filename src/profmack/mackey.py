@@ -452,16 +452,20 @@ def _subfunctor(G: FiniteGroup, ambient_dims: dict, basis: dict, ambient,
     """The sub-functor spanned by basis[H] inside A(H), for every subgroup H,
     and its inclusion matrices A(H) <- S(H).
 
-    ambient(kind, key) is the structure map of A; S's generating map at
-    (kind, key) holds the coordinates in basis[dst] of the images of
-    basis[src], all found by one augmented solve.  An image outside
-    span(basis[dst]) means S is not a sub-functor: AxiomViolation.
+    ambient(kind, key) is the structure map of A, and every basis[H] has
+    unit columns, as `la.nullspace` and `la.fixed_space` bases do.  S's
+    generating map at (kind, key) holds the coordinates in basis[dst] of the
+    images of basis[src], read off by the `la.UnitColumnBasis` of basis[dst],
+    made once per subgroup: an image's entries at the free columns, checked
+    exactly at the other rows.  An image outside span(basis[dst]) means S is
+    not a sub-functor: AxiomViolation.
     """
     incl = {H: la.from_columns(basis[H], ambient_dims[H]) for H in basis}
+    reader = {H: la.UnitColumnBasis(basis[H], ambient_dims[H]) for H in basis}
 
     def restrict(kind, key, src, dst) -> la.Matrix:
         T = ambient(kind, key)
-        coords = la.solve_columns(incl[dst], [la.matvec(T, v) for v in basis[src]])
+        coords = reader[dst].coordinates([la.matvec(T, v) for v in basis[src]])
         if coords is None:
             raise AxiomViolation("vector not in claimed subspace")
         return coords
@@ -496,8 +500,10 @@ def _new_part(G: FiniteGroup, K: Subgroup, overs: list[Subgroup]) -> GroupRep | 
 
     The vectors are one nullspace: a row per coset of each L, 1 on the points
     of G/K inside it.  Point i of G/K is e_i and g sends it to e_act[g][i],
-    so (g·v)[j] = v[act[g⁻¹][j]]; the |G| matrices are one solve of all the
-    moved basis vectors.
+    so (g·v)[j] = v[act[g⁻¹][j]]; the |G| matrices are the coordinates of
+    all the moved basis vectors, read off the null basis's unit columns
+    (`la.UnitColumnBasis`).  The projections are G-maps, so no moved vector
+    leaves the span; one that did would raise AxiomViolation.
     """
     reps, _, orbit = coset_orbit(G, K)
     n = len(reps)
@@ -510,7 +516,9 @@ def _new_part(G: FiniteGroup, K: Subgroup, overs: list[Subgroup]) -> GroupRep | 
     if not basis:
         return None
     moved = [[b[i] for i in orbit.act[G.inv(g)]] for g in G.elements() for b in basis]
-    coords = la.solve_columns(la.from_columns(basis, n), moved)
+    coords = la.UnitColumnBasis(basis, n).coordinates(moved)
+    if coords is None:
+        raise AxiomViolation(f"G moves a vector out of the new part of Q[G/K], |K| = {K.order}")
     d = len(basis)
     return GroupRep(G, d, [la.Matrix([r[g * d:(g + 1) * d] for r in coords], d)
                            for g in G.elements()])

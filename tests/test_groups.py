@@ -229,6 +229,21 @@ def test_dense_table_built_once():
     assert calls[0] <= G.order ** 2
 
 
+def test_dense_table_equals_the_table_of_products():
+    """The table built from generator rows, with no `mul`, is the table of
+    one product per entry; the last group is the order-900 level of
+    prod:pro_p:2,pro_p:3,pro_p:5 at depth 2."""
+    from profmack import tower as tw
+
+    top = tw.builtin_tower("prod:pro_p:2,pro_p:3,pro_p:5", 2).levels[2]
+    assert top.order == 900
+    for G in (gr.cyclic(1), gr.cyclic(12), gr.parse_group("prod:cyclic:2,cyclic:4"), top):
+        G.mul = None  # the build makes no product
+        table = G.table()
+        del G.mul
+        assert table == tuple(tuple(G.mul(a, b) for b in G.elements()) for a in G.elements())
+
+
 def test_table_group_rejects_a_non_square_table():
     with pytest.raises(ValueError, match="square"):
         gr.TableGroup([[0, 1], [1]])

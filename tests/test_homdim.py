@@ -177,6 +177,23 @@ def test_phi_hom_dimension_match_c2():
             assert len(mk.hom_space(M, N)) == len(sh.hom_fin(sheaves[i], sheaves[j]))
 
 
+@pytest.mark.parametrize("G", [symmetric(3), cyclic(12)], ids=["sym:3", "cyclic:12"])
+def test_phi_hom_dimensions_match_on_the_battery(G):
+    """An oracle independent of `mackey._subfunctor`: over Q, Phi is an
+    equivalence onto Weyl sheaves, so Hom dimensions agree on every ordered
+    pair of representables and fixed-point functors."""
+    pool = [mk.representable(G, transitive_gset(G, H)) for H, _ in subgroup_conjugacy_classes(G)]
+    pool += [mk.fixed_point_functor(V) for V in mk.rational_irreducibles(G)]
+    sheaves = [hd.mackey_to_weylsheaf(M)[0] for M in pool]
+    fixed_point_pairs = 0
+    for i, M in enumerate(pool):
+        for j, N in enumerate(pool):
+            n = len(mk.hom_space(M, N))
+            assert n == len(sh.hom_fin(sheaves[i], sheaves[j]))
+            fixed_point_pairs += n > 0 and M.name.startswith("FP(") and N.name.startswith("FP(")
+    assert fixed_point_pairs >= 3
+
+
 def twisted_ses(A, B, h):
     """0 -> A -> A(+)B -> B -> 0 twisted by h in Hom(A, B)."""
     M = mk.direct_sum_mackey([A, B])

@@ -475,6 +475,89 @@ def test_solve_columns_without_rows_or_columns():
         la.solve_columns(la.identity(2), [[F(1)]])
 
 
+def last_nonzero(v):
+    return max((j for j, x in enumerate(v) if x), default=None)
+
+
+def test_nullspace_has_unit_columns():
+    """On the dense-reference battery: null vector k is 1 at its last nonzero
+    entry, a free column of the reduced form, and every other null vector is
+    0 there; so is every fixed-space basis."""
+    for a in oracle_matrices():
+        cols = la.shape(a)[1]
+        null = la.nullspace(a)
+        free = [last_nonzero(v) for v in null]
+        pivots = dense_rref(a, cols)[1]
+        assert free == [j for j in range(cols) if j not in pivots]
+        assert all(v[f] == 1 for v, f in zip(null, free))
+        assert all(not w[f] for k, f in enumerate(free) for i, w in enumerate(null) if i != k)
+        if la.shape(a)[0] == cols:
+            la.UnitColumnBasis(la.fixed_space([a], cols), cols)  # raises if not
+
+
+def span_and_outside(rng, basis, n, k):
+    """k random vectors of span(basis), then k random vectors of Q^n."""
+    inside = [[sum((F(c) * v[i] for c, v in zip(coeffs, basis)), F(0)) for i in range(n)]
+              for coeffs in ([rng.randint(-3, 3) for _ in basis] for _ in range(k))]
+    return inside, [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                    for _ in range(k)]
+
+
+def test_unit_column_coordinates_match_solve_columns_on_null_bases():
+    rng = random.Random(61)
+    outside = 0
+    for a in oracle_matrices():
+        n = la.shape(a)[1]
+        basis = la.nullspace(a)
+        reader = la.UnitColumnBasis(basis, n)
+        inside, anywhere = span_and_outside(rng, basis, n, rng.randint(1, 4))
+        for ws in (inside, anywhere, inside + anywhere[:1], []):
+            want = la.solve_columns(la.from_columns(basis, n), ws)
+            got = reader.coordinates(ws)
+            assert got == want
+            assert got is None or la.shape(got) == (len(basis), len(ws))
+        assert reader.coordinates(inside) is not None
+        outside += reader.coordinates(anywhere) is None
+    assert outside >= 100
+
+
+def test_unit_column_basis_rejects_a_vector_that_agrees_at_the_free_columns_only():
+    """w agrees with a vector of the span at every free column but not at
+    one other row: its entries there would be the right coordinates, so only
+    the check at the other rows rejects it."""
+    rng = random.Random(67)
+    rejected = 0
+    for a in oracle_matrices():
+        n = la.shape(a)[1]
+        basis = la.nullspace(a)
+        reader = la.UnitColumnBasis(basis, n)
+        if not reader.rest:
+            continue
+        w = span_and_outside(rng, basis, n, 1)[0][0]
+        assert reader.coordinates([w]) is not None
+        w[rng.choice(reader.rest)] += 1
+        assert reader.coordinates([w]) is None
+        assert la.solve_columns(la.from_columns(basis, n), [w]) is None
+        rejected += 1
+    assert rejected >= 100
+
+
+def test_unit_column_basis_rejects_a_basis_without_unit_columns():
+    one, two, zero = F(1), F(2), F(0)
+    for basis in ([[one, two]],  # 2 at its last nonzero entry
+                  [[zero, zero]],  # no nonzero entry
+                  [[one, zero], [one, one]],  # vector 2 is 1 at column 0
+                  [[zero, one], [one, one]],  # the same free column twice
+                  [[one]]):  # not of length 2
+        with pytest.raises(ValueError):
+            la.UnitColumnBasis(basis, 2)
+    reader = la.UnitColumnBasis([[two, one]], 2)
+    assert reader.free == [1] and reader.rest == [0]
+    with pytest.raises(ValueError):
+        reader.coordinates([[one]])
+    assert la.UnitColumnBasis([], 3).coordinates([[zero] * 3]) == la.zeros(0, 1)
+
+
 def test_intertwiners_with_no_unknowns():
     assert la.intertwiners({}, []) == []
     shapes = {"x": (0, 3), "y": (2, 0)}

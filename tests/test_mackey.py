@@ -485,6 +485,68 @@ def test_subfunctor_rejects_a_basis_its_ambient_map_leaves():
         mk._subfunctor(G, dims, {H: [[la.Q1, la.Q0]] for H in subs}, ambient, "T")
 
 
+def test_subfunctor_rejects_an_image_that_agrees_at_the_free_columns_only():
+    """The line of (1, 1) in Q^2 at both subgroups of C2, its free column 1;
+    conj by the generator sends (1, 1) to (0, 1), which agrees with (1, 1)
+    at column 1 and not at row 0."""
+    G = gr.cyclic(2)
+    shear = la.Matrix([[la.Q1, -la.Q1], [la.Q0, la.Q1]], 2)
+
+    def ambient(kind, key):
+        return shear if kind == "conj" and key[0] != G.identity else la.identity(2)
+
+    subs = gr.all_subgroups(G)
+    line = [[la.Q1, la.Q1]]
+    assert la.UnitColumnBasis(line, 2).coordinates([la.matvec(shear, line[0])]) is None
+    with pytest.raises(mk.AxiomViolation, match="not in claimed subspace"):
+        mk._subfunctor(G, {H: 2 for H in subs}, {H: line for H in subs}, ambient, "S")
+
+
+@pytest.mark.parametrize("sel", ["cyclic:4", "sym:3", "prod:cyclic:2,cyclic:2"])
+def test_unit_column_coordinates_match_solve_columns_on_the_batteries(sel, monkeypatch):
+    """Every coordinate read of `_new_part`, of the battery's fixed-point
+    functors and of the kernels at resolution stages 0 and 1 equals the
+    augmented solve it replaces, one read per generating map."""
+    G = gr.parse_group(sel)
+    calls = []
+
+    class Recording(la.UnitColumnBasis):
+        def __init__(self, basis, n):
+            super().__init__(basis, n)
+            self.basis = basis
+
+        def coordinates(self, ws):
+            got = super().coordinates(ws)
+            calls.append((self.basis, self.n, ws, got))
+            return got
+
+    def reads(build):
+        calls.clear()
+        out = build()
+        for basis, n, ws, got in calls:
+            assert got is not None
+            assert got == la.solve_columns(la.from_columns(basis, n), ws)
+        return out, len(calls)
+
+    monkeypatch.setattr(la, "UnitColumnBasis", Recording)
+    generating = len(list(mk._generating_maps(G, gr.all_subgroups(G))))
+    irrs, n_new = reads(lambda: mk.rational_irreducibles(G))
+    assert n_new >= len(irrs)
+    fps, n_fp = reads(lambda: [mk.fixed_point_functor(V) for V in irrs])
+    assert n_fp == generating * len(fps)
+    tools = mk._RepTools(G)
+    reps = [mk.representable(G, gs.transitive_gset(G, H)) for H in class_reps(G)]
+    for M in reps + fps:
+        T = M
+        for stage in (0, 1):
+            phi = mk.free_cover(T, tools).cover
+            (T, incl), n_ker = reads(lambda: mk.kernel_functor(phi))
+            assert n_ker == generating
+            for kind, key, src, dst in mk._generating_maps(G, T.subs):
+                images = [la.matvec(phi.src.map(kind, key), v) for v in la.nullspace(phi.mats[src])]
+                assert T.map(kind, key) == la.solve_columns(incl.mats[dst], images)
+
+
 def assert_shapes(M):
     """Every structure map of M is a (dim dst) x (dim src) Matrix."""
     for kind, key, src, dst in mk._structure_maps(M.group, M.subs):
