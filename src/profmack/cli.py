@@ -30,6 +30,7 @@ from .groups import (
     all_subgroups,
     group_from_json,
     parse_group,
+    read_json_file,
     subgroup_conjugacy_classes,
 )
 from .gsets import FiniteGSet, transitive_gset
@@ -42,25 +43,23 @@ class UsageError(Exception):
     pass
 
 
-def _jsonable(x):
+def _json_default(x) -> str:
+    """json.dumps' hook for what it cannot write itself: a Fraction as "p/q"."""
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def emit(obj, args, pretty_lines=None):
     if getattr(args, "json", False):
-        print(json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ": "),
-                         indent=1))
+        print(json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1,
+                         default=_json_default))
     elif getattr(args, "tsv", False):
         for row in pretty_lines or _flatten_rows(obj):
             print(row if isinstance(row, str) else "\t".join(str(c) for c in row))
     else:
-        for line in pretty_lines or [json.dumps(_jsonable(obj), sort_keys=True)]:
+        for line in pretty_lines or [json.dumps(obj, sort_keys=True,
+                                                default=_json_default)]:
             if isinstance(line, (list, tuple)):
                 print("  ".join(str(c) for c in line))
             else:
@@ -69,7 +68,8 @@ def emit(obj, args, pretty_lines=None):
 
 def _flatten_rows(obj):
     if isinstance(obj, dict):
-        return [[k, json.dumps(_jsonable(v), sort_keys=True)] for k, v in sorted(obj.items())]
+        return [[k, json.dumps(v, sort_keys=True, default=_json_default)]
+                for k, v in sorted(obj.items())]
     if isinstance(obj, list):
         return [row if isinstance(row, (list, tuple)) else [row] for row in obj]
     return [[obj]]
@@ -169,28 +169,9 @@ def verify_rank_json(data: dict) -> list[str]:
     return bad
 
 
-def _read_json_file(path: str, what: str, read):
-    """read(data) of the JSON object in the file at path.  A path that is no
-    readable file, a file that is not JSON or holds no object, and an entry
-    that read finds missing, of the wrong type or failing validation are
-    usage errors, whose messages name the file as a `what` file."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise UsageError(f"{what} file must hold a JSON object")
-        return read(data)
-    except (OSError, ValueError) as e:
-        raise UsageError(str(e)) from None
-    except (AttributeError, TypeError) as e:
-        raise UsageError(f"{what} file has an entry of the wrong type ({e})") from None
-    except KeyError as e:
-        raise UsageError(f"{what} file has no entry {e}") from None
-
-
 def _verify_file(args, verifier) -> None:
     """Emit the verdict of `verifier` on the JSON certificate --verify names."""
-    problems = _read_json_file(args.verify, "certificate", verifier)
+    problems = read_json_file(args.verify, "certificate", verifier, UsageError)
     emit({"schema": 1, "verified": not problems, "problems": problems},
          args, [f"verify: {'OK' if not problems else problems}"])
     if problems:
@@ -271,7 +252,7 @@ def _spans_from_json(data) -> tuple[bs.Span, bs.Span]:
 
 
 def cmd_span_compose(args):
-    s1, s2 = _read_json_file(args.file, "span", _spans_from_json)
+    s1, s2 = read_json_file(args.file, "span", _spans_from_json, UsageError)
     try:
         comp = bs.span_compose(s1, s2)
     except bs.MiddleMismatch as e:
@@ -453,73 +434,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = argparse.ArgumentParser(prog="profmack", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    commands = {}  # command name -> its subcommand table
 
-    g = sub.add_parser("group", parents=[common]).add_subparsers(
-        dest="sub", required=True)
-    gi = g.add_parser("info", parents=[common])
-    gi.add_argument("--group", required=True)
-    gi.set_defaults(func=cmd_group_info)
+    def leaf(command: str, name: str, func, *required: str) -> argparse.ArgumentParser:
+        """The parser of `profmack command name`, which alone takes the
+        common options, so that none is read before the subcommand."""
+        if command not in commands:
+            commands[command] = sub.add_parser(command).add_subparsers(
+                dest="sub", required=True)
+        lp = commands[command].add_parser(name, parents=[common])
+        lp.set_defaults(func=func)
+        for opt in required:
+            lp.add_argument(opt, required=True)
+        return lp
 
-    t = sub.add_parser("tower", parents=[common]).add_subparsers(
-        dest="sub", required=True)
-    ts = t.add_parser("show", parents=[common])
-    ts.add_argument("--tower", required=True)
-    ts.set_defaults(func=cmd_tower_show)
-
-    c = sub.add_parser("cb", parents=[common]).add_subparsers(
-        dest="sub", required=True)
-    cr = c.add_parser("rank", parents=[common])
+    leaf("group", "info", cmd_group_info, "--group")
+    leaf("tower", "show", cmd_tower_show, "--tower")
+    cr = leaf("cb", "rank", cmd_cb_rank)
     cr.add_argument("--tower", default="pro_p:2")
     cr.add_argument("--verify", metavar="FILE")
-    cr.set_defaults(func=cmd_cb_rank)
-    ch = c.add_parser("heights", parents=[common])
-    ch.add_argument("--tower", default="pro_p:2")
-    ch.set_defaults(func=cmd_cb_heights)
-
-    b = sub.add_parser("burnside", parents=[common]).add_subparsers(
-        dest="sub", required=True)
-    bm = b.add_parser("marks", parents=[common])
-    bm.add_argument("--group", required=True)
-    bm.set_defaults(func=cmd_marks)
-    br = b.add_parser("ring", parents=[common])
-    br.add_argument("--group", required=True)
-    br.set_defaults(func=cmd_burnside_ring)
-
-    s = sub.add_parser("span", parents=[common]).add_subparsers(
-        dest="sub", required=True)
-    sc = s.add_parser("compose", parents=[common])
-    sc.add_argument("--file", required=True)
-    sc.set_defaults(func=cmd_span_compose)
-
-    m = sub.add_parser("mackey", parents=[common]).add_subparsers(
-        dest="sub", required=True)
-    me = m.add_parser("ext", parents=[common])
-    me.add_argument("--group", required=True)
-    me.add_argument("--M", required=True)
-    me.add_argument("--N", required=True)
-    me.add_argument("--degree", type=int, default=1)
-    me.set_defaults(func=cmd_mackey_ext)
-    mh = m.add_parser("hom", parents=[common])
-    mh.add_argument("--group", required=True)
-    mh.add_argument("--M", required=True)
-    mh.add_argument("--N", required=True)
-    mh.set_defaults(func=cmd_mackey_hom)
-
-    f = sub.add_parser("sheaf", parents=[common]).add_subparsers(
-        dest="sub", required=True)
-    fg = f.add_parser("godement", parents=[common])
+    leaf("cb", "heights", cmd_cb_heights).add_argument("--tower", default="pro_p:2")
+    leaf("burnside", "marks", cmd_marks, "--group")
+    leaf("burnside", "ring", cmd_burnside_ring, "--group")
+    leaf("span", "compose", cmd_span_compose, "--file")
+    leaf("mackey", "ext", cmd_mackey_ext, "--group", "--M", "--N").add_argument(
+        "--degree", type=int, default=1)
+    leaf("mackey", "hom", cmd_mackey_hom, "--group", "--M", "--N")
+    fg = leaf("sheaf", "godement", cmd_sheaf_godement)
     fg.add_argument("--base", default="spzp:2")
     fg.add_argument("--sheaf", default="const:Q")
     fg.add_argument("--stages", type=int, default=3)
-    fg.set_defaults(func=cmd_sheaf_godement)
-
-    h = sub.add_parser("homdim", parents=[common]).add_subparsers(
-        dest="sub", required=True)
-    hc = h.add_parser("certify", parents=[common])
+    hc = leaf("homdim", "certify", cmd_homdim_certify)
     hc.add_argument("--setup", default="spzp-weyl")
     hc.add_argument("--verify", metavar="FILE")
-    hc.set_defaults(func=cmd_homdim_certify)
-
     return p
 
 

@@ -46,18 +46,20 @@ class FiniteGroup:
     identity: int
     abelian = False  # known commutative: CyclicGroup and products of them
     # built on first use: the dense table, the subgroup list and its index by
-    # element tuple, the generators and their rows, G/H (gsets.coset_orbit),
-    # gHg^-1 by (H, g), the generators' permutations of the subgroup list and
-    # subgroup classes
+    # element tuple, the inclusion lattice, the generators, their rows and
+    # words, G/H (gsets.coset_orbit), gHg^-1 by (H, g), the generators'
+    # permutations of the subgroup list and subgroup classes
     _table: tuple[tuple[int, ...], ...] | None = None
     _subgroup_cache: list[Subgroup] | None = None
     _subgroup_index: dict[tuple[int, ...], Subgroup] | None = None
+    _lattice: tuple[dict, dict] | None = None
     _coset_orbits: dict | None = None
     _conjugates: dict | None = None
     _conjugation_perms: list[tuple[int, ...]] | None = None
     _classes: tuple[list, dict] | None = None
     _generators: list[int] | None = None
     _generator_rows: list[tuple[int, tuple[int, ...]]] | None = None
+    _words: list[tuple[int, int, int]] | None = None
 
     def mul(self, a: int, b: int) -> int:
         raise NotImplementedError
@@ -83,19 +85,9 @@ class FiniteGroup:
         return self._table
 
     def _dense_table(self) -> tuple[tuple[int, ...], ...]:
-        # row g·h is row h read through the generator row of g, along a
-        # breadth-first word in the generators: list lookups, no `mul`
-        rows: list = [None] * self.order
-        rows[self.identity] = tuple(self.elements())
-        reached = [self.identity]
-        gen_rows = generator_rows(self)
-        for h in reached:
-            for _, s_row in gen_rows:
-                g = s_row[h]
-                if rows[g] is None:
-                    rows[g] = tuple(map(s_row.__getitem__, rows[h]))
-                    reached.append(g)
-        return tuple(rows)
+        # G acting on itself by left multiplication: list lookups, no `mul`
+        return tuple(element_rows(self, [row for _, row in generator_rows(self)],
+                                  self.order))
 
     def __repr__(self):
         return f"<{self.__class__.__name__} {self.label} order={self.order}>"
@@ -340,6 +332,42 @@ def generator_rows(G: FiniteGroup) -> list[tuple[int, tuple[int, ...]]]:
     return G._generator_rows
 
 
+def generator_words(G: FiniteGroup) -> list[tuple[int, int, int]]:
+    """(g, s, h) with g = s·h and s in ``generators(G)``, one for every g but
+    the identity, in breadth-first order from the identity: h always comes
+    earlier.  Read off ``generator_rows`` with no product, built once per
+    group and shared (callers must not change it)."""
+    if G._words is None:
+        seen = [False] * G.order
+        seen[G.identity] = True
+        reached = [G.identity]
+        words = []
+        gen_rows = generator_rows(G)
+        for h in reached:
+            for s, s_row in gen_rows:
+                g = s_row[h]
+                if not seen[g]:
+                    seen[g] = True
+                    reached.append(g)
+                    words.append((g, s, h))
+        G._words = words
+    return G._words
+
+
+def element_rows(G: FiniteGroup, gen_rows, n: int) -> list[tuple[int, ...]]:
+    """The row (g·x for x in range(n)) of every element g of G, for an action
+    of G on range(n) given by the rows of ``generators(G)``, in that order.
+
+    Row g is row s read through row h along the word (g, s, h) of
+    ``generator_words``: one list lookup per entry."""
+    rows: list = [None] * G.order
+    rows[G.identity] = tuple(range(n))
+    row_of = dict(zip(generators(G), gen_rows))
+    for g, s, h in generator_words(G):
+        rows[g] = tuple(map(row_of[s].__getitem__, rows[h]))
+    return rows
+
+
 def subgroup(G: FiniteGroup, elements) -> Subgroup:
     """Validated subgroup from an element collection.
 
@@ -393,6 +421,27 @@ def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     if G._subgroup_cache is None:
         G._subgroup_cache = [Subgroup(G, t) for t in _all_subgroup_tuples(G)]
     return G._subgroup_cache
+
+
+def inclusion_lattice(G: FiniteGroup) -> tuple[dict, dict]:
+    """Sub(G) ordered by inclusion: for each subgroup H, the subgroups K ⊆ H,
+    and the subgroups maximal in H, both lists in ``all_subgroups`` order.
+    H is the last subgroup it contains, since the list ascends by order.
+    Built once per group and shared (callers must not change it)."""
+    if G._lattice is None:
+        subs = all_subgroups(G)
+        elems = [frozenset(H.elements) for H in subs]
+        below: list[list[int]] = []  # indices of the subgroups of subs[i]
+        contained, maximal = {}, {}
+        for i, H in enumerate(subs):
+            inside = [j for j in range(i + 1) if elems[j] <= elems[i]]
+            below.append(inside)
+            # a proper subgroup is maximal unless it lies in another one
+            covered = {k for j in inside[:-1] for k in below[j][:-1]}
+            contained[H] = [subs[j] for j in inside]
+            maximal[H] = [subs[j] for j in inside[:-1] if j not in covered]
+        G._lattice = (contained, maximal)
+    return G._lattice
 
 
 def _all_subgroup_tuples(G: FiniteGroup) -> list[tuple[int, ...]]:
@@ -655,21 +704,7 @@ def parse_group(selector: str) -> FiniteGroup:
             raise UnknownFamily("nested prod selectors are not supported")
         return direct_product(*(parse_group(p) for p in parts))
     if selector.startswith("json:"):
-        # a path that is no readable file, a file that is not JSON or holds
-        # no object, and a table that is missing, of the wrong type or not a
-        # group are bad selectors
-        try:
-            with open(selector[len("json:"):]) as fh:
-                data = json.load(fh)
-            if not isinstance(data, dict):
-                raise UnknownFamily("group file must hold a JSON object")
-            return group_from_json(data)
-        except (OSError, ValueError) as e:
-            raise UnknownFamily(str(e)) from None
-        except TypeError as e:
-            raise UnknownFamily(f"group file has an entry of the wrong type ({e})") from None
-        except KeyError as e:
-            raise UnknownFamily(f"group file has no entry {e}") from None
+        return read_json_file(selector[len("json:"):], "group", group_from_json)
     head, _, arg = selector.partition(":")
     try:
         n = int(arg)
@@ -689,6 +724,25 @@ def parse_group(selector: str) -> FiniteGroup:
             raise UnknownFamily(f"bad group selector {selector!r}: degree must be >= 0")
         return symmetric(n)
     raise UnknownFamily(f"unknown group family {head!r}")
+
+
+def read_json_file(path: str, what: str, read, error: type = UnknownFamily):
+    """read(data) of the JSON object in the file at path.  A path that is no
+    readable file, a file that is not JSON or holds no object, and an entry
+    that read finds missing, of the wrong type or failing validation raise
+    `error` with one line that names the file as a `what` file."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise error(f"{what} file must hold a JSON object")
+        return read(data)
+    except (OSError, ValueError) as e:
+        raise error(str(e)) from None
+    except (AttributeError, TypeError) as e:
+        raise error(f"{what} file has an entry of the wrong type ({e})") from None
+    except KeyError as e:
+        raise error(f"{what} file has no entry {e}") from None
 
 
 def group_to_json(G: FiniteGroup) -> dict:

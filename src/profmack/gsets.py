@@ -10,6 +10,7 @@ from .groups import (
     GroupHom,
     Subgroup,
     class_rep_of,
+    element_rows,
     generator_rows,
     generators,
     left_cosets,
@@ -117,6 +118,9 @@ def coset_orbit(G: FiniteGroup, H: Subgroup):
 
     reps is the ascending tuple of least coset representatives and rep_of
     maps each element to its coset's; point i of G/H is the coset reps[i]·H.
+    The rows of G/H are the generators' rows on the cosets, read off
+    ``generator_rows`` and composed along ``generator_words`` by
+    ``element_rows``: one lookup per entry, no product.
     Every caller shares these objects, so none may modify them.
     """
     if G._coset_orbits is None:
@@ -124,10 +128,10 @@ def coset_orbit(G: FiniteGroup, H: Subgroup):
     if H not in G._coset_orbits:
         reps, rep_of = left_cosets(G, H)
         index = {r: i for i, r in enumerate(reps)}
-        act = tuple(
-            tuple(index[rep_of[G.mul(g, r)]] for r in reps) for g in G.elements()
-        )
-        orbit = FiniteGSet(G, act, label=f"{G.label}/{H.order}")
+        gen_rows = [tuple(index[rep_of[s_row[r]]] for r in reps)
+                    for _, s_row in generator_rows(G)]
+        orbit = FiniteGSet(G, tuple(element_rows(G, gen_rows, len(reps))),
+                           label=f"{G.label}/{H.order}")
         G._coset_orbits[H] = (tuple(reps), rep_of, orbit)
     return G._coset_orbits[H]
 

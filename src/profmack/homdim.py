@@ -22,7 +22,8 @@ from fractions import Fraction
 
 from . import linalg as la
 from .cbrank import RankCertificate, cb_rank
-from .groups import Subgroup, UnknownFamily, conjugate_subgroup
+from .groups import (Subgroup, UnknownFamily, conjugation_perms, element_rows,
+                     inclusion_lattice)
 from .gsets import FiniteGSet
 from .mackey import MackeyFunctorQ
 from .sheaf import (
@@ -320,14 +321,10 @@ def homdim_certificate(setup: str, depth: int = 6) -> HomDimCertificate:
 # the comparison functor Phi (finite groups)
 
 
-def _proper_subgroups(M: MackeyFunctorQ, K: Subgroup) -> list[Subgroup]:
-    return [L for L in M.subs if L != K and set(L.elements) <= set(K.elements)]
-
-
 def _stalk_data(M: MackeyFunctorQ, K: Subgroup):
     """(complement coordinates, projection) presenting coker of inductions."""
     cols: list[list[Fraction]] = []
-    for L in _proper_subgroups(M, K):
+    for L in inclusion_lattice(M.group)[0][K][:-1]:  # K itself comes last
         mat = M.ind[(K, L)]
         for j in range(M.dim(L)):
             cols.append([mat[i][j] for i in range(M.dim(K))])
@@ -354,17 +351,15 @@ def mackey_to_weylsheaf(M: MackeyFunctorQ) -> tuple[EqSheafFinite, WeylFlag]:
     i.e. whether the action genuinely factors through W_G(K)."""
     G = M.group
     subs = M.subs
-    index = {H: i for i, H in enumerate(subs)}
-    act_pts = [
-        [index[conjugate_subgroup(H, g)] for H in subs] for g in G.elements()
-    ]
-    base = FiniteGSet(G, tuple(tuple(row) for row in act_pts), label="subconj")
+    # Sub(G) under conjugation: `conjugation_perms` along the generator words
+    base = FiniteGSet(G, tuple(element_rows(G, conjugation_perms(G), len(subs))),
+                      label="subconj")
     data = _phi_stalks(M)
     dims = [len(data[H][0]) for H in subs]
     act = {}
-    for g in G.elements():
+    for g, row in zip(G.elements(), base.act):
         for x, H in enumerate(subs):
-            Hg = conjugate_subgroup(H, g)
+            Hg = subs[row[x]]
             compH, projH = data[H]
             compHg, projHg = data[Hg]
             mat = la.matmul(projHg, la.matmul(M.conj[(g, H)],

@@ -15,7 +15,7 @@ the same sum over rhs, None standing for an identity factor.
 `equation_rows` writes its rows, one per entry of the product.
 
 Matrices go in and come out dense.  Elimination (`rref`, and through it
-`rank`, `nullspace`, `solve_columns`, `solve`, `in_span`, `quotient_basis`
+`rank`, `nullspace`, `solve`, `in_span`, `quotient_basis`
 and `intertwiners`) works on sparse rows inside the function, because the
 equation systems it meets are mostly zero.  Coordinates in a null basis
 need none (`UnitColumnBasis`).
@@ -333,30 +333,23 @@ class UnitColumnBasis:
         return from_columns(cols, len(self.free))
 
 
-def solve_columns(a: Matrix, bs: list[Vector]) -> Matrix | None:
-    """One solution X of a X = [b_1 ... b_k], free unknowns 0, or None if
-    some column b_i is not in the column space of a.
+def solve(a: Matrix, b: Vector) -> Vector | None:
+    """One solution of a x = b, free unknowns 0, or None if b is not in the
+    column space of a.
 
-    One row reduction of [a | b_1 ... b_k]: a pivot in the right-hand block
-    marks an inconsistent column.
+    One row reduction of [a | b]: a pivot in the last column marks an
+    inconsistent system.
     """
     rows, cols = shape(a)
-    if any(len(b) != rows for b in bs):
+    if len(b) != rows:
         raise ValueError("solve shape mismatch")
-    red, pivots = rref(Matrix([row + [b[r] for b in bs] for r, row in enumerate(a)],
-                              cols + len(bs)))
-    if pivots and pivots[-1] >= cols:
+    red, pivots = rref(Matrix([row + [b[r]] for r, row in enumerate(a)], cols + 1))
+    if pivots and pivots[-1] == cols:
         return None
-    x = zeros(cols, len(bs))
+    x = [Q0] * cols
     for p, row in zip(pivots, red):
-        x[p] = row[cols:]
+        x[p] = row[cols]
     return x
-
-
-def solve(a: Matrix, b: Vector) -> Vector | None:
-    """One solution of a x = b, or None if inconsistent."""
-    x = solve_columns(a, [b])
-    return None if x is None else [row[0] for row in x]
 
 
 def in_span(vectors: list[Vector], v: Vector) -> bool:

@@ -35,7 +35,9 @@ from .groups import (
     all_subgroups,
     conjugate_subgroup,
     generator_rows,
+    generator_words,
     generators,
+    inclusion_lattice,
     intersection,
     left_cosets,
     subgroup_conjugacy_classes,
@@ -51,10 +53,6 @@ class AxiomViolation(Exception):
 
 class ResolutionTooShort(Exception):
     pass
-
-
-def _contains(H: Subgroup, K: Subgroup) -> bool:
-    return set(K.elements) <= set(H.elements)
 
 
 def _double_coset_reps(G: FiniteGroup, K: Subgroup, H: Subgroup, L: Subgroup):
@@ -78,23 +76,13 @@ def _structure_maps(G: FiniteGroup, subs: list[Subgroup]):
     restricted to `_generating_maps`, the row order of the hom_space
     equations.
     """
+    contained = inclusion_lattice(G)[0]
     for H in subs:
-        for K in subs:
-            if _contains(H, K):
-                yield "res", (H, K), H, K
-                yield "ind", (H, K), K, H
+        for K in contained[H]:
+            yield "res", (H, K), H, K
+            yield "ind", (H, K), K, H
         for g in G.elements():
             yield "conj", (g, H), H, conjugate_subgroup(H, g)
-
-
-def _maximal_subgroups(subs: list[Subgroup]) -> dict[Subgroup, list[Subgroup]]:
-    """For each H of subs, the K of subs maximal in H, in subs order."""
-    elems = {H: frozenset(H.elements) for H in subs}
-    out = {}
-    for H in subs:
-        below = [K for K in subs if elems[K] < elems[H]]
-        out[H] = [K for K in below if not any(elems[K] < elems[J] for J in below)]
-    return out
 
 
 def _generating_maps(G: FiniteGroup, subs: list[Subgroup]):
@@ -104,7 +92,7 @@ def _generating_maps(G: FiniteGroup, subs: list[Subgroup]):
     `generators(G)`.  Every other structure map of a Mackey functor is an
     identity or a composite of these (Thévenaz–Webb, Trans. AMS 347, 1995).
     """
-    maximal = _maximal_subgroups(subs)
+    maximal = inclusion_lattice(G)[1]
     gens = sorted(generators(G))
     for H in subs:
         for K in maximal[H]:
@@ -112,23 +100,6 @@ def _generating_maps(G: FiniteGroup, subs: list[Subgroup]):
             yield "ind", (H, K), K, H
         for s in gens:
             yield "conj", (s, H), H, conjugate_subgroup(H, s)
-
-
-def _generator_words(G: FiniteGroup) -> list[tuple[int, int, int]]:
-    """(g, s, h) with g = s·h, s a generator, for every g but the identity,
-    in breadth-first order from the identity: h always comes earlier."""
-    gens = sorted(generators(G))
-    reached = [G.identity]
-    seen = {G.identity}
-    words = []
-    for h in reached:
-        for s in gens:
-            g = G.mul(s, h)
-            if g not in seen:
-                seen.add(g)
-                reached.append(g)
-                words.append((g, s, h))
-    return words
 
 
 class _StructureMaps(Mapping):
@@ -178,17 +149,17 @@ def _build_mackey(G: FiniteGroup, dims: dict, make, name: str) -> MackeyFunctorQ
     identity are `la.identity`, and the rest one matmul of maps of smaller
     subgroups or shorter words: res(H, K) = res(J, K)·res(H, J) and
     ind(H, K) = ind(H, J)·ind(J, K) through the first J maximal in H that
-    contains K, and conj along a breadth-first word in the generators,
+    contains K, and conj along the word of g in ``generator_words``,
     c_{s·h} on H = (c_s on hHh⁻¹)·(c_h on H).  When make describes a Mackey
     functor these are the maps make would give.  Direct sums do not come
     through here: their maps are read from the summands' blocks
     (`direct_sum_mackey`).
     """
     subs = all_subgroups(G)
-    maximal = _maximal_subgroups(subs)
+    contained, maximal = inclusion_lattice(G)
     generating = {(kind, key): make(kind, key, src, dst)
                   for kind, key, src, dst in _generating_maps(G, subs)}
-    word = {g: (s, h) for g, s, h in _generator_words(G)}
+    word = {g: (s, h) for g, s, h in generator_words(G)}
 
     def derive(kind, key, src, dst) -> la.Matrix:
         if (kind, key) in generating:
@@ -203,7 +174,7 @@ def _build_mackey(G: FiniteGroup, dims: dict, make, name: str) -> MackeyFunctorQ
         H, K = key
         if H == K:
             return la.identity(dims[H])
-        J = next(J for J in maximal[H] if _contains(J, K))
+        J = next(J for J in maximal[H] if K in contained[J])
         if kind == "res":
             return la.matmul(maps["res"][J, K], maps["res"][H, J])
         return la.matmul(maps["ind"][H, J], maps["ind"][J, K])
@@ -252,6 +223,7 @@ def check_axioms(M: MackeyFunctorQ) -> list[str]:
     """Verify all Mackey axioms exactly; returns the violations, [] when clean."""
     G = M.group
     subs = M.subs
+    contained = inclusion_lattice(G)[0]
     bad: list[str] = []
 
     for H in subs:
@@ -262,12 +234,8 @@ def check_axioms(M: MackeyFunctorQ) -> list[str]:
         if not la.eq(M.conj_mat(G.identity, H), la.identity(M.dim(H))):
             bad.append(f"conj(e,{H.order}) not identity")
     for H in subs:
-        for K in subs:
-            if not (_contains(H, K)):
-                continue
-            for J in subs:
-                if not _contains(K, J):
-                    continue
+        for K in contained[H]:
+            for J in contained[K]:
                 if not la.eq(
                     la.matmul(M.res_mat(K, J), M.res_mat(H, K)), M.res_mat(H, J)
                 ):
@@ -284,9 +252,7 @@ def check_axioms(M: MackeyFunctorQ) -> list[str]:
                 rhs = M.conj_mat(G.mul(h, g), H)
                 if not la.eq(lhs, rhs):
                     bad.append("conjugation not functorial")
-            for K in subs:
-                if not _contains(H, K):
-                    continue
+            for K in contained[H]:
                 Kg = conjugate_subgroup(K, g)
                 if not la.eq(
                     la.matmul(M.conj_mat(g, K), M.res_mat(H, K)),
@@ -300,12 +266,8 @@ def check_axioms(M: MackeyFunctorQ) -> list[str]:
                     bad.append("conjugation does not intertwine ind")
     # double coset formula
     for H in subs:
-        for K in subs:
-            if not _contains(H, K):
-                continue
-            for L in subs:
-                if not _contains(H, L):
-                    continue
+        for K in contained[H]:
+            for L in contained[H]:
                 lhs = la.matmul(M.res_mat(H, K), M.ind_mat(H, L))
                 total = la.zeros(M.dim(K), M.dim(L))
                 for g in _double_coset_reps(G, K, H, L):
@@ -572,7 +534,7 @@ def rational_irreducibles(G: FiniteGroup) -> list[GroupRep]:
     named by `_irreducible_names`.  Raises UnknownFamily unless it has one
     module per class of cyclic subgroups and Σ dim(V)² / dim End_G(V) = |G|.
     """
-    maximal = _maximal_subgroups(all_subgroups(G))
+    maximal = inclusion_lattice(G)[1]
     classes = subgroup_conjugacy_classes(G)
     found = []
     for K, _ in classes:

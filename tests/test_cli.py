@@ -538,6 +538,112 @@ def test_group_info_stdout_matches_its_golden_sha256(command, capsys):
         GOLDEN_GROUP_INFO_SHA256[command]
 
 
+# (command, exit code, sha256 of stdout) for cheap commands over every
+# subcommand in text, --json and --tsv, fixed before Sub(G)'s inclusion
+# lattice and G's generator words became per-group tables.  {spans} is the
+# file _write_d8_span_file writes, {s3} S3 relabelled so that its identity is
+# 3, and {rank}/{homdim} the certificates the earlier commands print
+GOLDEN_COMMANDS = [
+    ("group info --group sym:3", 0,
+     "17504e5899c44c59b30ca5cc89900dd0057a8856ae212b78cb4d2d06c8a153a8"),
+    ("group info --group prod:cyclic:2,cyclic:4 --json", 0,
+     "7449b5d0fe093d5493bb1812a3037a1b4279207f3d164d21ec564c946a1c0c89"),
+    ("burnside marks --group json:{s3} --tsv", 0,
+     "f0f97696c2602bce9f037f1cc08087beec1b65a1f79081e08c9a0cea7ea8d190"),
+    ("tower show --tower pro_p:2 --depth 3", 0,
+     "c70b0a94cec50178914d083a464bcaf07eb24621b9dd9aa38b5b377dc240959f"),
+    ("tower show --tower prod:pro_p:2,pro_p:3 --depth 2 --json", 0,
+     "a4f8d44423c300dca75f95f352696b84ca4163a1de9af2d3174d3bcee1148fca"),
+    ("tower show --tower pro_p:3 --depth 2 --tsv", 0,
+     "19b579ef52b68bb8165353bae42d58c731c911646614432887d9405b1c201663"),
+    ("cb rank --tower pro_p:3 --depth 4", 0,
+     "3e9651af6ca46d9eb8747dabfd3d0733c91bed7186769eda33caf74b57ab05c0"),
+    ("cb rank --tower pro_p:2 --depth 5 --json", 0,
+     "ef631b6e9be5750a021965c461842c931884dfcf4ebd7aa10bcafe4b28fa035d"),
+    ("cb rank --tower prod:pro_p:2,pro_p:3 --depth 1 --tsv", 0,
+     "7397a5ff5d4247be5c96bf6ab571cc5e2236d01a6f1ed61792f465ca460fd96a"),
+    ("cb rank --verify {rank}", 0,
+     "d1ba2f6a325e022adb3ec05ebb9c41f79a9ccdef57205249ce7fced6347d82b0"),
+    ("cb heights --tower pro_p:2 --depth 4 --json", 0,
+     "6f5a8349557f67f5afa7d8b27e76091a88d099f50bf43c6d106995ff4c44b5e4"),
+    ("cb heights --tower prod:pro_p:2,pro_p:3 --depth 2 --tsv", 0,
+     "8e82d73150c0f67b104c75f11f9488c67f1d3614cfa9d2cbdfeb94d962633ea7"),
+    ("burnside marks --group dihedral:8", 0,
+     "3f350fc70c3f427637b17017946693dae635f5f6a6171c0ad25ffd20a5d43808"),
+    ("burnside marks --group cyclic:12 --json", 0,
+     "0d09fc9e3206bc34c337d2fbabcade315e6c5af572fdeac7c33604248a7a1fa4"),
+    ("burnside ring --group prod:cyclic:2,cyclic:4 --tsv", 0,
+     "3e6feb0c6fc2b94676e32d4c8c82daf32efacdf45a878f62fb24afab154cf2a4"),
+    ("burnside ring --group sym:3", 0,
+     "4ae5b080b5b49ac285dbaf66a1bcb11c79facb8a3a988c8138896de97c454be6"),
+    ("span compose --file {spans} --tsv", 0,
+     "27ac7a8e0a369de75b63814dcbf5d5d88a89ed9888728d0d51fef3e4a602ede6"),
+    ("mackey ext --group cyclic:4 --M rep:1 --N burnside --json", 0,
+     "b74ee1d7efac3754a956c5e9afffccdba5b2f4b16b709c9d41e92ba342d7f06e"),
+    ("mackey ext --group sym:3 --M fixedpoint:std --N rep:1 --tsv", 0,
+     "658d9f76a5493d498788ea82eb7aabe7e575203f8ea570667ea3a9eef3a8b45c"),
+    ("mackey ext --group json:{s3} --M rep:1 --N fixedpoint:sign", 0,
+     "aa60a6b81e60ba6efb9ed5b82ba9c900215156afe06618fc10bb7f033eff9ae3"),
+    ("mackey hom --group dihedral:8 --M rep:2 --N fixedpoint:0 --json", 0,
+     "57542c7f98df68a8efa2c5ac0d9de7cb0851cb005a0507d2ab4e809dbe3667b9"),
+    ("mackey hom --group prod:cyclic:2,cyclic:4 --M rep:3 --N burnside", 0,
+     "deaa64ce1066890a4c9089c03ea36fbe6f83185e9a0ae285e6637ecc68fd8b63"),
+    ("mackey hom --group cyclic:12 --M fixedpoint:0 --N rep:4 --tsv", 0,
+     "0e24fdf59c120eb634d5ee5a3a89f22e7a20264bb763cbc095d51f03fcde577e"),
+    ("mackey hom --group cyclic:2 --M rep:7 --N burnside", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("sheaf godement --base spzp:3 --sheaf const:2 --json", 0,
+     "5225fc414d37918e63febab41a3ef6b2b30dfd5ec489327bf389163bce642aed"),
+    ("sheaf godement --sheaf sky:omega:1 --tsv", 0,
+     "ad85de6681e699d7213b8580f44e875cb475580b7f6b934590a4fd9b45fc8082"),
+    ("sheaf godement", 0,
+     "57c3a9965710d0879ee7732e2f32486bf9183ab6e9b997b028971ed9d538e2e0"),
+    ("homdim certify --setup finite:sym:3 --depth 3 --json", 0,
+     "175a3c1831547aa4cfab22a83b232143e86c15e2421f5efefbeaa5b59896411e"),
+    ("homdim certify --setup spzp:3 --depth 4", 0,
+     "a391882ff60c62885cad466777916fbeb95be644b434a4d6dadd633d64f7b220"),
+    ("homdim certify --verify {homdim} --tsv", 0,
+     "d1ba2f6a325e022adb3ec05ebb9c41f79a9ccdef57205249ce7fced6347d82b0"),
+    ("group info --group sym:6 --json", 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+def dicts_in(obj):
+    """Every dict in a JSON-like object, nested ones included."""
+    if isinstance(obj, dict):
+        yield obj
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from dicts_in(x)
+
+
+def test_golden_commands_print_their_recorded_stdout(tmp_path, capsys, monkeypatch):
+    emitted = []
+    emit = cli.emit
+
+    def recording_emit(obj, *rest):
+        emitted.append(obj)
+        emit(obj, *rest)
+
+    monkeypatch.setattr(cli, "emit", recording_emit)
+    files = {"spans": tmp_path / "spans.json", "s3": tmp_path / "s3.json",
+             "rank": tmp_path / "rank.json", "homdim": tmp_path / "homdim.json"}
+    _write_d8_span_file(files["spans"])
+    files["s3"].write_text(json.dumps(group_to_json(relabelled(gr.symmetric(3), 3))))
+    certs = {"cb rank --tower pro_p:2 --depth 5 --json": files["rank"],
+             "homdim certify --setup finite:sym:3 --depth 3 --json": files["homdim"]}
+    for command, code, digest in GOLDEN_COMMANDS:
+        found = cli.main(command.format(**files).split())
+        out = capsys.readouterr().out
+        if command in certs:
+            certs[command].write_text(out)
+        assert (found, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), command
+    # json.dumps sorts keys that are not strings before it writes them as strings
+    assert all(isinstance(k, str) for obj in emitted for d in dicts_in(obj) for k in d)
+
+
 def test_one_process_answers_like_fresh_processes(capsys):
     """main reuses its parser across calls: each command, run after the
     others in this process, gives the exit code, stdout and stderr of a
@@ -557,6 +663,20 @@ def test_one_process_answers_like_fresh_processes(capsys):
         assert (code, captured.out, captured.err) == \
             (proc.returncode, proc.stdout, proc.stderr), command
 
+
+@pytest.mark.parametrize("argv", [
+    "group --json info --group cyclic:2",
+    "mackey --json hom --group cyclic:2 --M rep:0 --N burnside",
+    "cb --depth 3 rank --tower pro_p:2",
+])
+def test_an_option_before_its_subcommand_is_a_usage_error(argv, capsys):
+    """The common options belong to the subcommands only: one given to the
+    command is argparse's usage error, not a value the subcommand's default
+    overwrites."""
+    code = cli.main(argv.split())
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("usage: profmack") and "error: " in err
 
 def test_profmack_depth_is_read_on_every_call(monkeypatch, capsys):
     for depth in ("3", "4"):

@@ -623,3 +623,119 @@ def test_divisors_ascend_and_match_the_scan():
     assert len(divs) == 13**3 and divs == sorted(divs)
     assert all(30**12 % d == 0 for d in divs)
     assert gr.divisors(1_000_003) == [1, 1_000_003]  # prime
+
+
+# the groups the per-group tables are checked on; "json:S3+3" is S3 as a
+# group file, relabelled so that its identity is element 3
+TABLE_GROUPS = ["sym:3", "sym:4", "dihedral:8", "cyclic:12", "prod:cyclic:2,cyclic:4",
+                "json:S3+3"]
+
+
+def table_group(sel, tmp_path):
+    if sel.startswith("json:"):
+        path = tmp_path / "s3.json"
+        path.write_text(json.dumps(gr.group_to_json(relabelled(gr.symmetric(3), 3))))
+        G = gr.parse_group(f"json:{path}")
+        assert G.identity == 3
+        return G
+    return gr.parse_group(sel)
+
+
+def maximal_by_definition(subs):
+    """For each H of subs, the K of subs maximal in H, in subs order: the
+    quadratic scan the inclusion lattice replaced."""
+    elems = {H: frozenset(H.elements) for H in subs}
+    out = {}
+    for H in subs:
+        below = [K for K in subs if elems[K] < elems[H]]
+        out[H] = [K for K in below if not any(elems[K] < elems[J] for J in below)]
+    return out
+
+
+@pytest.mark.parametrize("sel", TABLE_GROUPS)
+def test_inclusion_lattice_matches_set_inclusion(sel, tmp_path):
+    G = table_group(sel, tmp_path)
+    subs = gr.all_subgroups(G)
+    lattice = gr.inclusion_lattice(G)
+    assert gr.inclusion_lattice(G) is lattice
+    contained, maximal = lattice
+    assert list(contained) == subs == list(maximal)
+    for H in subs:
+        assert contained[H] == [K for K in subs if set(K.elements) <= set(H.elements)]
+        assert contained[H][-1] is H
+    assert maximal == maximal_by_definition(subs)
+
+
+@pytest.mark.parametrize("sel", TABLE_GROUPS)
+def test_generator_words_reach_every_element_once(sel, tmp_path):
+    G = table_group(sel, tmp_path)
+    gr.generator_rows(G)
+    G.mul = None  # the words are read off the rows, with no product
+    words = gr.generator_words(G)
+    del G.mul
+    assert gr.generator_words(G) is words
+    gens = gr.generators(G)
+    reached = [G.identity]
+    for g, s, h in words:
+        assert s in gens and h in reached
+        assert g == G.mul(s, h)
+        reached.append(g)
+    assert sorted(reached) == list(G.elements())
+
+
+@pytest.mark.parametrize("sel", TABLE_GROUPS)
+def test_element_rows_match_the_per_element_formulas(sel, tmp_path):
+    """The rows composed along the words are those of the multiplication
+    table, of every G/H and of Sub(G) under conjugation."""
+    from profmack import gsets as gs
+
+    G = table_group(sel, tmp_path)
+    rows = gr.element_rows(G, [row for _, row in gr.generator_rows(G)], G.order)
+    assert rows == [tuple(G.mul(g, x) for x in G.elements()) for g in G.elements()]
+    assert G.table() == tuple(rows)
+    subs = gr.all_subgroups(G)
+    for H in subs:
+        reps, rep_of, X = gs.coset_orbit(G, H)
+        assert gs.coset_orbit(G, H)[2] is X
+        index = {r: i for i, r in enumerate(reps)}
+        assert X.act == tuple(tuple(index[rep_of[G.mul(g, r)]] for r in reps)
+                              for g in G.elements())
+    index = {H.elements: i for i, H in enumerate(subs)}
+    conj = [tuple(index[tuple(sorted(G.conj(g, x) for x in H.elements))] for H in subs)
+            for g in G.elements()]
+    assert gr.element_rows(G, gr.conjugation_perms(G), len(subs)) == conj
+
+
+class Rejected(Exception):
+    pass
+
+
+@pytest.mark.parametrize("what", ["group", "span", "certificate"])
+def test_read_json_file_rejects_a_malformed_file_naming_its_kind(what, tmp_path):
+    """Every way a file can fail raises the given error with one line, and a
+    valid file is read by `read`."""
+    def read(data):
+        return data["entry"] + 1
+
+    cases = {"a directory": None, "not json": "{not json", "a JSON list": "[1]",
+             "an entry of the wrong type": {"entry": "x"}, "no entry": {}}
+    messages = {}
+    for case, content in cases.items():
+        path = tmp_path / case.replace(" ", "_")
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_text(content if isinstance(content, str) else json.dumps(content))
+        with pytest.raises(Rejected) as info:
+            gr.read_json_file(str(path), what, read, Rejected)
+        messages[case] = str(info.value)
+        assert len(messages[case].splitlines()) == 1
+    assert messages["a JSON list"] == f"{what} file must hold a JSON object"
+    assert messages["an entry of the wrong type"].startswith(
+        f"{what} file has an entry of the wrong type (")
+    assert messages["no entry"] == f"{what} file has no entry 'entry'"
+    good = tmp_path / "good.json"
+    good.write_text('{"entry": 1}')
+    assert gr.read_json_file(str(good), what, read, Rejected) == 2
+    with pytest.raises(gr.UnknownFamily):  # group selectors raise UnknownFamily
+        gr.read_json_file(str(tmp_path / "no_entry"), what, read)

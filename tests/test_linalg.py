@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from profmack import linalg as la
+from linalg_helpers import solve_each
 
 F = Fraction
 
@@ -445,6 +446,8 @@ def test_intertwiner_rows_on_one_block_with_zero_heavy_maps():
 
 
 def test_solve_columns_matches_dense_solve_column_by_column():
+    """`la.solve`, one row reduction of [a | b], on the seeded systems the
+    several-column solve it replaced was checked on, column by column."""
     rng = random.Random(53)
     inconsistent = 0
     for a in oracle_matrices():
@@ -452,27 +455,25 @@ def test_solve_columns_matches_dense_solve_column_by_column():
         k = rng.randint(2, 4)
         bs = [dense_matvec(a, [F(rng.randint(-3, 3), rng.randint(1, 3))
                                for _ in range(cols)]) for _ in range(k)]
-        x = la.solve_columns(a, bs)
-        assert la.shape(x) == (cols, k)
-        assert all(type(v) is Fraction for row in x for v in row)
-        assert [[row[t] for row in x] for t in range(k)] == \
-            [dense_solve(a, cols, b) for b in bs]
-        assert la.solve_columns(a, []) == la.zeros(cols, 0)
+        for b in bs:
+            x = la.solve(a, b)
+            assert len(x) == cols
+            assert all(type(v) is Fraction for v in x)
+            assert x == dense_solve(a, cols, b)
         bad = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rows)]
-        if dense_solve(a, cols, bad) is None:  # one bad column fails them all
+        if dense_solve(a, cols, bad) is None:
             inconsistent += 1
-            assert la.solve_columns(a, bs[:1] + [bad] + bs[1:]) is None
+            assert la.solve(a, bad) is None
     assert inconsistent >= 40
 
 
 def test_solve_columns_without_rows_or_columns():
-    x = la.solve_columns(la.zeros(0, 3), [[], []])
-    assert x == la.zeros(3, 2) and la.shape(x) == (3, 2)
-    assert la.shape(la.solve_columns(la.zeros(2, 0), [[F(0), F(0)]])) == (0, 1)
-    assert la.solve_columns(la.zeros(2, 0), [[F(0), F(1)]]) is None
-    assert la.shape(la.solve_columns(la.zeros(0, 0), [])) == (0, 0)
+    assert la.solve(la.zeros(0, 3), []) == [F(0)] * 3
+    assert la.solve(la.zeros(2, 0), [F(0), F(0)]) == []
+    assert la.solve(la.zeros(2, 0), [F(0), F(1)]) is None
+    assert la.solve(la.zeros(0, 0), []) == []
     with pytest.raises(ValueError):
-        la.solve_columns(la.identity(2), [[F(1)]])
+        la.solve(la.identity(2), [F(1)])
 
 
 def last_nonzero(v):
@@ -512,7 +513,7 @@ def test_unit_column_coordinates_match_solve_columns_on_null_bases():
         reader = la.UnitColumnBasis(basis, n)
         inside, anywhere = span_and_outside(rng, basis, n, rng.randint(1, 4))
         for ws in (inside, anywhere, inside + anywhere[:1], []):
-            want = la.solve_columns(la.from_columns(basis, n), ws)
+            want = solve_each(la.from_columns(basis, n), ws)
             got = reader.coordinates(ws)
             assert got == want
             assert got is None or la.shape(got) == (len(basis), len(ws))
@@ -537,7 +538,7 @@ def test_unit_column_basis_rejects_a_vector_that_agrees_at_the_free_columns_only
         assert reader.coordinates([w]) is not None
         w[rng.choice(reader.rest)] += 1
         assert reader.coordinates([w]) is None
-        assert la.solve_columns(la.from_columns(basis, n), [w]) is None
+        assert solve_each(la.from_columns(basis, n), [w]) is None
         rejected += 1
     assert rejected >= 100
 

@@ -10,6 +10,7 @@ from profmack import gsets as gs
 from profmack import linalg as la
 from profmack import mackey as mk
 from group_helpers import quaternion_json
+from linalg_helpers import solve_each
 from span_helpers import (from_span_functor, identity_span, relabelled, span_action_matrix,
                           to_span_functor)
 
@@ -525,7 +526,7 @@ def test_unit_column_coordinates_match_solve_columns_on_the_batteries(sel, monke
         out = build()
         for basis, n, ws, got in calls:
             assert got is not None
-            assert got == la.solve_columns(la.from_columns(basis, n), ws)
+            assert got == solve_each(la.from_columns(basis, n), ws)
         return out, len(calls)
 
     monkeypatch.setattr(la, "UnitColumnBasis", Recording)
@@ -544,7 +545,7 @@ def test_unit_column_coordinates_match_solve_columns_on_the_batteries(sel, monke
             assert n_ker == generating
             for kind, key, src, dst in mk._generating_maps(G, T.subs):
                 images = [la.matvec(phi.src.map(kind, key), v) for v in la.nullspace(phi.mats[src])]
-                assert T.map(kind, key) == la.solve_columns(incl.mats[dst], images)
+                assert T.map(kind, key) == solve_each(incl.mats[dst], images)
 
 
 def assert_shapes(M):
