@@ -148,6 +148,9 @@ def verify_rank_json(data: dict) -> list[str]:
         bad.append("missing schema")
     verdict = data.get("verdict")
     trace = data.get("trace", [])
+    removed = [label for t in trace for label in t.get("removed", [])]
+    if len(set(removed)) != len(removed):
+        bad.append("a thread is removed more than once")
     if verdict == "Exact":
         if data.get("rank") != len(trace):
             bad.append("Exact rank does not match trace length")
@@ -381,8 +384,9 @@ def verify_homdim_json(data: dict) -> list[str]:
         if lo != hi or val != lo:
             bad.append("Exact verdict with unequal bounds")
         rc = data.get("rank_certificate") or {}
-        if rc.get("verdict") == "Exact" and rc.get("rank") is not None \
-                and hi != rc["rank"] - 1:
+        if rc.get("verdict") != "Exact":
+            bad.append("Exact verdict without an Exact rank certificate")
+        elif not isinstance(rc.get("rank"), int) or hi != rc["rank"] - 1:
             bad.append("upper bound does not equal rank - 1")
         gl = data.get("godement_length")
         if gl is not None and gl != hi:

@@ -10,7 +10,11 @@ Built-in families:
     trivial level (the tower of a finite group).
 
 The first three are one family: the product of the cyclic pro-p towers of
-zero, one or several primes.
+zero, one or several primes.  `builtin_tower` parses a selector once into the
+levels, the bond tables and the family's thread lemma, which it binds to the
+tower it returns (`GroupTower.lemma`).  A tower built by hand or read from
+JSON has no lemma, whatever its ``family`` label says, and each of its threads
+is certified unknown.
 
 The subgroup-space tower S(G) has two paths.  When every level is cyclic by
 construction (a CyclicGroup, or a ProductGroup of such groups with pairwise
@@ -19,9 +23,6 @@ group, it is read off the level orders: Sub(G_k) is the divisor lattice of
 |G_k| and a bond's image of a subgroup depends only on its order, so no
 subgroup is built.  Every other tower enumerates the subgroups of each level
 and maps their elements through the bond tables.
-
-Stability certificates for threads of the subgroup-space tower are only
-emitted where a family lemma applies (`_thread_cert`).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Callable
 
 from .cbrank import SpaceTree, ThreadCert
 from .groups import (
@@ -54,7 +56,10 @@ from .groups import (
 class GroupTower:
     levels: list[FiniteGroup]
     bonds: list[GroupHom]  # bonds[k]: levels[k+1] -> levels[k]
-    family: str | None = None
+    family: str | None = None  # a label, for the chain name and the JSON
+    # the family's thread lemma: the certificate of the thread of a top-level
+    # subgroup of the given order.  Only `builtin_tower` binds one.
+    lemma: Callable[[int], ThreadCert] | None = None
 
     def __post_init__(self):
         if self.levels[0].order != 1:
@@ -81,87 +86,75 @@ class GroupTower:
         return q
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def parse_prime(text: str) -> int:
     """The prime that a selector writes as text; UnknownFamily otherwise."""
     try:
         p = int(text)
     except ValueError:
         raise UnknownFamily(f"expected a prime, got {text!r}") from None
-    if not _is_prime(p):
+    if divisors(p) != [1, p]:
         raise UnknownFamily(f"{p} is not prime")
     return p
 
 
-def _prime_of(tag: str) -> int:
-    if not tag.startswith("pro_p:"):
-        raise UnknownFamily(f"expected pro_p:<prime>, got {tag!r}")
-    return parse_prime(tag.split(":", 1)[1])
-
-
-def _family_primes(fam: str | None) -> list[int] | None:
-    """The primes of ``trivial`` (none), ``pro_p:<p>`` or
-    ``prod:pro_p:<p1>,...``; None for any other family."""
-    if fam == "trivial":
+def _family_primes(family: str) -> list[int]:
+    """The pairwise distinct primes of ``trivial`` (none), ``pro_p:<p>`` or
+    ``prod:pro_p:<p1>,...``; UnknownFamily for any other family."""
+    if family == "trivial":
         return []
-    if fam and fam.startswith("pro_p:"):
-        return [_prime_of(fam)]
-    if fam and fam.startswith("prod:"):
-        return [_prime_of(t.strip()) for t in fam[5:].split(",")]
-    return None
-
-
-def _valuation(n: int, p: int) -> int:
-    """The exponent of the prime p in n > 0."""
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
+    if family.startswith("prod:"):
+        tags = [t.strip() for t in family[5:].split(",")]
+    elif family.startswith("pro_p:"):
+        tags = [family]
+    else:
+        raise UnknownFamily(f"unknown tower family {family!r}")
+    primes = []
+    for tag in tags:
+        if not tag.startswith("pro_p:"):
+            raise UnknownFamily(f"expected pro_p:<prime>, got {tag!r}")
+        primes.append(parse_prime(tag[6:]))
+    if len(set(primes)) != len(primes):
+        raise UnknownFamily("product families need pairwise distinct primes")
+    return primes
 
 
 def builtin_tower(family: str, depth: int) -> GroupTower:
+    """The tower that a family selector names, cut at the given depth, with
+    the family's thread lemma bound to it."""
     if depth < 0:
         raise ValueError("depth must be non-negative")
     if family.startswith("finite:"):
         G = parse_group(family[7:])
-        triv = CyclicGroup(1)
-        levels = [triv] + [G] * depth
-        bonds = []
-        if depth >= 1:
-            bonds.append(GroupHom(G, triv, (0,) * G.order))
-            for k in range(1, depth):
-                bonds.append(identity_hom(G))
-        return GroupTower(levels, bonds, family)
-    primes = _family_primes(family)
-    if primes is None:
-        raise UnknownFamily(f"unknown tower family {family!r}")
-    if len(set(primes)) != len(primes):
-        raise UnknownFamily("product families need pairwise distinct primes")
-    # level k is the product of the Z/p^k; with at most one prime it stays a
-    # CyclicGroup, whose products are several times cheaper than a product's
-    levels = [CyclicGroup(math.prod(p**k for p in primes)) if len(primes) < 2
-              else ProductGroup([CyclicGroup(p**k) for p in primes])
-              for k in range(depth + 1)]
-    bonds = []
-    for k in range(depth):
-        # reduce each mixed-radix digit mod p^k, one factor at a time
-        table = [0]
-        for p in primes:
-            m = p**k
-            table = [t * m + x % m for t in table for x in range(m * p)]
-        bonds.append(GroupHom(levels[k + 1], levels[k], tuple(table)))
-    return GroupTower(levels, bonds, family)
+        primes, levels = [], [CyclicGroup(1)] + [G] * depth
+        tables = [tuple(range(G.order)) if k else (0,) * G.order for k in range(depth)]
+    else:
+        primes = _family_primes(family)
+        # level k is the product of the Z/p^k; with at most one prime it stays a
+        # CyclicGroup, whose products are several times cheaper than a product's
+        levels = [CyclicGroup(math.prod(p**k for p in primes)) if len(primes) < 2
+                  else ProductGroup([CyclicGroup(p**k) for p in primes])
+                  for k in range(depth + 1)]
+        tables = []
+        for k in range(depth):
+            # reduce each mixed-radix digit mod p^k, one factor at a time
+            table = [0]
+            for p in primes:
+                m = p**k
+                table = [t * m + x % m for t in table for x in range(m * p)]
+            tables.append(table)
+    top = levels[-1].order
+
+    def lemma(order: int) -> ThreadCert:
+        # scattered(m), m the number of primes p whose index in the subgroup
+        # is p^depth: the index divides the product of the p^depth, so that
+        # is when p^depth divides it.  A finite group has no prime, and its
+        # limit space is discrete.
+        m = sum(top // order % p**depth == 0 for p in primes)
+        return ThreadCert("scattered", m, f"{m} prime(s) at maximal index")
+
+    bonds = [GroupHom(levels[k + 1], levels[k], t) for k, t in enumerate(tables)]
+    # a tower of primes at depth 0 has no level to read an index at
+    return GroupTower(levels, bonds, family, None if primes and depth == 0 else lemma)
 
 
 def tower_to_json(T: GroupTower) -> dict:
@@ -187,19 +180,11 @@ def tower_from_json(data: dict) -> GroupTower:
 
 
 def _thread_cert(T: GroupTower, order: int) -> ThreadCert:
-    """Certificate for the thread of a subgroup of the given order at the top
-    level.  In a product of cyclic pro-p towers of depth D >= 1 (or of no
-    primes) it is scattered(m), m the number of primes p whose index in the
-    subgroup is p^D."""
-    fam = T.family
-    if fam is not None and fam.startswith("finite:"):
-        return ThreadCert("scattered", 0, "finite limit space is discrete")
-    primes = _family_primes(fam)
-    if primes is None or (primes and T.depth == 0):
+    """The certificate that T's thread lemma gives the thread of a top-level
+    subgroup of the given order; unknown for a tower without a lemma."""
+    if T.lemma is None:
         return ThreadCert("unknown", reason="no family lemma")
-    index = T.levels[-1].order // order
-    m = sum(_valuation(index, p) == T.depth for p in primes)
-    return ThreadCert("scattered", m, f"{m} prime(s) at maximal index")
+    return T.lemma(order)
 
 
 def _cyclic_by_construction(G: FiniteGroup) -> bool:

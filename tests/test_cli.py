@@ -8,7 +8,9 @@ import sys
 import pytest
 
 import profmack
+from profmack import cbrank as cb
 from profmack import cli
+from profmack import homdim as hd
 from profmack import groups as gr
 from profmack import gsets as gs
 from profmack.groups import CyclicGroup, group_to_json, trivial_subgroup
@@ -276,6 +278,53 @@ def test_verify_rejects_tampered_certificate(tmp_path, capsys):
     assert code == cli.EXIT_USAGE
 
 
+def _rank_stage(stage, labels):
+    return {"stage": stage, "removed": labels, "certs": ["scattered(m=0)"] * len(labels)}
+
+
+@pytest.mark.parametrize("rank,trace", [
+    (3, [_rank_stage(s, ["ord1"]) for s in range(3)]),  # one thread at three stages
+    (1, [_rank_stage(0, ["ord1", "ord1"])]),  # listed twice in one stage
+])
+def test_verify_rank_rejects_a_thread_removed_at_two_stages_or_twice_in_one(
+        rank, trace, tmp_path, capsys):
+    forged = {"schema": 1, "verdict": "Exact", "rank": rank, "lo": None, "hi": None,
+              "trace": trace, "chain": "pro_p:2@depth6", "convention": cb.CONVENTION}
+    assert cli.verify_rank_json(forged) == ["a thread is removed more than once"]
+    f = tmp_path / "forged.json"
+    f.write_text(json.dumps(forged))
+    code, out = run(capsys, ["cb", "rank", "--verify", str(f), "--json"])
+    assert code == cli.EXIT_USAGE and json.loads(out)["verified"] is False
+
+
+def _homdim_with_rank(rank_certificate):
+    """An Exact(7) homdim certificate whose nonzero witness has one entry."""
+    return {"schema": 1, "setup": "spzp", "verdict": "Exact", "value": 7, "lower": 7,
+            "upper": 7, "rank_certificate": rank_certificate, "godement_length": None,
+            "witness": {"period": 1, "values": [["1"]]}, "trace": []}
+
+
+def test_verify_homdim_rejects_an_exact_value_without_an_exact_rank(tmp_path, capsys):
+    # the honest Exact certificates embed Exact ranks with upper = rank - 1
+    for setup, rank in (("finite:sym:3", 1), ("spzp:3", 2), ("spzp-weyl", 2)):
+        honest = hd.homdim_certificate(setup, depth=4).as_dict()
+        rc = honest["rank_certificate"]
+        assert (honest["verdict"], rc["verdict"], rc["rank"], honest["upper"]) == \
+            ("Exact", "Exact", rank, rank - 1)
+        assert cli.verify_homdim_json(honest) == []
+    interval = {"schema": 1, "verdict": "Interval", "rank": None, "lo": 1, "hi": None,
+                "trace": [{"stage": 0, "removed": [], "undecided": ["ord1"]}],
+                "chain": "user@depth2", "convention": cb.CONVENTION}
+    assert cli.verify_rank_json(interval) == []
+    for rc in (None, interval):
+        assert cli.verify_homdim_json(_homdim_with_rank(rc)) == [
+            "Exact verdict without an Exact rank certificate"]
+    f = tmp_path / "forged.json"
+    f.write_text(json.dumps(_homdim_with_rank(None)))
+    code, out = run(capsys, ["homdim", "certify", "--verify", str(f), "--json"])
+    assert code == cli.EXIT_USAGE and json.loads(out)["verified"] is False
+
+
 def _write_case(path, content):
     """A directory at path for None, else a file of the text or JSON."""
     if content is None:
@@ -538,74 +587,102 @@ def test_group_info_stdout_matches_its_golden_sha256(command, capsys):
         GOLDEN_GROUP_INFO_SHA256[command]
 
 
-# (command, exit code, sha256 of stdout) for cheap commands over every
-# subcommand in text, --json and --tsv, fixed before Sub(G)'s inclusion
+# (command, exit code, sha256 of stdout, stderr) for cheap commands over
+# every subcommand in text, --json and --tsv, fixed before Sub(G)'s inclusion
 # lattice and G's generator words became per-group tables.  {spans} is the
 # file _write_d8_span_file writes, {s3} S3 relabelled so that its identity is
 # 3, and {rank}/{homdim} the certificates the earlier commands print
+NO_OUTPUT = hashlib.sha256(b"").hexdigest()
 GOLDEN_COMMANDS = [
     ("group info --group sym:3", 0,
-     "17504e5899c44c59b30ca5cc89900dd0057a8856ae212b78cb4d2d06c8a153a8"),
+     "17504e5899c44c59b30ca5cc89900dd0057a8856ae212b78cb4d2d06c8a153a8", ""),
     ("group info --group prod:cyclic:2,cyclic:4 --json", 0,
-     "7449b5d0fe093d5493bb1812a3037a1b4279207f3d164d21ec564c946a1c0c89"),
+     "7449b5d0fe093d5493bb1812a3037a1b4279207f3d164d21ec564c946a1c0c89", ""),
     ("burnside marks --group json:{s3} --tsv", 0,
-     "f0f97696c2602bce9f037f1cc08087beec1b65a1f79081e08c9a0cea7ea8d190"),
+     "f0f97696c2602bce9f037f1cc08087beec1b65a1f79081e08c9a0cea7ea8d190", ""),
     ("tower show --tower pro_p:2 --depth 3", 0,
-     "c70b0a94cec50178914d083a464bcaf07eb24621b9dd9aa38b5b377dc240959f"),
+     "c70b0a94cec50178914d083a464bcaf07eb24621b9dd9aa38b5b377dc240959f", ""),
     ("tower show --tower prod:pro_p:2,pro_p:3 --depth 2 --json", 0,
-     "a4f8d44423c300dca75f95f352696b84ca4163a1de9af2d3174d3bcee1148fca"),
+     "a4f8d44423c300dca75f95f352696b84ca4163a1de9af2d3174d3bcee1148fca", ""),
     ("tower show --tower pro_p:3 --depth 2 --tsv", 0,
-     "19b579ef52b68bb8165353bae42d58c731c911646614432887d9405b1c201663"),
+     "19b579ef52b68bb8165353bae42d58c731c911646614432887d9405b1c201663", ""),
     ("cb rank --tower pro_p:3 --depth 4", 0,
-     "3e9651af6ca46d9eb8747dabfd3d0733c91bed7186769eda33caf74b57ab05c0"),
+     "3e9651af6ca46d9eb8747dabfd3d0733c91bed7186769eda33caf74b57ab05c0", ""),
     ("cb rank --tower pro_p:2 --depth 5 --json", 0,
-     "ef631b6e9be5750a021965c461842c931884dfcf4ebd7aa10bcafe4b28fa035d"),
+     "ef631b6e9be5750a021965c461842c931884dfcf4ebd7aa10bcafe4b28fa035d", ""),
     ("cb rank --tower prod:pro_p:2,pro_p:3 --depth 1 --tsv", 0,
-     "7397a5ff5d4247be5c96bf6ab571cc5e2236d01a6f1ed61792f465ca460fd96a"),
+     "7397a5ff5d4247be5c96bf6ab571cc5e2236d01a6f1ed61792f465ca460fd96a", ""),
     ("cb rank --verify {rank}", 0,
-     "d1ba2f6a325e022adb3ec05ebb9c41f79a9ccdef57205249ce7fced6347d82b0"),
+     "d1ba2f6a325e022adb3ec05ebb9c41f79a9ccdef57205249ce7fced6347d82b0", ""),
     ("cb heights --tower pro_p:2 --depth 4 --json", 0,
-     "6f5a8349557f67f5afa7d8b27e76091a88d099f50bf43c6d106995ff4c44b5e4"),
+     "6f5a8349557f67f5afa7d8b27e76091a88d099f50bf43c6d106995ff4c44b5e4", ""),
     ("cb heights --tower prod:pro_p:2,pro_p:3 --depth 2 --tsv", 0,
-     "8e82d73150c0f67b104c75f11f9488c67f1d3614cfa9d2cbdfeb94d962633ea7"),
+     "8e82d73150c0f67b104c75f11f9488c67f1d3614cfa9d2cbdfeb94d962633ea7", ""),
     ("burnside marks --group dihedral:8", 0,
-     "3f350fc70c3f427637b17017946693dae635f5f6a6171c0ad25ffd20a5d43808"),
+     "3f350fc70c3f427637b17017946693dae635f5f6a6171c0ad25ffd20a5d43808", ""),
     ("burnside marks --group cyclic:12 --json", 0,
-     "0d09fc9e3206bc34c337d2fbabcade315e6c5af572fdeac7c33604248a7a1fa4"),
+     "0d09fc9e3206bc34c337d2fbabcade315e6c5af572fdeac7c33604248a7a1fa4", ""),
     ("burnside ring --group prod:cyclic:2,cyclic:4 --tsv", 0,
-     "3e6feb0c6fc2b94676e32d4c8c82daf32efacdf45a878f62fb24afab154cf2a4"),
+     "3e6feb0c6fc2b94676e32d4c8c82daf32efacdf45a878f62fb24afab154cf2a4", ""),
     ("burnside ring --group sym:3", 0,
-     "4ae5b080b5b49ac285dbaf66a1bcb11c79facb8a3a988c8138896de97c454be6"),
+     "4ae5b080b5b49ac285dbaf66a1bcb11c79facb8a3a988c8138896de97c454be6", ""),
     ("span compose --file {spans} --tsv", 0,
-     "27ac7a8e0a369de75b63814dcbf5d5d88a89ed9888728d0d51fef3e4a602ede6"),
+     "27ac7a8e0a369de75b63814dcbf5d5d88a89ed9888728d0d51fef3e4a602ede6", ""),
     ("mackey ext --group cyclic:4 --M rep:1 --N burnside --json", 0,
-     "b74ee1d7efac3754a956c5e9afffccdba5b2f4b16b709c9d41e92ba342d7f06e"),
+     "b74ee1d7efac3754a956c5e9afffccdba5b2f4b16b709c9d41e92ba342d7f06e", ""),
     ("mackey ext --group sym:3 --M fixedpoint:std --N rep:1 --tsv", 0,
-     "658d9f76a5493d498788ea82eb7aabe7e575203f8ea570667ea3a9eef3a8b45c"),
+     "658d9f76a5493d498788ea82eb7aabe7e575203f8ea570667ea3a9eef3a8b45c", ""),
     ("mackey ext --group json:{s3} --M rep:1 --N fixedpoint:sign", 0,
-     "aa60a6b81e60ba6efb9ed5b82ba9c900215156afe06618fc10bb7f033eff9ae3"),
+     "aa60a6b81e60ba6efb9ed5b82ba9c900215156afe06618fc10bb7f033eff9ae3", ""),
     ("mackey hom --group dihedral:8 --M rep:2 --N fixedpoint:0 --json", 0,
-     "57542c7f98df68a8efa2c5ac0d9de7cb0851cb005a0507d2ab4e809dbe3667b9"),
+     "57542c7f98df68a8efa2c5ac0d9de7cb0851cb005a0507d2ab4e809dbe3667b9", ""),
     ("mackey hom --group prod:cyclic:2,cyclic:4 --M rep:3 --N burnside", 0,
-     "deaa64ce1066890a4c9089c03ea36fbe6f83185e9a0ae285e6637ecc68fd8b63"),
+     "deaa64ce1066890a4c9089c03ea36fbe6f83185e9a0ae285e6637ecc68fd8b63", ""),
     ("mackey hom --group cyclic:12 --M fixedpoint:0 --N rep:4 --tsv", 0,
-     "0e24fdf59c120eb634d5ee5a3a89f22e7a20264bb763cbc095d51f03fcde577e"),
-    ("mackey hom --group cyclic:2 --M rep:7 --N burnside", 2,
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+     "0e24fdf59c120eb634d5ee5a3a89f22e7a20264bb763cbc095d51f03fcde577e", ""),
+    ("mackey hom --group cyclic:2 --M rep:7 --N burnside", 2, NO_OUTPUT,
+     "error: rep index out of range 0..1\n"),
     ("sheaf godement --base spzp:3 --sheaf const:2 --json", 0,
-     "5225fc414d37918e63febab41a3ef6b2b30dfd5ec489327bf389163bce642aed"),
+     "5225fc414d37918e63febab41a3ef6b2b30dfd5ec489327bf389163bce642aed", ""),
     ("sheaf godement --sheaf sky:omega:1 --tsv", 0,
-     "ad85de6681e699d7213b8580f44e875cb475580b7f6b934590a4fd9b45fc8082"),
+     "ad85de6681e699d7213b8580f44e875cb475580b7f6b934590a4fd9b45fc8082", ""),
     ("sheaf godement", 0,
-     "57c3a9965710d0879ee7732e2f32486bf9183ab6e9b997b028971ed9d538e2e0"),
+     "57c3a9965710d0879ee7732e2f32486bf9183ab6e9b997b028971ed9d538e2e0", ""),
     ("homdim certify --setup finite:sym:3 --depth 3 --json", 0,
-     "175a3c1831547aa4cfab22a83b232143e86c15e2421f5efefbeaa5b59896411e"),
+     "175a3c1831547aa4cfab22a83b232143e86c15e2421f5efefbeaa5b59896411e", ""),
     ("homdim certify --setup spzp:3 --depth 4", 0,
-     "a391882ff60c62885cad466777916fbeb95be644b434a4d6dadd633d64f7b220"),
+     "a391882ff60c62885cad466777916fbeb95be644b434a4d6dadd633d64f7b220", ""),
     ("homdim certify --verify {homdim} --tsv", 0,
-     "d1ba2f6a325e022adb3ec05ebb9c41f79a9ccdef57205249ce7fced6347d82b0"),
-    ("group info --group sym:6 --json", 3,
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+     "d1ba2f6a325e022adb3ec05ebb9c41f79a9ccdef57205249ce7fced6347d82b0", ""),
+    ("group info --group sym:6 --json", 3, NO_OUTPUT,
+     "error: symmetric groups supported up to S5\n"),
+    # tower commands, fixed before built-in towers carried their thread lemma
+    ("cb rank --tower trivial --depth 0", 0,
+     "41d0f5ca06c35d4517a5e9a727295b3fa86c013dfa39680f6ab3d2a5596bbe09", ""),
+    ("cb rank --tower trivial --depth 2", 0,
+     "6600cb33cf20f2e1200eeaac33d8cc09b3f208a91027274fc335631837ac4d69", ""),
+    ("cb rank --tower finite:sym:3 --depth 2 --json", 0,
+     "cc2ab54d6297d51f76724fe0586d5ae7f38669b9d4b5405ee0215cf770344466", ""),
+    ("cb heights --tower finite:dihedral:8 --depth 2 --json", 0,
+     "2249b250f0f2c2bf94d688a20ee8bfc285501b974c2f4916d0949cd648e51988", ""),
+    ("cb rank --tower pro_p:2 --depth 0 --json", 0,
+     "5713269b56424c391726a18fd558c359713a5d3b8ff5ffc97f6f173ebbeefdf8", ""),
+    ("homdim certify --setup finite --json", 0,
+     "e8179d531a14542024095369f74759892b4e4b237978175fb47f1950fa7ad3e3", ""),
+    ("cb rank --tower pro_p:6 --depth 2", 2, NO_OUTPUT,
+     "error: 6 is not prime\n"),
+    ("tower show --tower pro_p:1 --depth 2", 2, NO_OUTPUT,
+     "error: 1 is not prime\n"),
+    ("cb heights --tower pro_p:x --depth 2", 2, NO_OUTPUT,
+     "error: expected a prime, got 'x'\n"),
+    ("cb rank --tower prod:cyclic:2 --depth 2", 2, NO_OUTPUT,
+     "error: expected pro_p:<prime>, got 'cyclic:2'\n"),
+    ("tower show --tower prod:pro_p:2,pro_p:2 --depth 1 --json", 2, NO_OUTPUT,
+     "error: product families need pairwise distinct primes\n"),
+    ("cb rank --tower adic --depth 2", 2, NO_OUTPUT,
+     "error: unknown tower family 'adic'\n"),
+    ("cb heights --tower finite:nope --depth 1", 2, NO_OUTPUT,
+     "error: bad group selector 'nope'\n"),
 ]
 
 
@@ -634,12 +711,13 @@ def test_golden_commands_print_their_recorded_stdout(tmp_path, capsys, monkeypat
     files["s3"].write_text(json.dumps(group_to_json(relabelled(gr.symmetric(3), 3))))
     certs = {"cb rank --tower pro_p:2 --depth 5 --json": files["rank"],
              "homdim certify --setup finite:sym:3 --depth 3 --json": files["homdim"]}
-    for command, code, digest in GOLDEN_COMMANDS:
+    for command, code, digest, err in GOLDEN_COMMANDS:
         found = cli.main(command.format(**files).split())
-        out = capsys.readouterr().out
+        out, printed = capsys.readouterr()
         if command in certs:
             certs[command].write_text(out)
-        assert (found, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), command
+        assert (found, hashlib.sha256(out.encode()).hexdigest(), printed) == \
+            (code, digest, err), command
     # json.dumps sorts keys that are not strings before it writes them as strings
     assert all(isinstance(k, str) for obj in emitted for d in dicts_in(obj) for k in d)
 

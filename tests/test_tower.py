@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from profmack import cbrank as cb
 from profmack import tower as tw
 from profmack.groups import (TABLE_LIMIT, CyclicGroup, GroupHom, TableGroup,
                              UnknownFamily, all_subgroups, cyclic, dihedral,
@@ -67,6 +70,26 @@ def test_thread_certs_pro_p():
     assert ms == [0, 0, 0, 0, 1]
 
 
+def test_a_mislabelled_tower_gets_unknown_certificates():
+    """Only builtin_tower binds a thread lemma, and the family label is read
+    for the chain name alone: the pro_p:3 levels and bonds under another
+    label, built by hand or read from a tower file, certify no thread.  A
+    lemma read off the label would give Exact(1), but Sub(Z_3) has rank 2."""
+    T = tw.builtin_tower("pro_p:3", 3)
+    assert cb.cb_rank(tw.subgroup_space_tower(T)).rank == 2
+    data = tw.tower_to_json(T)
+    data["family"] = "finite:cyclic:2"
+    towers = [tw.GroupTower(T.levels, T.bonds, label)
+              for label in ("pro_p:2", "trivial", "finite:sym:3")]
+    towers.append(tw.tower_from_json(json.loads(json.dumps(data))))
+    for U in towers:
+        X = tw.subgroup_space_tower(U)
+        assert X.chain == f"{U.family}@depth3"
+        assert [c.kind for c in X.certs] == ["unknown"] * 4, U.family
+        cert = cb.cb_rank(X)
+        assert (cert.verdict, cert.lo, cert.hi) == ("Interval", 1, None), U.family
+
+
 PRODUCT_FAMILIES = ("prod:pro_p:2,pro_p:3", "prod:pro_p:2,pro_p:5",
                     "prod:pro_p:2,pro_p:3,pro_p:5")
 
@@ -117,7 +140,7 @@ def as_table_tower(T):
     a tower that ``subgroup_space_tower`` reads through its element path."""
     levels = [TableGroup(G.table(), label=G.label) for G in T.levels]
     bonds = [GroupHom(levels[k + 1], levels[k], q.mapping) for k, q in enumerate(T.bonds)]
-    return tw.GroupTower(levels, bonds, T.family)
+    return tw.GroupTower(levels, bonds, T.family, T.lemma)
 
 
 def space_data(X):
