@@ -20,7 +20,7 @@ chain has stabilised at the empty set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ._kernels import orbit_labels
 
@@ -100,16 +100,8 @@ class RankCertificate:
     convention: str = CONVENTION
 
     def as_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "verdict": self.verdict,
-            "rank": self.rank,
-            "lo": self.lo,
-            "hi": self.hi,
-            "trace": self.trace,
-            "chain": self.chain,
-            "convention": self.convention,
-        }
+        """The certificate's JSON: its fields and "schema": 1."""
+        return {"schema": 1, **asdict(self)}
 
 
 def cb_rank(X: SpaceTree) -> RankCertificate:

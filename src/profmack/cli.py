@@ -31,6 +31,7 @@ from .groups import (
     group_from_json,
     parse_group,
     read_json_file,
+    selector_number,
     subgroup_conjugacy_classes,
 )
 from .gsets import FiniteGSet, transitive_gset
@@ -278,12 +279,10 @@ def _parse_mackey(G, sel: str) -> mk.MackeyFunctorQ:
     if sel == "burnside":
         return mk.burnside_mackey(G)
     if sel.startswith("rep:"):
-        arg = sel.split(":", 1)[1]
-        reps = mk.subgroup_conjugacy_classes(G)
-        classes = [rep for rep, _ in reps]
-        if not arg.isdecimal() or int(arg) >= len(classes):
+        idx = selector_number(sel[len("rep:"):])
+        classes = [rep for rep, _ in mk.subgroup_conjugacy_classes(G)]
+        if idx is None or idx >= len(classes):
             raise UsageError(f"rep index out of range 0..{len(classes) - 1}")
-        idx = int(arg)
         H = classes[idx]
         return mk.representable(G, transitive_gset(G, H), name=f"rep:{idx}")
     if sel.startswith("fixedpoint:"):
@@ -292,8 +291,9 @@ def _parse_mackey(G, sel: str) -> mk.MackeyFunctorQ:
         for V in irrs:
             if V.name == arg:
                 return mk.fixed_point_functor(V)
-        if arg.isdecimal() and int(arg) < len(irrs):
-            return mk.fixed_point_functor(irrs[int(arg)])
+        idx = selector_number(arg)
+        if idx is not None and idx < len(irrs):
+            return mk.fixed_point_functor(irrs[idx])
         raise UsageError(
             f"unknown irreducible {arg!r}; have {[V.name for V in irrs]}"
         )
@@ -342,10 +342,11 @@ def _parse_sheaf(base, sel: str) -> sh.ConvSheaf:
         return sh.constant_sheaf(base, 1)
     for prefix, make in (("const:", sh.constant_sheaf), ("sky:omega:", sh.skyscraper_omega)):
         if sel.startswith(prefix):
-            dim = sel[len(prefix):]
-            if not dim.isdecimal():
-                raise UsageError(f"bad dimension {dim!r} in sheaf selector {sel!r}")
-            return make(base, int(dim))
+            text = sel[len(prefix):]
+            dim = selector_number(text)
+            if dim is None:
+                raise UsageError(f"bad dimension {text!r} in sheaf selector {sel!r}")
+            return make(base, dim)
     raise UsageError(f"unknown sheaf selector {sel!r}")
 
 

@@ -14,14 +14,12 @@ import json
 import math
 import operator
 import random
+import re
 from dataclasses import dataclass, field
 
 from . import _kernels
 
 TABLE_LIMIT = 1024  # largest order for which a dense table may be built
-# up to this order, table associativity is checked exactly on a generating
-# set; above it, on 2000 seeded random triples
-FULL_CHECK_LIMIT = 256
 # a hom is checked exactly when its domain's generator rows hold at most this
 # many entries, one lookup each; above it, on 2000 seeded random pairs.  At
 # 8192 entries an exact check built from Python products costs about what the
@@ -127,21 +125,10 @@ class TableGroup(FiniteGroup):
         n, m = self.order, self._mult
         if any(not 0 <= x < n for row in m for x in row):
             raise ValueError("table entries out of range")
-        if n <= FULL_CHECK_LIMIT:
-            # Light's test, x(ay) == (xa)y for all x, y and every generator a:
-            # the elements a that pass it are closed under products, and the
-            # left-normed words of the generators cover the table.  Row xa is
-            # row x applied to row a.
-            for a in generators(self):
-                ra = m[a]
-                for rx in m:
-                    if m[rx[a]] != tuple(map(rx.__getitem__, ra)):
-                        raise ValueError("multiplication table is not associative")
-        else:
-            draws = iter(random.Random(0).choices(range(n), k=6000))
-            for a, b, c in zip(draws, draws, draws):
-                if m[m[a][b]][c] != m[a][m[b][c]]:
-                    raise ValueError("multiplication table is not associative")
+        # (xy)z == x(yz) for all x, y, z says that the rows act on G, and
+        # _find_identity made the identity's row the identity
+        if not is_action(self, m):
+            raise ValueError("multiplication table is not associative")
 
     def mul(self, a, b):
         return self._mult[a][b]
@@ -156,11 +143,11 @@ class TableGroup(FiniteGroup):
 class CyclicGroup(FiniteGroup):
     abelian = True
 
-    def __init__(self, n: int, label: str | None = None):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("cyclic group order must be >= 1")
         self.order = n
-        self.label = label or f"C{n}"
+        self.label = f"C{n}"
         self.identity = 0
 
     def mul(self, a, b):
@@ -176,7 +163,7 @@ class ProductGroup(FiniteGroup):
     the orders of the factors after f (the first factor is most
     significant)."""
 
-    def __init__(self, factors: list[FiniteGroup], label: str | None = None):
+    def __init__(self, factors: list[FiniteGroup]):
         if not factors:
             raise ValueError("product needs at least one factor")
         self.factors = list(factors)
@@ -186,7 +173,7 @@ class ProductGroup(FiniteGroup):
             places.append((f, f.order, self.order))
             self.order *= f.order
         self._places = places[::-1]  # (factor, order, weight) in factor order
-        self.label = label or "x".join(f.label for f in factors)
+        self.label = "x".join(f.label for f in factors)
         self.abelian = all(f.abelian for f in factors)
         self.identity = self.encode(tuple(f.identity for f in factors))
 
@@ -354,6 +341,27 @@ def generator_words(G: FiniteGroup) -> list[tuple[int, int, int]]:
     return G._words
 
 
+def is_action(G: FiniteGroup, rows) -> bool:
+    """Whether act[s·h] == act[s]∘act[h] for every generator s of
+    ``generators(G)`` and every h, where act[g] = rows[g] is a row of points:
+    |gens|·|G| row compositions.  The caller checks that the identity's row
+    is the identity.
+
+    This is the whole action law, act[g·h] == act[g]∘act[h] for all g, h.
+    The g for which it holds at every h include the identity and the
+    generators, and are closed under products: act[(a·b)·h] = act[a·(b·h)] =
+    act[a]∘act[b]∘act[h] = act[a·b]∘act[h].  The first step is associativity
+    in G or, when the rows are G's own multiplication table, act[a·b] =
+    act[a]∘act[b] read at the point h.  Every element is a product of
+    generators."""
+    for s, s_row in generator_rows(G):
+        act_s = rows[s]
+        for sh, act_h in zip(s_row, rows):
+            if rows[sh] != tuple(map(act_s.__getitem__, act_h)):
+                return False
+    return True
+
+
 def element_rows(G: FiniteGroup, gen_rows, n: int) -> list[tuple[int, ...]]:
     """The row (g·x for x in range(n)) of every element g of G, for an action
     of G on range(n) given by the rows of ``generators(G)``, in that order.
@@ -411,11 +419,6 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def _cyclic_subgroup_of_index(n: int, d: int) -> tuple[int, ...]:
-    # subgroup of Z/n generated by d (index d, order n//d)
-    return tuple(range(0, n, 1) if d == 1 else range(0, n, d))
-
-
 def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """Complete duplicate-free sorted list of subgroups of G (cached on G)."""
     if G._subgroup_cache is None:
@@ -448,7 +451,7 @@ def _all_subgroup_tuples(G: FiniteGroup) -> list[tuple[int, ...]]:
     if isinstance(G, CyclicGroup):
         n = G.order
         return sorted(
-            (_cyclic_subgroup_of_index(n, d) for d in divisors(n)),
+            (tuple(range(0, n, d)) for d in divisors(n)),  # index d
             key=lambda t: (len(t), t),
         )
     if isinstance(G, ProductGroup) and all(
@@ -695,6 +698,16 @@ def direct_product(*groups: FiniteGroup) -> ProductGroup:
     return ProductGroup(list(groups))
 
 
+def selector_number(text: str) -> int | None:
+    """The number that a selector writes as ``text``: ASCII digits with no
+    sign, space, underscore or leading zero.  None for anything else, and for
+    more digits than ``int`` converts."""
+    try:
+        return int(text) if re.fullmatch("0|[1-9][0-9]*", text) else None
+    except ValueError:
+        return None
+
+
 def parse_group(selector: str) -> FiniteGroup:
     """Selectors: cyclic:4, dihedral:8, sym:3, prod:cyclic:2,cyclic:2,
     or json:<path> for a table file."""
@@ -706,10 +719,9 @@ def parse_group(selector: str) -> FiniteGroup:
     if selector.startswith("json:"):
         return read_json_file(selector[len("json:"):], "group", group_from_json)
     head, _, arg = selector.partition(":")
-    try:
-        n = int(arg)
-    except ValueError:
-        raise UnknownFamily(f"bad group selector {selector!r}") from None
+    n = selector_number(arg)
+    if n is None:
+        raise UnknownFamily(f"bad group selector {selector!r}")
     if head == "cyclic":
         if n < 1:
             raise UnknownFamily(f"bad group selector {selector!r}: order must be >= 1")
@@ -720,8 +732,6 @@ def parse_group(selector: str) -> FiniteGroup:
                 f"bad group selector {selector!r}: order must be even and >= 2")
         return dihedral(n)
     if head == "sym":
-        if n < 0:
-            raise UnknownFamily(f"bad group selector {selector!r}: degree must be >= 0")
         return symmetric(n)
     raise UnknownFamily(f"unknown group family {head!r}")
 

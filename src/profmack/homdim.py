@@ -17,7 +17,7 @@ inducing the action over the conjugation G-set of subgroups.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import linalg as la
@@ -225,27 +225,11 @@ class HomDimCertificate:
     trace: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "setup": self.setup,
-            "verdict": self.verdict,
-            "value": self.value,
-            "lower": self.lower,
-            "upper": self.upper,
-            "rank_certificate": (
-                self.rank_certificate.as_dict() if self.rank_certificate else None
-            ),
-            "godement_length": self.godement_length,
-            "witness": (
-                {
-                    "period": self.witness.period,
-                    "values": [[str(x) for x in v] for v in self.witness.values],
-                }
-                if self.witness
-                else None
-            ),
-            "trace": list(self.trace),
-        }
+        """The certificate's JSON: its fields, with the witness values as
+        Fractions, the rank certificate's own ``as_dict`` and "schema": 1."""
+        rc = self.rank_certificate
+        return {"schema": 1, **asdict(self),
+                "rank_certificate": rc.as_dict() if rc else None}
 
 
 def combine_certificate(setup: str, rank_cert: RankCertificate,

@@ -48,6 +48,7 @@ from .groups import (
     group_to_json,
     identity_hom,
     parse_group,
+    selector_number,
     subgroup,
 )
 
@@ -87,11 +88,11 @@ class GroupTower:
 
 
 def parse_prime(text: str) -> int:
-    """The prime that a selector writes as text; UnknownFamily otherwise."""
-    try:
-        p = int(text)
-    except ValueError:
-        raise UnknownFamily(f"expected a prime, got {text!r}") from None
+    """The prime that a selector writes as text (see ``selector_number``);
+    UnknownFamily otherwise."""
+    p = selector_number(text)
+    if p is None:
+        raise UnknownFamily(f"expected a prime, got {text!r}")
     if divisors(p) != [1, p]:
         raise UnknownFamily(f"{p} is not prime")
     return p
@@ -103,7 +104,7 @@ def _family_primes(family: str) -> list[int]:
     if family == "trivial":
         return []
     if family.startswith("prod:"):
-        tags = [t.strip() for t in family[5:].split(",")]
+        tags = family[5:].split(",")
     elif family.startswith("pro_p:"):
         tags = [family]
     else:

@@ -117,13 +117,35 @@ def test_group_info_bad_selector(capsys):
     "sheaf godement --stages -1",
     "cb rank --tower pro_p:x",
     "sheaf godement --sheaf sky:omega:x",
+    # a number in a selector is ASCII digits with no sign, space, underscore
+    # or leading zero
+    "cb rank --tower pro_p:1_1",
+    "cb rank --tower pro_p:+3",
+    "cb rank --tower 'pro_p: 3'",
+    "group info --group cyclic:+4",
+    "group info --group sym:\u0663",
+    "mackey hom --group sym:3 --M rep:\u0663 --N burnside",
+    "mackey hom --group sym:3 --M fixedpoint:01 --N burnside",
+    "sheaf godement --sheaf const:\u0662",
+    "sheaf godement --sheaf sky:omega:01",
+    "homdim certify --setup spzp:\u0663",
 ])
 def test_malformed_input_is_a_usage_error(argv, capsys):
-    code = cli.main(argv.split())
+    code = cli.main(shlex.split(argv))
     out, err = capsys.readouterr()
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, err", [
+    ("cb rank --tower pro_p:-3", "expected a prime, got '-3'"),
+    ("cb rank --tower 'prod:pro_p:2, pro_p:3'", "expected pro_p:<prime>, got ' pro_p:3'"),
+    ("sheaf godement --sheaf const:02", "bad dimension '02' in sheaf selector 'const:02'"),
+])
+def test_a_malformed_number_names_the_selector(argv, err, capsys):
+    code = cli.main(shlex.split(argv))
+    assert (code, capsys.readouterr()) == (cli.EXIT_USAGE, ("", f"error: {err}\n"))
 
 
 def test_malformed_profmack_depth_is_a_usage_error():
@@ -363,6 +385,14 @@ def test_verify_rejects_a_malformed_file_as_usage(command, case, tmp_path, capsy
     _assert_one_usage_line(command.split() + ["--verify", str(path)], capsys)
 
 
+def _d512_with_a_repeated_row_entry():
+    """D512's table with row 5 repeating an entry; the identity and the
+    inverses still hold, so only the associativity check rejects it."""
+    mult = [list(row) for row in gr.dihedral(512).table()]
+    mult[5][2] = mult[5][3]
+    return mult
+
+
 MALFORMED_GROUP_FILES = {
     "a directory": None,
     "not json": "{not json",
@@ -371,6 +401,7 @@ MALFORMED_GROUP_FILES = {
     "a table of the wrong type": {"mult": 5},
     "a non-square table": {"mult": [[0, 1], [1]]},
     "a table with no identity": {"mult": [[0, 0], [0, 0]]},
+    "a non-associative table of order 512": {"mult": _d512_with_a_repeated_row_entry()},
 }
 
 
