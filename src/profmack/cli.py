@@ -355,7 +355,7 @@ def cmd_sheaf_godement(args):
     E = _parse_sheaf(base, args.sheaf)
     res = sh.godement_resolution(E, max_n=args.stages)
     stages = [res.stage_stalk_dims(i) for i in range(len(res.stages))]
-    violations = sh.stalk_vanishing_check(res, {"isolated": 0, "omega": 1})
+    violations = sh.stalk_vanishing_check(res)
     out = {
         "schema": 1,
         "base": args.base,
@@ -496,7 +496,7 @@ def main(argv=None) -> int:
     except (UsageError, UnknownFamily) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (cb.DepthExhausted, CapacityError, hd.ResolutionUnavailable,
+    except (cb.DepthExhausted, CapacityError, sh.ResolutionUnavailable,
             sh.NonPeriodicTail) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAPACITY

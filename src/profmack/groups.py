@@ -93,7 +93,9 @@ class FiniteGroup:
 
 class TableGroup(FiniteGroup):
     def __init__(self, mult, label: str = "G"):
-        self._mult = tuple(tuple(int(x) for x in row) for row in mult)
+        self._mult = tuple(map(tuple, mult))
+        if any(type(x) is not int for row in self._mult for x in row):
+            raise ValueError("multiplication table entries must be integers")
         n = len(self._mult)
         if any(len(row) != n for row in self._mult):
             raise ValueError("multiplication table must be square")

@@ -1,13 +1,13 @@
-"""Ext groups, homological-dimension certificates, and the Mackey/Weyl-sheaf
-comparison.
+"""Homological-dimension certificates, the Ext^1 decision over converging
+bases, and the Mackey/Weyl-sheaf comparison.
 
-Ext is computed as the cohomology of Hom(E, I*(F)) for the Godement stages of
-F.  Degree-1 lower bounds are certified by explicit non-split extensions
-rather than by ambient dimension counts: Ext^1 at the limit point is
-infinite-dimensional as a Q-space, so certificates report LowerBoundPositive
-with a re-verifiable witness there.  The witness is the first tail outside the
-reachable span that _tail_outside finds; its parity candidates come first, so
-over S(Z_p) it is the alternating section (1, 0, 1, 0, ...).
+Ext^1 over a converging base is decided by nonsplit_extension alone: a
+degree-1 lower bound is an explicit non-split extension rather than an
+ambient dimension count, since Ext^1 at the limit point is
+infinite-dimensional as a Q-space, and certificates carry its re-verifiable
+witness.  The witness is the first tail outside im(lambda_F) that
+_tail_outside finds; its parity candidates come first, so over S(Z_p) it is
+the alternating section (1, 0, 1, 0, ...).
 
 The finite-group comparison functor Phi kills images of proper inductions:
 stalk of Phi(M) at a subgroup K is coker(⊕_{L<K} ind^K_L), with conjugation
@@ -29,14 +29,11 @@ from .mackey import MackeyFunctorQ
 from .sheaf import (
     ConvSheaf,
     EqSheafFinite,
-    GodementResolution,
-    ResolutionUnavailable,
     Tail,
     WeylFlag,
     common_period,
     constant_sheaf,
     godement_resolution,
-    hom_conv_dim,
     skyscraper_omega,
     spzp_base,
     tail_coords,
@@ -47,37 +44,7 @@ Q0, Q1 = la.Q0, la.Q1
 
 
 # ---------------------------------------------------------------------------
-# Ext
-
-
-@dataclass
-class ExtResult:
-    degree: int
-    dimension: int | None  # None when only a lower bound is certified
-    lower_bound_positive: bool = False
-    witness: Tail | None = None
-    trace: list[str] = field(default_factory=list)
-
-
-def _reachable_span(E: ConvSheaf, F: ConvSheaf, P: int) -> list[list[Fraction]]:
-    """Span containing the image of Hom(E, I0) -> Hom(E, I1) evaluated on any
-    omega vector: im(lambda_F) plus all pattern-pushforwards of lambda_E."""
-    span = [tail_coords(t, P) for t in F.lam]
-    m = E.base.m
-    for b in range(E.fin_dim):
-        lb = E.lam[b].expand(P)
-        for j in range(m):
-            dF, dE = F.pattern_dims[j], E.pattern_dims[j]
-            for a in range(dF):
-                for t in range(dE):
-                    coords: list[Fraction] = []
-                    for pos in range(P):
-                        vals = [Q0] * F.pattern_dims[pos % m]
-                        if pos % m == j:
-                            vals[a] = lb.values[pos][t]
-                        coords.extend(vals)
-                    span.append(coords)
-    return [v for v in span if any(v)]
+# non-split extensions
 
 
 def _tail_outside(span: list[list[Fraction]], F: ConvSheaf, P: int) -> Tail | None:
@@ -119,60 +86,15 @@ def _tail_outside(span: list[list[Fraction]], F: ConvSheaf, P: int) -> Tail | No
     return None
 
 
-def ext_sheaf(E: ConvSheaf, F: ConvSheaf, i: int,
-              res: GodementResolution | None = None) -> ExtResult:
-    """H^i of Hom(E, I*(F)) within the periodic-tail class."""
-    if i < 0:
-        raise ValueError("degree must be non-negative")
-    res = res or godement_resolution(F)
-    trace = [f"resolution of {F.name}: length {res.length}"]
-    if i == 0:
-        d = hom_conv_dim(E, F)
-        trace.append(f"Ext^0 = dim hom_sheaf = {d}")
-        return ExtResult(0, d, trace=trace)
-    if i > res.length:
-        trace.append(f"stage {i} of the resolution is zero")
-        return ExtResult(i, 0, trace=trace)
-    # i == 1 with a nonzero I1 = skyscraper(omega, PerTail(pattern F))
-    omega_dim = E.fin_dim + E.tail_mult
-    if omega_dim == 0:
-        trace.append("source has zero omega stalk; Hom(E, I1) = 0")
-        return ExtResult(i, 0, trace=trace)
-    if any(F.lam_tail):
-        trace.append("lambda_F surjects onto PerTail; coker vanishes")
-        return ExtResult(i, 0, trace=trace)
-    if E.tail_mult:
-        raise ResolutionUnavailable(
-            "Ext^1 witness search requires a source with finite omega stalk"
-        )
-    P = common_period(E, F)
-    span = _reachable_span(E, F, P)
-    w = _tail_outside(span, F, P)
-    if w is None:
-        trace.append("every periodic tail is reachable; Ext^1 = 0 in class")
-        return ExtResult(i, 0, trace=trace)
-    trace.append(
-        f"witness tail of period {w.period} outside the reachable span; "
-        "ambient dimension at omega is not finite — reporting a lower bound"
-    )
-    return ExtResult(i, None, lower_bound_positive=True, witness=w, trace=trace)
-
-
-# ---------------------------------------------------------------------------
-# non-split extensions
-
-
 @dataclass
 class ExtensionDatum:
     middle: ConvSheaf
     witness: Tail
-    degree: int
-    verified_nonsplit: bool
     trace: list[str] = field(default_factory=list)
 
 
 def nonsplit_extension(E: ConvSheaf, F: ConvSheaf) -> ExtensionDatum | None:
-    """0 -> F -> M -> E -> 0 certified non-split, or None.
+    """0 -> F -> M -> E -> 0 certified non-split (so Ext^1(E, F) != 0), or None.
 
     E must be a skyscraper-type sheaf at omega (zero isolated stalks).  The
     middle object extends lambda_F by a witness tail on the E summand; a
@@ -184,28 +106,24 @@ def nonsplit_extension(E: ConvSheaf, F: ConvSheaf) -> ExtensionDatum | None:
     if F.pattern_zero() or any(F.lam_tail):
         return None  # injective target within the class
     P = common_period(E, F)
-    span = _reachable_span(E, F, P)  # lambda_E = 0 here, so this is im lambda_F
-    w = _tail_outside(span, F, P)
+    # lambda_E = 0, so Hom(E, I0(F)) reaches I1(F) only within im lambda_F
+    w = _tail_outside([tail_coords(t, P) for t in F.lam], F, P)
     if w is None:
         return None
-    lam_M = list(F.lam) + [w] * E.fin_dim
+    # splitting sigma(e_b) = (f_b, e_b) needs lambda_F(f_b) + w = 0
+    Pw = math.lcm(P, w.period)
+    spanP = [tail_coords(t, Pw) for t in F.lam]
+    if la.in_span(spanP, [-x for x in tail_coords(w, Pw)]):
+        return None
     M = ConvSheaf(
         F.base, list(F.exc_dims), list(F.pattern_dims),
-        F.fin_dim + E.fin_dim, lam_M,
+        F.fin_dim + E.fin_dim, list(F.lam) + [w] * E.fin_dim,
         tail_mult=F.tail_mult, lam_tail=F.lam_tail,
         act_exc=dict(F.act_exc), act_pattern=dict(F.act_pattern),
         name=f"ext({E.name},{F.name})",
     )
-    # splitting sigma(e_b) = (f_b, e_b) needs lambda_F(f_b) + w = 0
-    Pw = math.lcm(P, w.period)
-    spanP = [tail_coords(t, Pw) for t in F.lam]
-    nonsplit = not la.in_span(spanP, [-x for x in tail_coords(w, Pw)])
-    if not nonsplit:
-        return None
     return ExtensionDatum(
-        M, w, 1, True,
-        trace=["splitting system lambda_F(f) = -w is infeasible (exact solve)"],
-    )
+        M, w, trace=["splitting system lambda_F(f) = -w is infeasible (exact solve)"])
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +207,9 @@ def homdim_certificate(setup: str, depth: int = 6) -> HomDimCertificate:
         datum = nonsplit_extension(sky, cQ)
         trace.append(f"S(Z_{p}) at depth {depth}: rank {cert.verdict}({cert.rank})")
         trace.append(f"constQ Godement length {res.length}")
-        nonsplit_degree = 0
-        witness = None
+        nonsplit_degree, witness = 0, None
         if datum is not None:
-            nonsplit_degree = datum.degree
-            witness = datum.witness
+            nonsplit_degree, witness = 1, datum.witness
             trace.extend(datum.trace)
         return combine_certificate(
             setup, cert, res.length, nonsplit_degree, witness, trace

@@ -202,15 +202,6 @@ class MackeyFunctorQ:
     def dim(self, H: Subgroup) -> int:
         return self.dims[H]
 
-    def res_mat(self, H: Subgroup, K: Subgroup) -> la.Matrix:
-        return self.res[(H, K)]
-
-    def ind_mat(self, H: Subgroup, K: Subgroup) -> la.Matrix:
-        return self.ind[(H, K)]
-
-    def conj_mat(self, g: int, H: Subgroup) -> la.Matrix:
-        return self.conj[(g, H)]
-
     def map(self, kind: str, key: tuple) -> la.Matrix:
         """The structure map of `kind` ("res", "ind" or "conj") at `key`."""
         return getattr(self, kind)[key]
@@ -227,57 +218,51 @@ def check_axioms(M: MackeyFunctorQ) -> list[str]:
     bad: list[str] = []
 
     for H in subs:
-        if not la.eq(M.res_mat(H, H), la.identity(M.dim(H))):
+        if not la.eq(M.res[H, H], la.identity(M.dim(H))):
             bad.append(f"res({H.order},{H.order}) not identity")
-        if not la.eq(M.ind_mat(H, H), la.identity(M.dim(H))):
+        if not la.eq(M.ind[H, H], la.identity(M.dim(H))):
             bad.append(f"ind({H.order},{H.order}) not identity")
-        if not la.eq(M.conj_mat(G.identity, H), la.identity(M.dim(H))):
+        if not la.eq(M.conj[G.identity, H], la.identity(M.dim(H))):
             bad.append(f"conj(e,{H.order}) not identity")
     for H in subs:
         for K in contained[H]:
             for J in contained[K]:
-                if not la.eq(
-                    la.matmul(M.res_mat(K, J), M.res_mat(H, K)), M.res_mat(H, J)
-                ):
+                if not la.eq(la.matmul(M.res[K, J], M.res[H, K]), M.res[H, J]):
                     bad.append("res not transitive")
-                if not la.eq(
-                    la.matmul(M.ind_mat(H, K), M.ind_mat(K, J)), M.ind_mat(H, J)
-                ):
+                if not la.eq(la.matmul(M.ind[H, K], M.ind[K, J]), M.ind[H, J]):
                     bad.append("ind not transitive")
     for H in subs:
         for g in G.elements():
             Hg = conjugate_subgroup(H, g)
             for h in G.elements():
-                lhs = la.matmul(M.conj_mat(h, Hg), M.conj_mat(g, H))
-                rhs = M.conj_mat(G.mul(h, g), H)
+                lhs = la.matmul(M.conj[h, Hg], M.conj[g, H])
+                rhs = M.conj[G.mul(h, g), H]
                 if not la.eq(lhs, rhs):
                     bad.append("conjugation not functorial")
             for K in contained[H]:
                 Kg = conjugate_subgroup(K, g)
                 if not la.eq(
-                    la.matmul(M.conj_mat(g, K), M.res_mat(H, K)),
-                    la.matmul(M.res_mat(Hg, Kg), M.conj_mat(g, H)),
+                    la.matmul(M.conj[g, K], M.res[H, K]),
+                    la.matmul(M.res[Hg, Kg], M.conj[g, H]),
                 ):
                     bad.append("conjugation does not intertwine res")
                 if not la.eq(
-                    la.matmul(M.conj_mat(g, H), M.ind_mat(H, K)),
-                    la.matmul(M.ind_mat(Hg, Kg), M.conj_mat(g, K)),
+                    la.matmul(M.conj[g, H], M.ind[H, K]),
+                    la.matmul(M.ind[Hg, Kg], M.conj[g, K]),
                 ):
                     bad.append("conjugation does not intertwine ind")
     # double coset formula
     for H in subs:
         for K in contained[H]:
             for L in contained[H]:
-                lhs = la.matmul(M.res_mat(H, K), M.ind_mat(H, L))
+                lhs = la.matmul(M.res[H, K], M.ind[H, L])
                 total = la.zeros(M.dim(K), M.dim(L))
                 for g in _double_coset_reps(G, K, H, L):
                     Lg = conjugate_subgroup(L, g)
                     A = intersection(K, Lg)  # K ∩ gLg^-1
                     Ag = conjugate_subgroup(A, G.inv(g))  # L ∩ g^-1 K g
-                    term = la.matmul(
-                        M.ind_mat(K, A),
-                        la.matmul(M.conj_mat(g, Ag), M.res_mat(L, Ag)),
-                    )
+                    term = la.matmul(M.ind[K, A],
+                                     la.matmul(M.conj[g, Ag], M.res[L, Ag]))
                     total = la.add(total, term)
                 if not la.eq(lhs, total):
                     bad.append(
@@ -308,8 +293,8 @@ def _class_action(M: MackeyFunctorQ, src: Subgroup, dst: Subgroup,
     h = coset_orbit(G, dst)[0][c[2]]
     Sg = conjugate_subgroup(S, G.inv(g))
     Sh = conjugate_subgroup(S, G.inv(h))
-    return la.matmul(M.ind_mat(dst, Sh), la.matmul(
-        M.conj_mat(G.inv(h), S), la.matmul(M.conj_mat(g, Sg), M.res_mat(src, Sg))))
+    return la.matmul(M.ind[dst, Sh], la.matmul(
+        M.conj[G.inv(h), S], la.matmul(M.conj[g, Sg], M.res[src, Sg])))
 
 
 # ---------------------------------------------------------------------------

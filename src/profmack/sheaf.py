@@ -372,20 +372,16 @@ def godement_resolution(E: ConvSheaf, max_n: int = 4) -> GodementResolution:
     return GodementResolution(E, stages, len(stages) - 1)
 
 
-def stalk_vanishing_check(res: GodementResolution, heights: dict) -> list[str]:
-    """Stage-n stalks must vanish at points of height < n.
-
-    heights maps "isolated" and "omega" to the heights of those point types
-    (0 and 1 on a converging base).  Returns the list of violations.
-    """
+def stalk_vanishing_check(res: GodementResolution) -> list[str]:
+    """Stage-n stalks must vanish at points of height < n: isolated points
+    have height 0 and omega height 1 on a converging base.  Returns the list
+    of violations."""
     bad = []
     for n, I in enumerate(res.stages):
-        if heights.get("isolated", 0) < n:
-            if any(I.exc_dims) or not I.pattern_zero():
-                bad.append(f"stage {n} has a nonzero isolated stalk (height 0)")
-        if heights.get("omega", 1) < n:
-            if I.fin_dim or I.tail_effective_mult():
-                bad.append(f"stage {n} has a nonzero omega stalk")
+        if n > 0 and (any(I.exc_dims) or not I.pattern_zero()):
+            bad.append(f"stage {n} has a nonzero isolated stalk (height 0)")
+        if n > 1 and (I.fin_dim or I.tail_effective_mult()):
+            bad.append(f"stage {n} has a nonzero omega stalk")
     return bad
 
 
@@ -463,7 +459,3 @@ def hom_conv(E: ConvSheaf, F: ConvSheaf) -> list[dict]:
                     (lam_F, "tailscal", _matrix(E.tail_mult, dE, {(u, a): Q1}))]
                 equations.append(([row_a], diag))
     return la.intertwiners(shapes, equations)
-
-
-def hom_conv_dim(E: ConvSheaf, F: ConvSheaf) -> int:
-    return len(hom_conv(E, F))

@@ -108,10 +108,10 @@ def span_action_matrix(M: MackeyFunctorQ, s: Span) -> la.Matrix:
         Sag = conjugate_subgroup(Sa, g)  # = Stab(a) ⊇ L
         Lh = conjugate_subgroup(L, G.inv(h))  # ⊆ Sb
         block = la.matmul(
-            M.ind_mat(Sb, Lh),
+            M.ind[Sb, Lh],
             la.matmul(
-                M.conj_mat(G.inv(h), L),
-                la.matmul(M.res_mat(Sag, L), M.conj_mat(g, Sa)),
+                M.conj[G.inv(h), L],
+                la.matmul(M.res[Sag, L], M.conj[g, Sa]),
             ),
         )
         la.add_block(out, VB.offsets[ib], VA.offsets[ia], block)

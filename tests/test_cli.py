@@ -401,6 +401,7 @@ MALFORMED_GROUP_FILES = {
     "a table of the wrong type": {"mult": 5},
     "a non-square table": {"mult": [[0, 1], [1]]},
     "a table with no identity": {"mult": [[0, 0], [0, 0]]},
+    "a table with float, string and bool entries": {"mult": [[0, 1.9], ["1", False]]},
     "a non-associative table of order 512": {"mult": _d512_with_a_repeated_row_entry()},
 }
 

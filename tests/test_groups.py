@@ -249,6 +249,13 @@ def test_table_group_rejects_a_non_square_table():
         gr.TableGroup([[0, 1], [1]])
 
 
+def test_table_group_rejects_an_entry_that_is_not_an_int():
+    # int() would read each of these as 1 and pass the table as C2
+    for entry in (True, 1.0, 1.9, "1"):
+        with pytest.raises(ValueError, match="integers"):
+            gr.TableGroup([[0, 1], [entry, 0]])
+
+
 def test_table_group_rejects_an_out_of_range_entry():
     # identity 0 and inverses 1 <-> 2 hold, so only the range check fires
     with pytest.raises(ValueError, match="out of range"):

